@@ -231,15 +231,14 @@ let ablation_cores () =
   List.iter (fun k -> run "euf-chain" k (G.euf_chain k)) [ 12; 16 ]
 
 (* ------------------------------------------------------------------ *)
-(* E1: parallel-engine scaling — wall time vs domains, cache on/off *)
+(* E1: parallel-engine scaling — wall time vs domains *)
 
 let engine_scaling () =
   printf "\n== Engine scaling: wall time vs worker domains ==\n";
   printf "(host has %d core(s); re-verification workload = positive suite x %d)\n"
     (Domain.recommended_domain_count ()) 12;
   (* A realistic re-verification workload: every positive suite entry,
-     repeated — repeats model incremental runs where most VCs recur,
-     which is exactly what the content-addressed cache memoizes. *)
+     repeated, as incremental runs re-verify mostly unchanged code. *)
   let reps = 12 in
   let progs =
     List.concat_map
@@ -249,37 +248,25 @@ let engine_scaling () =
           Pr.positive)
       (List.init reps Fun.id)
   in
-  printf "%7s %5s | %10s %8s | %9s %6s | %s\n" "domains" "cache" "wall(ms)"
-    "speedup" "hit-rate" "steals" "solver(ms)/domain";
-  printf "%s\n" (String.make 76 '-');
+  printf "%7s | %10s %8s | %6s | %s\n" "domains" "wall(ms)" "speedup" "steals"
+    "solver(ms)/domain";
+  printf "%s\n" (String.make 64 '-');
   let baseline = ref nan in
   List.iter
-    (fun (domains, cache) ->
-      let config = { E.default_config with E.domains; cache } in
+    (fun domains ->
+      let config = { E.default_config with E.domains } in
       let report = E.verify_programs ~config progs in
       let s = report.E.stats in
       let ok = List.for_all E.group_ok report.E.groups in
-      if domains = 1 && not cache then baseline := s.E.wall_ms;
-      let hit_rate =
-        if s.E.cache_hits + s.E.cache_misses = 0 then 0.0
-        else
-          100.0
-          *. float_of_int s.E.cache_hits
-          /. float_of_int (s.E.cache_hits + s.E.cache_misses)
-      in
-      printf "%7d %5s | %10.1f %7.2fx | %8.1f%% %6d | [%s]%s\n" domains
-        (if cache then "on" else "off")
-        s.E.wall_ms
+      if domains = 1 then baseline := s.E.wall_ms;
+      printf "%7d | %10.1f %7.2fx | %6d | [%s]%s\n" domains s.E.wall_ms
         (!baseline /. s.E.wall_ms)
-        hit_rate s.E.pool.E.Pool.steals
+        s.E.pool.E.Pool.steals
         (String.concat ","
            (List.map (Printf.sprintf "%.0f")
               (Array.to_list s.E.solver_ms_per_domain)))
         (if ok then "" else "  << FAILED"))
-    [
-      (1, false); (2, false); (4, false); (8, false);
-      (1, true); (2, true); (4, true); (8, true);
-    ]
+    [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* E2: incremental sessions vs one-shot solving *)
@@ -769,7 +756,7 @@ let serve_throughput () =
 (* S2: corpus-scale end-to-end throughput — procedures/second through
    the whole pipeline (elaborated spec -> VCs -> solver -> verdict) on
    a synthetic corpus of distinct procedures, at several worker
-   counts, cold (empty VC cache) and warm (same cache, second pass). *)
+   counts, cold (first pass) and warm (second pass, terms interned). *)
 
 (** --check compares the quick pass against the committed
     BENCH_corpus.json baseline (CI gate; fails loud on regression). *)
@@ -788,17 +775,15 @@ let corpus_throughput () =
   let quick_size = 120 and full_size = 2000 in
   let gen size = C.generate ~seed:42 ~size in
   let failures = ref 0 in
-  (* One shared cache per worker count: first pass is cold (every VC
-     misses), second is warm (every VC hits). Verdicts must match the
-     generator's expectations on every pass. *)
-  let run_pass ~domains ~cache specs =
+  (* Two passes per worker count: the first is cold (fresh term pool),
+     the second warm (every term already interned). Verdicts must match
+     the generator's expectations on every pass. *)
+  let run_pass ~domains specs =
     let progs = List.map (fun (s : C.spec) -> (s.C.name, s.C.program)) specs in
     let config =
       {
         E.default_config with
         E.domains;
-        cache = true;
-        shared_cache = Some cache;
         absint = not !no_absint;
       }
     in
@@ -825,16 +810,8 @@ let corpus_throughput () =
   printf "%s\n" (String.make 64 '-');
   let run_config ~tag ~size domains =
     let specs = gen size in
-    let cache = E.Vc_cache.create () in
-    E.Vc_cache.install cache;
-    let cold, verdicts, cold_stats, warm =
-      Fun.protect
-        ~finally:(fun () -> E.Vc_cache.uninstall ())
-        (fun () ->
-          let cold_pps, verdicts, cold_stats = run_pass ~domains ~cache specs in
-          let warm_pps, _, _ = run_pass ~domains ~cache specs in
-          (cold_pps, verdicts, cold_stats, warm_pps))
-    in
+    let cold, verdicts, cold_stats = run_pass ~domains specs in
+    let warm, _, _ = run_pass ~domains specs in
     let digest = C.manifest_digest verdicts in
     (* A 16-bit digest prefix survives the %g float round-trip of the
        JSON writer; combined with the in-process expectation check it

@@ -49,11 +49,10 @@ open Cmdliner
 let find_entry name =
   List.find_opt (fun (e : Pr.entry) -> String.equal e.name name) Pr.all
 
-let config ~jobs ~no_cache ~lint ~no_absint ~seed ~timeout_ms ~retries =
+let config ~jobs ~lint ~no_absint ~seed ~timeout_ms ~retries =
   {
     E.default_config with
     E.domains = max 1 jobs;
-    cache = not no_cache;
     lint;
     absint = not no_absint;
     seed;
@@ -149,11 +148,6 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Number of worker domains.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ] ~doc:"Disable the content-addressed VC cache.")
-
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print the engine stats block.")
 
@@ -228,13 +222,13 @@ let suite_cmd =
   let doc = "Verify every program in the benchmark suite." in
   Cmd.v (Cmd.info "suite" ~doc)
     Term.(
-      const (fun jobs no_cache stats lint no_absint seed timeout_ms retries
+      const (fun jobs stats lint no_absint seed timeout_ms retries
                  faults json ->
           with_faults faults @@ fun () ->
           let report =
             E.verify_programs
               ~config:
-                (config ~jobs ~no_cache ~lint ~no_absint ~seed ~timeout_ms
+                (config ~jobs ~lint ~no_absint ~seed ~timeout_ms
                    ~retries)
               (List.map (fun (e : Pr.entry) -> (e.name, e.prog)) Pr.all)
           in
@@ -255,10 +249,9 @@ let suite_cmd =
             let statuses =
               List.map2 (fun e g -> report_entry e g) Pr.all report.E.groups
             in
-            Fmt.pr "total %.1fms wall (%d jobs, %d domain(s), cache %s)@."
+            Fmt.pr "total %.1fms wall (%d jobs, %d domain(s))@."
               report.E.stats.E.wall_ms report.E.stats.E.jobs
-              report.E.stats.E.pool.E.Pool.domains
-              (if no_cache then "off" else "on");
+              report.E.stats.E.pool.E.Pool.domains;
             if stats then Fmt.pr "%a@." E.pp_stats report.E.stats;
             (match exit_of_statuses statuses with
             | 0 -> ()
@@ -269,7 +262,7 @@ let suite_cmd =
                    (timeout/resource/crash)@.");
             exit_of_statuses statuses
           end)
-      $ jobs_arg $ no_cache_arg $ stats_arg $ lint_flag $ no_absint_arg
+      $ jobs_arg $ stats_arg $ lint_flag $ no_absint_arg
       $ seed_arg $ timeout_arg $ retries_arg $ faults_arg $ json_flag)
 
 let name_arg =
@@ -280,7 +273,7 @@ let print_proc_outcomes (g : E.group_result) =
     (fun (p, o) -> Fmt.pr "  proc %-12s %a@." p V.pp_outcome o)
     g.E.outcomes
 
-let verify_file path ~jobs ~no_cache ~lint ~no_absint ~seed ~stats
+let verify_file path ~jobs ~lint ~no_absint ~seed ~stats
     ~timeout_ms ~retries ~json =
   match load_hl path with
   | Error m -> fail_cli m
@@ -288,7 +281,7 @@ let verify_file path ~jobs ~no_cache ~lint ~no_absint ~seed ~stats
       let report =
         E.verify_programs
           ~config:
-            (config ~jobs ~no_cache ~lint ~no_absint ~seed ~timeout_ms
+            (config ~jobs ~lint ~no_absint ~seed ~timeout_ms
                ~retries)
           ~srcmaps:[ (path, srcmap) ]
           [ (path, prog) ]
@@ -323,11 +316,11 @@ let verify_cmd =
   in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
-      const (fun name jobs no_cache lint no_absint seed timeout_ms retries
+      const (fun name jobs lint no_absint seed timeout_ms retries
                  faults json ->
           with_faults faults @@ fun () ->
           if is_hl name then
-            verify_file name ~jobs ~no_cache ~lint ~no_absint ~seed
+            verify_file name ~jobs ~lint ~no_absint ~seed
               ~stats:false ~timeout_ms ~retries ~json
           else
           match find_entry name with
@@ -335,7 +328,7 @@ let verify_cmd =
               let report =
                 E.verify_program
                   ~config:
-                    (config ~jobs ~no_cache ~lint ~no_absint ~seed
+                    (config ~jobs ~lint ~no_absint ~seed
                        ~timeout_ms ~retries)
                   ~name:e.name e.prog
               in
@@ -363,7 +356,7 @@ let verify_cmd =
                     exit_wrong
               end
           | None -> fail_cli ("unknown entry " ^ name))
-      $ name_arg $ jobs_arg $ no_cache_arg $ lint_flag $ no_absint_arg
+      $ name_arg $ jobs_arg $ lint_flag $ no_absint_arg
       $ seed_arg $ timeout_arg $ retries_arg $ faults_arg $ json_flag)
 
 (* ------------------------------------------------------------------ *)
@@ -578,7 +571,7 @@ let socket_arg =
 let serve_cmd =
   let doc =
     "Run the verification daemon: a long-lived process with warm worker \
-     domains and a two-tier (memory + disk) VC cache, serving \
+     domains and a two-tier (memory + disk) verdict cache, serving \
      newline-delimited JSON requests on a Unix-domain socket."
   in
   let cache_dir_arg =
@@ -587,7 +580,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
-            "Persist the VC cache on disk under $(docv), so verdicts for \
+            "Persist the verdict cache on disk under $(docv), so verdicts for \
              unchanged programs survive daemon restarts. Default: memory \
              only.")
   in

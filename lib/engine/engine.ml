@@ -1,8 +1,7 @@
 (** The parallel verification engine.
 
-    Decomposes program verification into per-procedure {!Job}s, drains
-    them over a {!Pool} of worker domains, and routes every SMT query
-    through a shared content-addressed {!Vc_cache}. Statistics that
+    Decomposes program verification into per-procedure {!Job}s and
+    drains them over a {!Pool} of worker domains. Statistics that
     used to live in process-global mutable records are per-job
     ({!Verifier.Vstats}, instance-passed through the symbolic state)
     or per-domain ({!Smt.Stats}, domain-local); the engine merges both
@@ -21,7 +20,6 @@ module V = Verifier.Exec
 
 type config = {
   domains : int;  (** worker domains (including the calling one) *)
-  cache : bool;  (** consult/fill the content-addressed VC cache *)
   heap_dep : bool;  (** heap-dependent assertions (ablation A1) *)
   absint : bool;
       (** abstract-interpretation pass: DA018–DA025 in the lint stage
@@ -40,24 +38,17 @@ type config = {
   timeout_ms : float option;  (** per-job wall-clock deadline *)
   retries : int;
       (** budget-escalated retries per job on [Timeout]/[Resource_out] *)
-  shared_cache : Vc_cache.t option;
-      (** a caller-owned cache (the [daenerys serve] daemon's two-tier
-          instance, installed once for the process); when set, the
-          engine neither creates nor installs/uninstalls a cache, so
-          concurrent runs on different worker domains share it safely *)
 }
 
 let default_config =
   {
     domains = 1;
-    cache = true;
     heap_dep = true;
     absint = true;
     lint = false;
     seed = 0;
     timeout_ms = None;
     retries = 0;
-    shared_cache = None;
   }
 
 type analysis_stats = {
@@ -73,11 +64,12 @@ type stats = {
   wall_ms : float;  (** end-to-end wall clock for the whole run *)
   pool : Pool.stats;
   solver_ms_per_domain : float array;  (** time inside [check_sat] *)
-  cache_hits : int;  (** answered from the in-memory tier *)
-  cache_disk_hits : int;  (** answered from the persistent on-disk tier *)
+  cache_hits : int;
+      (** 1 when the verdict tier's memory answered ({!cached_report}) *)
+  cache_disk_hits : int;  (** 1 when the verdict tier's disk answered *)
   cache_misses : int;
-  cache_entries : int;
-  cache_corrupt : int;  (** entries that failed validation on read *)
+      (** always 0: a report is either a verdict-tier hit or a full run;
+          kept for the report's wire format *)
   timeouts : int;  (** jobs whose final outcome was [Timeout] *)
   resource_outs : int;  (** jobs whose final outcome was [Resource_out] *)
   crashes : int;  (** jobs whose final outcome was [Crashed] *)
@@ -212,35 +204,12 @@ let verify_programs ?(config = default_config)
       live
     |> Array.of_list
   in
-  (* A shared cache (daemon mode) is owned and installed by the
-     caller, once per process; an owned cache lives for this run. *)
-  let cache, owned =
-    match config.shared_cache with
-    | Some c -> (Some c, false)
-    | None when config.cache -> (Some (Vc_cache.create ()), true)
-    | None -> (None, false)
-  in
-  if owned then Option.iter Vc_cache.install cache;
   let t0 = Unix.gettimeofday () in
-  let results, per_domain, pool =
-    Fun.protect
-      ~finally:(fun () -> if owned then Vc_cache.uninstall ())
-      (fun () ->
-        Pool.run ~domains:config.domains
-          ~prologue:(fun () ->
-            Smt.Stats.reset ();
-            Vc_cache.Local.reset ())
-          ~epilogue:(fun () ->
-            (Smt.Stats.snapshot (), Vc_cache.Local.snapshot ()))
-          (Job.run ?timeout_ms:config.timeout_ms ~retries:config.retries)
-          jobs)
-  in
-  let smt_per_domain = Array.map fst per_domain in
-  let cache_local =
-    Array.fold_left
-      (fun acc (_, l) -> Vc_cache.Local.sum acc l)
-      (Vc_cache.Local.create ())
-      per_domain
+  let results, smt_per_domain, pool =
+    Pool.run ~domains:config.domains ~prologue:Smt.Stats.reset
+      ~epilogue:Smt.Stats.snapshot
+      (Job.run ?timeout_ms:config.timeout_ms ~retries:config.retries)
+      jobs
   in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   let vstats =
@@ -264,14 +233,9 @@ let verify_programs ?(config = default_config)
       pool;
       solver_ms_per_domain =
         Array.map (fun (s : Smt.Stats.t) -> s.Smt.Stats.solve_ms) smt_per_domain;
-      (* Per-run counters come from the merged domain-local records,
-         not the cache instance: a shared (daemon) cache accumulates
-         across requests, but each request must report only its own. *)
-      cache_hits = cache_local.Vc_cache.Local.hits;
-      cache_disk_hits = cache_local.Vc_cache.Local.disk_hits;
-      cache_misses = cache_local.Vc_cache.Local.misses;
-      cache_entries = (match cache with Some c -> Vc_cache.size c | None -> 0);
-      cache_corrupt = cache_local.Vc_cache.Local.corrupt;
+      cache_hits = 0;
+      cache_disk_hits = 0;
+      cache_misses = 0;
       timeouts = count (function V.Timeout _ -> true | _ -> false);
       resource_outs = count (function V.Resource_out _ -> true | _ -> false);
       crashes = count (function V.Crashed _ -> true | _ -> false);
@@ -332,8 +296,6 @@ let cached_report ~group ~(outcomes : (string * V.outcome) list)
         cache_hits = mem;
         cache_disk_hits = disk;
         cache_misses = 0;
-        cache_entries = 0;
-        cache_corrupt = 0;
         timeouts = 0;
         resource_outs = 0;
         crashes = 0;
@@ -350,19 +312,9 @@ let pp_stats ppf (s : stats) =
         "analysis: %d program(s) in %.1fms — %d finding(s), %d error(s)@ "
         a.a_programs a.a_wall_ms a.a_diags a.a_errors
   | None -> ());
-  let probes = s.cache_hits + s.cache_disk_hits + s.cache_misses in
-  let rate =
-    if probes = 0 then 0.0
-    else
-      100.0
-      *. float_of_int (s.cache_hits + s.cache_disk_hits)
-      /. float_of_int probes
-  in
   Fmt.pf ppf
     "@[<v>engine: %d jobs on %d domain(s) in %.1fms (steals=%d)@ \
      per-domain jobs=[%a] wall=[%a]ms solver=[%a]ms@ \
-     vc-cache: %d mem hits / %d disk hits / %d misses (%.1f%% hit rate, \
-     %d entries, %d corrupt)@ \
      resilience: timeouts=%d resource-outs=%d crashes=%d retries=%d@ \
      %a@ %a@]"
     s.jobs s.pool.Pool.domains s.wall_ms s.pool.Pool.steals
@@ -371,6 +323,5 @@ let pp_stats ppf (s : stats) =
     Fmt.(array ~sep:(any ",") (fmt "%.1f"))
     s.pool.Pool.ms_per_domain
     Fmt.(array ~sep:(any ",") (fmt "%.1f"))
-    s.solver_ms_per_domain s.cache_hits s.cache_disk_hits s.cache_misses rate
-    s.cache_entries s.cache_corrupt s.timeouts s.resource_outs s.crashes
-    s.retries Verifier.Vstats.pp s.vstats Smt.Stats.pp s.smt
+    s.solver_ms_per_domain s.timeouts s.resource_outs s.crashes s.retries
+    Verifier.Vstats.pp s.vstats Smt.Stats.pp s.smt

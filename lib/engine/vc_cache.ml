@@ -1,19 +1,20 @@
-(** A two-tier content-addressed cache of VC verdicts.
+(** A two-tier content-addressed cache of whole-group verdicts.
 
-    The solver serializes each query to canonical bytes
-    ([Smt.Solver.serialize_vc]); we address results by the MD5 digest
-    of those bytes, so structurally identical VCs — recurring path
-    conditions within one procedure, identical obligations across
-    repeated verification runs — are discharged once.
+    Entries are the per-procedure outcomes of one verification group,
+    keyed on {e request content} (a suite entry's name, a surface
+    program's source text); we address them by the MD5 digest of that
+    key. This is the daemon's warm path: a repeat request for an
+    unchanged program is answered here — no symbolic execution, no
+    session, no solver work at all.
 
-    {b Tier 1} is the in-memory table of PR 1: a mutex-guarded
-    hashtable shared by every worker domain. {b Tier 2} is an optional
-    persistent on-disk store (one file per digest under a cache
-    directory), so verdicts survive process restarts — the substrate
-    of the [daenerys serve] daemon, where a repeat request for an
-    unchanged program must be a pure cache hit even across daemon
-    generations. A memory miss probes the disk; a disk hit is promoted
-    into memory, so the second probe is a memory hit.
+    {b Tier 1} is an in-memory table: a mutex-guarded hashtable shared
+    by every worker domain. {b Tier 2} is an optional persistent
+    on-disk store (one file per digest under a cache directory), so
+    verdicts survive process restarts — the substrate of the
+    [daenerys serve] daemon, where a repeat request must be a pure
+    cache hit even across daemon generations. A memory miss probes the
+    disk; a disk hit is promoted into memory, so the second probe is a
+    memory hit.
 
     Disk entries are defensive on three axes:
 
@@ -23,9 +24,9 @@
     - {b corruption}: the file carries the payload's digest; a read
       that fails re-digesting, unmarshalling, or decoding is {e
       evicted and counted as a miss} (the [corrupt] counter makes such
-      events visible), exactly like PR 5's in-memory validation —
-      corruption can cost a re-solve but can never resurface as a
-      wrong verdict;
+      events visible), exactly like the in-memory validation —
+      corruption can cost a re-verification but can never resurface
+      as a wrong verdict;
     - {b stale builds}: the binary's build fingerprint (digest of the
       executable) is folded into the on-disk file name {e and} stored
       in the entry, so a rebuilt verifier never replays verdicts
@@ -37,52 +38,14 @@
     least-recently-used entries. Eviction and loads tolerate files
     vanishing underneath them — several daemons may share a directory.
 
-    Counters exist at two scopes. Per-instance atomics accumulate for
-    the cache's lifetime (the daemon's [stats] request reports these);
-    the domain-local {!Local} record gives exact per-request
-    accounting even when concurrent requests share one cache — the
-    engine resets it in each worker's prologue and merges the
-    snapshots, mirroring [Smt.Stats]. *)
+    Hit, miss and corruption counters are per-instance atomics that
+    accumulate for the cache's lifetime (the daemon's [stats] request
+    reports these). *)
 
 type entry = {
-  payload : string;  (** [Marshal]ed {!Smt.Solver.result} *)
+  payload : string;  (** [Marshal]ed {!verdicts} *)
   digest : string;  (** MD5 of [payload], checked on every read *)
 }
-
-(* --------------------------------------------------------------- *)
-(* Domain-local per-run counters *)
-
-module Local = struct
-  type t = {
-    mutable hits : int;  (** answered from the in-memory tier *)
-    mutable disk_hits : int;  (** answered from the on-disk tier *)
-    mutable misses : int;
-    mutable corrupt : int;
-  }
-
-  let create () = { hits = 0; disk_hits = 0; misses = 0; corrupt = 0 }
-  let key : t Domain.DLS.key = Domain.DLS.new_key create
-  let current () = Domain.DLS.get key
-
-  let reset () =
-    let s = current () in
-    s.hits <- 0;
-    s.disk_hits <- 0;
-    s.misses <- 0;
-    s.corrupt <- 0
-
-  let snapshot () =
-    let s = current () in
-    { s with hits = s.hits }
-
-  let sum a b =
-    {
-      hits = a.hits + b.hits;
-      disk_hits = a.disk_hits + b.disk_hits;
-      misses = a.misses + b.misses;
-      corrupt = a.corrupt + b.corrupt;
-    }
-end
 
 (* --------------------------------------------------------------- *)
 (* The on-disk tier *)
@@ -180,13 +143,9 @@ let mkdir_p dir =
   in
   go dir
 
-(** Validate an entry and surrender its payload bytes. The cache is
-    payload-agnostic — the VC tier stores marshaled solver results,
-    the verdict tier whole-group outcomes; both ride the same digest
-    validation and the same two storage tiers. *)
-let decode (e : entry) : string option =
-  if String.equal (Digest.string e.payload) e.digest then Some e.payload
-  else None
+(** Does the entry's payload still match the digest it was stored
+    with? *)
+let valid (e : entry) = String.equal (Digest.string e.payload) e.digest
 
 (* --- disk primitives ------------------------------------------- *)
 
@@ -265,7 +224,7 @@ let disk_evict_to_bound (d : disk) =
    corrupted bytes can crash the runtime, and disk entries are exactly
    the bytes we must assume corrupted. Every field is length-checked,
    so a malformed file can only ever parse to [None] — the payload is
-   unmarshalled (by the typed layer) only after its digest validates. *)
+   unmarshalled only after its digest validates. *)
 let magic = "DAEVC1\n"
 
 let encode_entry fp (e : entry) =
@@ -397,17 +356,17 @@ let recover_dir dir (r : recovery) =
           | bytes -> (
               match decode_entry bytes with
               | None -> true
-              | Some (_, e) -> not (String.equal (Digest.string e.payload) e.digest))
+              | Some (_, e) -> not (valid e))
         in
         if torn && quarantine_file dir f then
           r.torn_quarantined <- r.torn_quarantined + 1
       end)
     files
 
-(** [create ()] is the PR 1 memory-only cache (per-run, CLI default).
-    [create ~disk_dir ()] adds the persistent tier; [max_bytes] bounds
-    it (default 256 MB) and [fingerprint] overrides the build digest
-    (tests use this to simulate a rebuild). [recover] (default on)
+(** [create ()] is a memory-only cache. [create ~disk_dir ()] adds
+    the persistent tier; [max_bytes] bounds it (default 256 MB) and
+    [fingerprint] overrides the build digest (tests use this to
+    simulate a rebuild). [recover] (default on)
     runs the crash-recovery pass before the directory is indexed;
     turning it off reproduces the pre-recovery behavior for tests. *)
 let create ?disk_dir ?(max_bytes = 256 * 1024 * 1024) ?fingerprint
@@ -466,7 +425,7 @@ let disk_store (d : disk) key (e : entry) =
       (fun () -> output_string oc bytes);
     (* Chaos-testing hook: a disk fault is a crash in the publication
        window — the temp file was written but the rename never
-       happens. The store is lost (a later probe re-solves) and the
+       happens. The store is lost (a later probe re-verifies) and the
        litter is exactly what the startup recovery sweep collects. *)
     Stdx.Fault.inject Stdx.Fault.Disk;
     Sys.rename tmp (disk_path d hex)
@@ -509,7 +468,7 @@ let disk_load (d : disk) key =
               disk_remove d hex;
               `Absent
             end
-            else if decode e = None then corrupt ()
+            else if not (valid e) then corrupt ()
             else begin
                 Mutex.protect d.dlock (fun () ->
                     d.clock <- d.clock + 1;
@@ -524,124 +483,12 @@ let disk_load (d : disk) key =
 
 (* --- the two-tier lookup/store -------------------------------- *)
 
-let count_hit t =
-  Atomic.incr t.hits;
-  let l = Local.current () in
-  l.Local.hits <- l.Local.hits + 1
-
-let count_disk_hit t =
-  Atomic.incr t.disk_hits;
-  let l = Local.current () in
-  l.Local.disk_hits <- l.Local.disk_hits + 1
-
-let count_miss t =
-  Atomic.incr t.misses;
-  let l = Local.current () in
-  l.Local.misses <- l.Local.misses + 1
-
-let count_corrupt t =
-  Atomic.incr t.corrupt;
-  let l = Local.current () in
-  l.Local.corrupt <- l.Local.corrupt + 1
-
-(** Two-tier probe: memory, then disk (promoting a disk hit into
-    memory). Returns the validated payload bytes and the tier that
-    answered. *)
-let lookup_bytes t serialized : (string * [ `Memory | `Disk ]) option =
-  let key = Digest.string serialized in
-  let mem = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl key) in
-  let from_disk () =
-    match t.disk with
-    | None ->
-        count_miss t;
-        None
-    | Some d -> (
-        match disk_load d key with
-        | `Ok e -> (
-            match decode e with
-            | Some payload ->
-                (* Promote: the next probe for this key is a memory
-                   hit. *)
-                Mutex.protect t.lock (fun () -> Hashtbl.replace t.tbl key e);
-                count_disk_hit t;
-                Some (payload, `Disk)
-            | None ->
-                (* disk_load validated the entry; unreachable unless
-                   the bytes rot between the two reads. *)
-                count_corrupt t;
-                count_miss t;
-                None)
-        | `Corrupt ->
-            count_corrupt t;
-            count_miss t;
-            None
-        | `Absent ->
-            count_miss t;
-            None)
-  in
-  match mem with
-  | None -> from_disk ()
-  | Some e -> (
-      match decode e with
-      | Some payload ->
-          count_hit t;
-          Some (payload, `Memory)
-      | None ->
-          (* Corrupt memory entry: evict so the re-solved result
-             replaces it, count, and fall back to the disk tier (its
-             copy validates independently). *)
-          Mutex.protect t.lock (fun () -> Hashtbl.remove t.tbl key);
-          count_corrupt t;
-          from_disk ())
-
-let store_bytes t serialized (payload : string) =
-  let key = Digest.string serialized in
-  let entry = { payload; digest = Digest.string payload } in
-  let entry =
-    (* Chaos-testing hook: an injected cache fault corrupts the stored
-       bytes *after* the digest was computed, exactly the failure the
-       read-side validation exists to absorb (both tiers see the same
-       corrupted bytes, so both validation paths are exercised). *)
-    if Stdx.Fault.fires Stdx.Fault.Cache then
-      { entry with payload = entry.payload ^ "\xde\xad" }
-    else entry
-  in
-  Mutex.protect t.lock (fun () -> Hashtbl.replace t.tbl key entry);
-  Option.iter (fun d -> disk_store d key entry) t.disk
-
-(* --- the VC tier: one solver result per serialized query -------- *)
-
-let lookup t serialized : Smt.Solver.result option =
-  match lookup_bytes t serialized with
-  | None -> None
-  | Some (payload, _tier) -> (
-      match (Marshal.from_string payload 0 : Smt.Solver.result) with
-      | r -> Some r
-      | exception _ -> None)
-
-let store t serialized (result : Smt.Solver.result) =
-  store_bytes t serialized (Marshal.to_string result [])
-
-(* --- the verdict tier: whole-group outcomes per program --------- *)
-
-(** Per-procedure outcomes of one whole verification group, keyed on
-    {e request content} (a suite entry's name, a surface program's
-    source text) rather than on serialized VCs. This is the daemon's
-    warm path: verification spends its time in incremental
-    {!Smt.Session} probes that the per-query VC tier never sees, so a
-    repeat request for an unchanged program is answered here — no
-    symbolic execution, no session, no solver work at all.
-
-    Only {e decided} groups (every outcome [Verified] or [Failed]) are
-    stored: abstentions — timeout, fuel exhaustion, crash — are
+(** Per-procedure outcomes of one whole verification group. Only {e
+    decided} groups (every outcome [Verified] or [Failed]) are stored:
+    abstentions — timeout, fuel exhaustion, crash — are
     budget-dependent, and replaying them would deny a later request
-    the retry its escalated budget exists to buy (the verdict-level
-    analogue of the VC tier's [Resource_out] exclusion). *)
+    the retry its escalated budget exists to buy. *)
 type verdicts = (string * Verifier.Exec.outcome) list
-
-(* Namespace prefix: verdict keys can never collide with serialized
-   VCs of the same bytes. *)
-let verdict_ns = "verdict\x00"
 
 let decided (v : verdicts) =
   List.for_all
@@ -653,24 +500,73 @@ let decided (v : verdicts) =
           false)
     v
 
+(** Two-tier probe: memory, then disk (promoting a disk hit into
+    memory). Returns the validated verdicts and the tier that
+    answered. *)
 let lookup_verdicts t key : (verdicts * [ `Memory | `Disk ]) option =
-  match lookup_bytes t (verdict_ns ^ key) with
-  | None -> None
-  | Some (payload, tier) -> (
+  let key = Digest.string key in
+  let mem = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl key) in
+  let miss () =
+    Atomic.incr t.misses;
+    None
+  in
+  let from_disk () =
+    match Option.map (fun d -> disk_load d key) t.disk with
+    | None | Some `Absent -> miss ()
+    | Some `Corrupt ->
+        Atomic.incr t.corrupt;
+        miss ()
+    | Some (`Ok e) ->
+        (* Promote: the next probe for this key is a memory hit. *)
+        Mutex.protect t.lock (fun () -> Hashtbl.replace t.tbl key e);
+        Atomic.incr t.disk_hits;
+        Some (e.payload, `Disk)
+  in
+  let found =
+    match mem with
+    | None -> from_disk ()
+    | Some e when valid e ->
+        Atomic.incr t.hits;
+        Some (e.payload, `Memory)
+    | Some _ ->
+        (* Corrupt memory entry: evict so the re-verified result
+           replaces it, count, and fall back to the disk tier (its
+           copy validates independently). *)
+        Mutex.protect t.lock (fun () -> Hashtbl.remove t.tbl key);
+        Atomic.incr t.corrupt;
+        from_disk ()
+  in
+  Option.bind found (fun (payload, tier) ->
       match (Marshal.from_string payload 0 : verdicts) with
       | v -> Some (v, tier)
       | exception _ -> None)
 
-(** Store a group's verdicts under [key]; silently skipped when the
-    group contains an abstention. *)
+(** Store a group's verdicts under [key] in both tiers; silently
+    skipped when the group contains an abstention. *)
 let store_verdicts t key (v : verdicts) =
-  if decided v then store_bytes t (verdict_ns ^ key) (Marshal.to_string v [])
+  if decided v then begin
+    let key = Digest.string key in
+    let payload = Marshal.to_string v [] in
+    let entry = { payload; digest = Digest.string payload } in
+    let entry =
+      (* Chaos-testing hook: an injected cache fault corrupts the
+         stored bytes *after* the digest was computed, exactly the
+         failure the read-side validation exists to absorb (both tiers
+         see the same corrupted bytes, so both validation paths are
+         exercised). *)
+      if Stdx.Fault.fires Stdx.Fault.Cache then
+        { entry with payload = payload ^ "\xde\xad" }
+      else entry
+    in
+    Mutex.protect t.lock (fun () -> Hashtbl.replace t.tbl key entry);
+    Option.iter (fun d -> disk_store d key entry) t.disk
+  end
 
-(** Deliberately corrupt the stored in-memory entry for [serialized],
+(** Deliberately corrupt the stored in-memory entry for [key],
     for regression tests. [`Flip] flips a payload bit; [`Truncate]
     drops the payload's tail. Returns [false] when no entry exists. *)
-let corrupt_entry ?(mode = `Flip) t serialized =
-  let key = Digest.string serialized in
+let corrupt_entry ?(mode = `Flip) t key =
+  let key = Digest.string key in
   Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.tbl key with
       | None -> false
@@ -688,14 +584,14 @@ let corrupt_entry ?(mode = `Flip) t serialized =
           Hashtbl.replace t.tbl key { e with payload };
           true)
 
-(** Corrupt the {e on-disk} entry for [serialized] (and forget the
+(** Corrupt the {e on-disk} entry for [key] (and forget the
     in-memory copy, so the next lookup must go to disk). For
     regression tests of the disk-validation path. *)
-let corrupt_disk_entry ?(mode = `Flip) t serialized =
+let corrupt_disk_entry ?(mode = `Flip) t key =
   match t.disk with
   | None -> false
   | Some d -> (
-      let key = Digest.string serialized in
+      let key = Digest.string key in
       Mutex.protect t.lock (fun () -> Hashtbl.remove t.tbl key);
       let path = disk_path d (disk_key d key) in
       match read_file path with
@@ -714,13 +610,6 @@ let corrupt_disk_entry ?(mode = `Flip) t serialized =
           output_string oc bytes;
           close_out oc;
           true)
-
-(** Route every [Smt.Solver.check_sat] in the process through [t]. *)
-let install t =
-  Smt.Solver.set_cache
-    (Some { Smt.Solver.lookup = lookup t; store = store t })
-
-let uninstall () = Smt.Solver.set_cache None
 
 let hits t = Atomic.get t.hits
 let disk_hits t = Atomic.get t.disk_hits
@@ -749,8 +638,3 @@ let recovery_stats t =
 let recovered_tmp t = (recovery_stats t).tmp_swept
 let recovered_torn t = (recovery_stats t).torn_quarantined
 let journal_replayed t = (recovery_stats t).journal_replayed
-
-(** Fraction of lookups answered from either tier, in [0;1]. *)
-let hit_rate t =
-  let h = hits t + disk_hits t and m = misses t in
-  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)

@@ -13,8 +13,8 @@
     domain), so daemon verdicts are the CLI's verdicts by
     construction; the per-request deadline/retry budgets of PR 5 apply
     unchanged ([timeout_ms]/[retries] per request, with daemon-level
-    defaults). All requests share one process-wide two-tier
-    {!Engine.Vc_cache}: the in-memory tier serves repeats within this
+    defaults). All requests share one two-tier verdict cache
+    ({!Engine.Vc_cache}): the in-memory tier serves repeats within this
     daemon's lifetime, the on-disk tier survives restarts — a repeat
     request for an unchanged program does no solver work at all, in
     this daemon generation or the next.
@@ -50,7 +50,7 @@ type config = {
   socket_path : string;
   workers : int;  (** warm worker domains *)
   queue_bound : int;  (** max queued requests per client; 0 rejects all *)
-  cache_dir : string option;  (** on-disk VC cache; [None] = memory only *)
+  cache_dir : string option;  (** on-disk verdict cache; [None] = memory only *)
   cache_max_bytes : int;  (** disk-tier LRU bound *)
   cache_fingerprint : string option;
       (** build-fingerprint override (tests simulate rebuilds) *)
@@ -309,7 +309,6 @@ let handle_verify (d : t) ~id ~target ~lint ~absint ~seed ~timeout_ms
               {
                 E.default_config with
                 E.domains = 1;
-                shared_cache = Some d.cache;
                 lint;
                 absint;
                 seed;
@@ -446,7 +445,7 @@ let stats_json (d : t) =
           ] );
       ( "solver",
         (* Process-global gauges from the hash-consed term pool; the
-           per-VC counters live in the per-report engine stats. *)
+           solver counters live in the per-report engine stats. *)
         let ps = Smt.Term.pool_stats () in
         let lookups = ps.Smt.Term.pool_hits + ps.Smt.Term.pool_misses in
         Json.Obj
@@ -775,8 +774,7 @@ let drain_flush (d : t) ~seconds =
     SIGTERM/SIGINT arrives; returns [Ok ()] after draining — workers
     finish everything accepted, responses are flushed, the socket file
     is removed. SIGHUP logs a stats snapshot to stderr without
-    interrupting service. The VC cache is installed process-wide for
-    the daemon's lifetime. *)
+    interrupting service. *)
 let run (cfg : config) : (unit, string) result =
   (match Sys.os_type with
   | "Unix" -> (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
@@ -788,7 +786,6 @@ let run (cfg : config) : (unit, string) result =
         E.Vc_cache.create ?disk_dir:cfg.cache_dir
           ~max_bytes:cfg.cache_max_bytes ?fingerprint:cfg.cache_fingerprint ()
       in
-      E.Vc_cache.install cache;
       let d =
         {
           cfg;
@@ -841,8 +838,7 @@ let run (cfg : config) : (unit, string) result =
         (try Sys.remove cfg.socket_path with _ -> ());
         List.iter
           (fun (signo, beh) -> try Sys.set_signal signo beh with _ -> ())
-          saved_signals;
-        E.Vc_cache.uninstall ()
+          saved_signals
       in
       let rec loop () =
         if Atomic.get sig_hup then begin

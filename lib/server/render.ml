@@ -83,7 +83,7 @@ let json_of_outcome (o : V.outcome) =
 (** [rows]: one (name, expect_fail, status) triple per report group.
     The stats block carries the solver-query and cache counters the
     daemon's acceptance test watches: a warm repeat request must show
-    [queries = 0] with every probe answered by a cache tier. *)
+    [queries = 0] with the group answered by a verdict-cache tier. *)
 let json_of_report (report : E.report) rows =
   let entries =
     List.map2
@@ -103,10 +103,10 @@ let json_of_report (report : E.report) rows =
   in
   let s = report.E.stats in
   Printf.sprintf
-    {|{"entries":[%s],"stats":{"jobs":%d,"wall_ms":%.1f,"queries":%d,"cache_hits":%d,"cache_disk_hits":%d,"cache_misses":%d,"cache_corrupt":%d,"timeouts":%d,"resource_outs":%d,"crashes":%d,"retries":%d,"session_fallbacks":%d,"par_branches":%d,"inv_opens":%d,"interference_havocs":%d}}|}
+    {|{"entries":[%s],"stats":{"jobs":%d,"wall_ms":%.1f,"queries":%d,"cache_hits":%d,"cache_disk_hits":%d,"cache_misses":%d,"timeouts":%d,"resource_outs":%d,"crashes":%d,"retries":%d,"session_fallbacks":%d,"par_branches":%d,"inv_opens":%d,"interference_havocs":%d}}|}
     (String.concat "," entries)
     s.E.jobs s.E.wall_ms s.E.smt.Smt.Stats.queries s.E.cache_hits
-    s.E.cache_disk_hits s.E.cache_misses s.E.cache_corrupt s.E.timeouts
+    s.E.cache_disk_hits s.E.cache_misses s.E.timeouts
     s.E.resource_outs s.E.crashes s.E.retries
     s.E.smt.Smt.Stats.session_fallbacks
     s.E.vstats.Verifier.Vstats.par_branches

@@ -22,9 +22,7 @@
       strict branches at the SAT level, which a pure conjunction check
       cannot imitate (e.g. [2x ≤ 2y ≤ 2x+1, x ≠ y] is theory-Sat but
       integer-Unsat). Outside the trusted fragment the session falls
-      back to the full one-shot pipeline ({!Solver.entails_uncached}),
-      bypassing the VC cache — session queries are keyed on live state,
-      not serialized VCs.
+      back to the full one-shot pipeline ({!Solver.entails}).
 
     Verdicts therefore coincide with the one-shot API on every query;
     the differential tests in [test/test_smt.ml] pin this. *)
@@ -274,7 +272,7 @@ let refute_neq s (m : int Smap.t) (a : Term.t) (b : Term.t) =
   | _ -> None
 
 (** Escape hatch for benchmarks and differential tests: when set, every
-    {!check_goal} routes through the cached one-shot pipeline exactly
+    {!check_goal} routes through the one-shot pipeline exactly
     like the pre-session verifier, so session-based and one-shot runs
     can be compared on identical workloads. Domain-local would be
     cleaner, but the flag is only flipped by single-domain harnesses. *)
@@ -450,7 +448,7 @@ let check_goal s (goal : Term.t) : Solver.verdict =
   stats.Stats.session_checks <- stats.Stats.session_checks + 1;
   let fallback () =
     stats.Stats.session_fallbacks <- stats.Stats.session_fallbacks + 1;
-    Solver.entails_uncached ~hyps:(List.rev s.hyps) goal
+    Solver.entails ~hyps:(List.rev s.hyps) goal
   in
   (* Chaos-testing hook: an injected session fault stands for a lost or
      corrupted incremental state. Degrading to the one-shot pipeline is

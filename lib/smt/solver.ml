@@ -176,7 +176,7 @@ and encode enc (t : Term.t) : Sat.lit =
 (* Theory interaction *)
 
 (* Read once per process instead of once per theory conflict. *)
-let debug = lazy (Sys.getenv_opt "SMT_DEBUG" <> None)
+let debug = Sys.getenv_opt "SMT_DEBUG" <> None
 
 (** A persistent theory stack: one {!Theory.state} kept alive across
     lazy-loop rounds and minimization probes, with each asserted
@@ -271,45 +271,9 @@ let minimize_core ts (lits : Theory.atom list) : Theory.atom list =
   singles [] coarse
 
 (* ------------------------------------------------------------------ *)
-(* The VC cache hook *)
-
-(** A content-addressed result cache, installed by [lib/engine]
-    ({!Engine.Vc_cache}). The solver serializes every query to a
-    canonical byte string and consults the hook before doing any work;
-    the hook owns hashing, storage, synchronization, and hit/miss
-    accounting. The hook cell is atomic so install/uninstall from the
-    engine is safe with respect to concurrently solving domains. *)
-type cache = {
-  lookup : string -> result option;  (** key: serialized VC *)
-  store : string -> result -> unit;
-}
-
-let cache_hook : cache option Atomic.t = Atomic.make None
-
-let set_cache c = Atomic.set cache_hook c
-
-(** Canonical serialization of a query: the solver parameters followed
-    by each assertion's memoized canonical digest ({!Term.digest}), so
-    building a key is O(1) amortized per assertion instead of
-    re-marshalling whole trees. Digests are structure-derived — never
-    intern-id-derived — so structurally equal VCs from different runs,
-    domains, or processes collide in the cache, as intended (the disk
-    tier survives daemon restarts). The solver parameters are part of
-    the key so ablation runs cannot contaminate each other. *)
-let serialize_vc ~max_rounds ~minimize (assertions : Term.t list) : string =
-  let buf = Buffer.create (24 + (16 * List.length assertions)) in
-  Buffer.add_string buf "vc2|";
-  Buffer.add_string buf (string_of_int max_rounds);
-  Buffer.add_char buf '|';
-  Buffer.add_string buf (if minimize then "m|" else "-|");
-  List.iter (fun t -> Buffer.add_string buf (Term.digest t)) assertions;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
 (* Main loop *)
 
-let check_sat_uncached ~max_rounds ~minimize
-    (assertions : Term.t list) : result =
+let solve ~max_rounds ~minimize (assertions : Term.t list) : result =
   (* Chaos-testing hook: a solver fault crashes the query (caught and
      reported as [Crashed] by the engine), it never alters a verdict. *)
   Fault.inject Fault.Solver;
@@ -385,7 +349,7 @@ let check_sat_uncached ~max_rounds ~minimize
                   let core =
                     if minimize then minimize_core ts lits else lits
                   in
-                  (if Lazy.force debug then
+                  (if debug then
                      Fmt.epr "core(%d): %a@." (List.length core)
                        (Fmt.list ~sep:Fmt.comma (fun ppf (a : Theory.atom) ->
                             Fmt.pf ppf "%s%a" (if a.Theory.pos then "" else "¬")
@@ -418,33 +382,17 @@ let check_sat_uncached ~max_rounds ~minimize
     end
   end
 
-(** Public entry: count the query, consult the VC cache (when an
-    engine installed one), and account wall-clock solving time to the
-    calling domain's {!Stats} instance. *)
+(** Public entry: count the query and account wall-clock solving time
+    to the calling domain's {!Stats} instance. *)
 let check_sat ?(max_rounds = 5_000) ?(minimize = true)
     (assertions : Term.t list) : result =
   let stats = Stats.current () in
   stats.Stats.queries <- stats.Stats.queries + 1;
-  let solve () =
-    let t0 = Unix.gettimeofday () in
-    let r = check_sat_uncached ~max_rounds ~minimize assertions in
-    stats.Stats.solve_ms <-
-      stats.Stats.solve_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0);
-    r
-  in
-  match Atomic.get cache_hook with
-  | None -> solve ()
-  | Some c -> (
-      let key = serialize_vc ~max_rounds ~minimize assertions in
-      match c.lookup key with
-      | Some r -> r
-      | None ->
-          let r = solve () in
-          (* Budget-dependent outcomes must not be cached: a retry with
-             an escalated budget would be poisoned by the stored
-             giving-up result. *)
-          (match r with Resource_out _ -> () | _ -> c.store key r);
-          r)
+  let t0 = Unix.gettimeofday () in
+  let r = solve ~max_rounds ~minimize assertions in
+  stats.Stats.solve_ms <-
+    stats.Stats.solve_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0);
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Entailment interface used by the verifier and the kernel *)
@@ -471,19 +419,3 @@ let entails ?(hyps = []) (goal : Term.t) : verdict =
 
 let entails_bool ?hyps goal =
   match entails ?hyps goal with Valid -> true | _ -> false
-
-(** Entailment through the full one-shot pipeline but bypassing the VC
-    cache. {!Session} falls back to this when a goal leaves the
-    convex-literal fragment its live theory state can decide; caching
-    those fallbacks would double-count them against the cache's
-    hit-rate accounting and key them on context the session already
-    holds. *)
-let entails_uncached ?(hyps = []) (goal : Term.t) : verdict =
-  let t = Term.and_ (hyps @ [ Term.not_ goal ]) in
-  if Term.equal t Term.fls then Valid
-  else (
-      match check_sat_uncached ~max_rounds:5_000 ~minimize:true [ t ] with
-      | Unsat -> Valid
-      | Sat m -> Invalid m
-      | Unknown -> Undecided
-      | Resource_out r -> Gave_up r)

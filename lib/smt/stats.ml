@@ -12,7 +12,9 @@
     program behaves exactly as before. *)
 
 type t = {
-  mutable queries : int;  (** top-level [check_sat] calls *)
+  mutable queries : int;
+      (** one-shot [Solver.check_sat] calls; on the verifier path these
+          are exactly the session fallbacks *)
   mutable sat_conflicts : int;
   mutable sat_decisions : int;
   mutable sat_propagations : int;
@@ -47,7 +49,9 @@ type t = {
       (** cross-theory equality probes starved by [eq_budget] *)
   mutable deadline_stops : int;
       (** solver exits forced by a wall-clock deadline / cancellation *)
-  mutable solve_ms : float;  (** wall-clock time inside [check_sat] *)
+  mutable solve_ms : float;
+      (** wall-clock time inside [check_sat], i.e. the one-shot
+          fallback layer (incremental session checks are not timed) *)
 }
 
 let create () =

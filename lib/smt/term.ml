@@ -11,12 +11,6 @@
     - [tag] is process-local: allocated from a global counter at
       intern time, never stable across runs. Use it for memo tables
       and ordering *within* a process only.
-    - [digest] is canonical: an MD5 over the term's structure alone
-      (constructor, payloads, child digests), memoized per node.
-      Identical terms built in different processes — or in the same
-      process after any amount of unrelated interning — get identical
-      digests, which is what makes VC-cache keys survive daemon
-      restarts.
     - The pool is shared by all domains (terms cross domain
       boundaries in the parallel engine), so interning takes a
       per-shard mutex around a weak hash set; dropped terms are
@@ -27,7 +21,6 @@ type t = {
   tag : int;  (** unique intern id — process-local *)
   hkey : int;  (** memoized structural hash *)
   tsize : int;  (** memoized constructor count *)
-  mutable digest : string;  (** memoized canonical MD5 ("" = unset) *)
 }
 
 and node =
@@ -174,7 +167,7 @@ let intern node =
   | _ ->
       (* The lookup key borrows the node; tag and size are only
          computed (and an id only consumed) when the term is new. *)
-      let probe = { node; tag = -1; hkey; tsize = 0; digest = "" } in
+      let probe = { node; tag = -1; hkey; tsize = 0 } in
       let shard = shards.(hkey lsr cache_bits land (n_shards - 1)) in
       Mutex.lock shard.mutex;
       let t =
@@ -189,7 +182,6 @@ let intern node =
                 tag = Atomic.fetch_and_add next_tag 1;
                 hkey;
                 tsize = size_node node;
-                digest = "";
               }
             in
             Pool.add shard.pool t;
@@ -214,49 +206,6 @@ let pool_stats () =
       })
     { pool_size = 0; pool_hits = !cache_hits; pool_misses = 0 }
     shards
-
-(* ------------------------------------------------------------------ *)
-(* Canonical digest *)
-
-(** Canonical MD5 of the term's structure: constructor tag byte,
-    length-prefixed string payloads, children by their (fixed-width)
-    digests. Never derived from [tag], so equal structures digest
-    equally across processes — the property VC-cache keys need.
-    Memoized; the benign race on the field writes identical values. *)
-let rec digest t =
-  if String.length t.digest <> 0 then t.digest
-  else begin
-    let buf = Buffer.create 64 in
-    let s x =
-      Buffer.add_string buf (string_of_int (String.length x));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf x
-    in
-    let d x = Buffer.add_string buf (digest x) in
-    (match t.node with
-    | Var (x, Sort.Int) -> Buffer.add_char buf 'v'; s x
-    | Var (x, Sort.Bool) -> Buffer.add_char buf 'b'; s x
-    | Int_lit n -> Buffer.add_char buf 'n'; s (string_of_int n)
-    | True -> Buffer.add_char buf 'T'
-    | False -> Buffer.add_char buf 'F'
-    | App (f, args) -> Buffer.add_char buf 'f'; s f; List.iter d args
-    | Pred (f, args) -> Buffer.add_char buf 'p'; s f; List.iter d args
-    | Add (a, b) -> Buffer.add_char buf '+'; d a; d b
-    | Sub (a, b) -> Buffer.add_char buf '-'; d a; d b
-    | Mul (a, b) -> Buffer.add_char buf '*'; d a; d b
-    | Ite (c, a, b) -> Buffer.add_char buf '?'; d c; d a; d b
-    | Eq (a, b) -> Buffer.add_char buf '='; d a; d b
-    | Le (a, b) -> Buffer.add_char buf 'l'; d a; d b
-    | Lt (a, b) -> Buffer.add_char buf '<'; d a; d b
-    | Not a -> Buffer.add_char buf '!'; d a
-    | And ts -> Buffer.add_char buf '&'; List.iter d ts
-    | Or ts -> Buffer.add_char buf '|'; List.iter d ts
-    | Implies (a, b) -> Buffer.add_char buf '>'; d a; d b
-    | Iff (a, b) -> Buffer.add_char buf '~'; d a; d b);
-    let dg = Digest.string (Buffer.contents buf) in
-    t.digest <- dg;
-    dg
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Printing *)

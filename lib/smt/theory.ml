@@ -37,7 +37,7 @@ type result =
 
 (* Read once per process instead of per conflict-loop iteration; the
    environment does not change under the solver. *)
-let debug = lazy (Sys.getenv_opt "SMT_DEBUG" <> None)
+let debug = Sys.getenv_opt "SMT_DEBUG" <> None
 
 type undo =
   | Mark
@@ -320,7 +320,7 @@ let check ?(eq_budget = max_int) st : result =
     if fuel <= 0 then begin
       stats.Stats.combination_timeouts <- stats.Stats.combination_timeouts + 1;
       stats.Stats.fuel_combination <- stats.Stats.fuel_combination + 1;
-      if Lazy.force debug then prerr_endline "DEBUG: combination fuel out";
+      if debug then prerr_endline "DEBUG: combination fuel out";
       Resource_out (Budget.Fuel "combination")
     end
     else begin
@@ -372,7 +372,7 @@ let check ?(eq_budget = max_int) st : result =
         | Simplex.IResource_out ->
             stats.Stats.combination_timeouts <-
               stats.Stats.combination_timeouts + 1;
-            if Lazy.force debug then
+            if debug then
               prerr_endline "DEBUG: check_int out of fuel";
             Resource_out (Budget.Fuel "simplex_fuel")
         | Simplex.IModel m ->

@@ -5,7 +5,7 @@
     but it must never flip [Verified] into [Failed] or vice versa.
     This module provides the injection points that property is tested
     against: named {e sites} in the solver, the incremental session
-    layer, the VC cache, the pool workers, the daemon's socket layer,
+    layer, the verdict cache, the pool workers, the daemon's socket layer,
     and the supervision layer (worker crashes, non-polling stalls,
     torn disk-cache publications), each firing with a configured
     probability drawn from a seeded deterministic stream.
@@ -115,20 +115,18 @@ let configure ?(seed = 0) probs =
 
 let clear () = Atomic.set state None
 
-(* Environment activation happens once, at first injection-point hit
-   (so library users pay nothing before then). [configure]/[clear]
-   override it afterwards. *)
-let env = lazy (
+(* Environment activation happens once, at module initialisation —
+   before any domain is spawned, so no two domains can race on it.
+   [configure]/[clear] override it afterwards. *)
+let () =
   match Sys.getenv_opt "DAENERYS_FAULTS" with
   | None | Some "" -> ()
   | Some spec -> (
       match configure_from_string spec with
       | Ok () -> ()
-      | Error m -> Fmt.epr "warning: ignoring DAENERYS_FAULTS: %s@." m))
+      | Error m -> Fmt.epr "warning: ignoring DAENERYS_FAULTS: %s@." m)
 
-let active () =
-  Lazy.force env;
-  Atomic.get state <> None
+let active () = Atomic.get state <> None
 
 (** Deterministic Bernoulli draw for [site]: true iff this draw fires. *)
 let draw (c : config) site =
@@ -145,7 +143,6 @@ let draw (c : config) site =
 (** Non-raising draw; used where the fault is a silent corruption (the
     cache flips stored bytes) rather than an exception. *)
 let fires site =
-  Lazy.force env;
   match Atomic.get state with None -> false | Some c -> draw c site
 
 (** Raise {!Injected} if this draw fires — the exception-shaped sites

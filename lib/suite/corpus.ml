@@ -2,11 +2,10 @@
 
     Scales the {!Generators} workload families to thousands of
     *distinct* procedures: every procedure gets its own constants and
-    variable names, so its VCs miss the content-addressed cache on a
-    cold run and hit on a warm one. A deterministic [seed] makes the
-    corpus reproducible across processes and machines — the CI gate in
-    [dev/check.sh] relies on a fixed-seed corpus having a fixed verdict
-    manifest.
+    variable names, so no two procedures share their VCs. A
+    deterministic [seed] makes the corpus reproducible across processes
+    and machines — the CI gate in [dev/check.sh] relies on a fixed-seed
+    corpus having a fixed verdict manifest.
 
     A slice of the corpus (roughly one in twelve procedures) carries a
     deliberately wrong postcondition ([expect_fail]); throughput

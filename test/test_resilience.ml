@@ -210,7 +210,6 @@ let test_engine_timeout_isolates_siblings () =
       {
         E.default_config with
         E.domains = 4;
-        cache = false;
         timeout_ms = Some 40.0;
       }
       (("slow", slow_prog) :: siblings)
@@ -235,34 +234,31 @@ let test_engine_timeout_isolates_siblings () =
   Alcotest.(check int) "one timeout accounted" 1 stats.E.timeouts
 
 (* ------------------------------------------------------------------ *)
-(* VC cache: corruption is absorbed as a miss *)
+(* Verdict cache: corruption is absorbed as a miss *)
 
 let test_cache_corruption_is_a_miss () =
-  let instance = G.euf_chain 8 in
-  let serialized =
-    Smt.Solver.serialize_vc ~max_rounds:5_000 ~minimize:true instance
+  let key = "prog" in
+  let verdicts : E.Vc_cache.verdicts =
+    [ ("p", V.Verified); ("q", V.Failed "bad") ]
   in
   let check_corruption mode =
     let cache = E.Vc_cache.create () in
-    E.Vc_cache.install cache;
-    Fun.protect ~finally:E.Vc_cache.uninstall (fun () ->
-        let clean = Smt.Solver.check_sat instance in
-        Alcotest.(check bool)
-          "entry stored" true
-          (E.Vc_cache.size cache = 1);
-        Alcotest.(check bool)
-          "corrupt_entry found its target" true
-          (E.Vc_cache.corrupt_entry ~mode cache serialized);
-        let again = Smt.Solver.check_sat instance in
-        Alcotest.(check bool) "verdict unchanged" true (clean = again);
-        Alcotest.(check int) "corruption detected" 1 (E.Vc_cache.corrupt cache);
-        (* first query missed, second hit the corrupt entry -> miss *)
-        Alcotest.(check int) "both lookups were misses" 2
-          (E.Vc_cache.misses cache);
-        (* the re-solved result replaced the corrupt entry: third hit *)
-        let third = Smt.Solver.check_sat instance in
-        Alcotest.(check bool) "verdict stable" true (clean = third);
-        Alcotest.(check int) "repaired entry hits" 1 (E.Vc_cache.hits cache))
+    E.Vc_cache.store_verdicts cache key verdicts;
+    Alcotest.(check bool) "entry stored" true (E.Vc_cache.size cache = 1);
+    Alcotest.(check bool)
+      "corrupt_entry found its target" true
+      (E.Vc_cache.corrupt_entry ~mode cache key);
+    Alcotest.(check bool)
+      "corrupt entry never served" true
+      (E.Vc_cache.lookup_verdicts cache key = None);
+    Alcotest.(check int) "corruption detected" 1 (E.Vc_cache.corrupt cache);
+    Alcotest.(check int) "counted as a miss" 1 (E.Vc_cache.misses cache);
+    (* the re-verified result replaces the corrupt entry: then a hit *)
+    E.Vc_cache.store_verdicts cache key verdicts;
+    Alcotest.(check bool)
+      "repaired entry served" true
+      (E.Vc_cache.lookup_verdicts cache key = Some (verdicts, `Memory));
+    Alcotest.(check int) "repaired entry hits" 1 (E.Vc_cache.hits cache)
   in
   check_corruption `Flip;
   check_corruption `Truncate
@@ -272,7 +268,7 @@ let test_cache_corruption_is_a_miss () =
 
 let clean_reference entries =
   engine_outcomes
-    { E.default_config with E.domains = 1; cache = false }
+    { E.default_config with E.domains = 1 }
     (suite_progs entries)
 
 let test_session_faults_fall_back () =
@@ -281,7 +277,7 @@ let test_session_faults_fall_back () =
   let faulted, stats =
     with_faults ~seed:42 [ (F.Session, 1.0) ] (fun () ->
         engine_outcomes
-          { E.default_config with E.domains = 1; cache = false }
+          { E.default_config with E.domains = 1 }
           (suite_progs entries))
   in
   List.iter
@@ -296,30 +292,34 @@ let test_session_faults_fall_back () =
     (stats.E.smt.Smt.Stats.session_fallbacks > 0)
 
 let test_cache_faults_keep_verdicts () =
-  (* The engine's session path bypasses the VC cache, so drive the
-     cache directly: every store is corrupted by the injected fault,
-     every repeat lookup must detect it, re-solve, and agree with the
-     uncached verdict. *)
-  let instances =
-    [ G.euf_chain 8; G.lia_diamond 4; G.pigeonhole 3; G.euf_chain 12 ]
-  in
-  let clean = List.map (fun i -> Smt.Solver.check_sat i) instances in
+  (* Drive the verdict cache the way the daemon does — answer from the
+     cache, else verify and store — while every store is corrupted by
+     the injected fault: every repeat lookup must detect it, re-verify,
+     and agree with the uncached verdicts. *)
+  let progs = suite_progs (List.filteri (fun i _ -> i < 4) Pr.all) in
+  let clean, _ = engine_outcomes E.default_config progs in
   let cache = E.Vc_cache.create () in
-  E.Vc_cache.install cache;
-  Fun.protect ~finally:E.Vc_cache.uninstall (fun () ->
-      with_faults ~seed:7 [ (F.Cache, 1.0) ] (fun () ->
-          List.iteri
-            (fun rep _ ->
-              List.iteri
-                (fun i instance ->
-                  let got = Smt.Solver.check_sat instance in
-                  Alcotest.(check bool)
-                    (Printf.sprintf "instance %d rep %d: verdict unchanged" i
-                       rep)
-                    true
-                    (got = List.nth clean i))
-                instances)
-            [ 0; 1; 2 ]));
+  with_faults ~seed:7 [ (F.Cache, 1.0) ] (fun () ->
+      List.iter
+        (fun rep ->
+          List.iter
+            (fun (name, prog) ->
+              let got =
+                match E.Vc_cache.lookup_verdicts cache name with
+                | Some (v, _) -> v
+                | None ->
+                    let groups, _ =
+                      engine_outcomes E.default_config [ (name, prog) ]
+                    in
+                    let outs = List.assoc name groups in
+                    E.Vc_cache.store_verdicts cache name outs;
+                    outs
+              in
+              Alcotest.check proc_results
+                (Printf.sprintf "%s rep %d: verdicts unchanged" name rep)
+                (List.assoc name clean) got)
+            progs)
+        [ 0; 1; 2 ]);
   Alcotest.(check bool)
     "corruption observed" true
     (E.Vc_cache.corrupt cache > 0);
@@ -330,7 +330,7 @@ let test_pool_fault_crashes_not_fails () =
   let groups, stats =
     with_faults ~seed:3 [ (F.Pool, 1.0) ] (fun () ->
         engine_outcomes
-          { E.default_config with E.domains = 4; cache = false }
+          { E.default_config with E.domains = 4 }
           (suite_progs Pr.positive))
   in
   Alcotest.(check int)
@@ -359,7 +359,7 @@ let test_deterministic_replay () =
     with_faults ~seed:1234 [ (F.Solver, 0.4); (F.Pool, 0.2) ] (fun () ->
         fst
           (engine_outcomes
-             { E.default_config with E.domains = 1; cache = false }
+             { E.default_config with E.domains = 1 }
              (suite_progs entries)))
   in
   let a = run () and b = run () in
@@ -410,7 +410,7 @@ let chaos_no_verdict_flips =
              ]
              (fun () ->
                engine_outcomes
-                 { E.default_config with E.domains = 2; cache = true }
+                 { E.default_config with E.domains = 2 }
                  (suite_progs chaos_entries))
          in
          List.for_all

@@ -251,22 +251,23 @@ let test_scheduler_drain () =
 (* ------------------------------------------------------------------ *)
 (* The two-tier cache *)
 
-let unsat : Smt.Solver.result = Smt.Solver.Unsat
+let good : VC.verdicts = [ ("p", V.Verified); ("q", V.Failed "bad") ]
+let lookup c key = Option.map fst (VC.lookup_verdicts c key)
 
 let test_cache_disk_tier () =
   let dir = temp_dir () in
   let c1 = VC.create ~disk_dir:dir ~fingerprint:"fp" () in
-  VC.store c1 "vc-a" unsat;
-  Alcotest.(check bool) "memory hit" true (VC.lookup c1 "vc-a" = Some unsat);
+  VC.store_verdicts c1 "vc-a" good;
+  Alcotest.(check bool) "memory hit" true (lookup c1 "vc-a" = Some good);
   Alcotest.(check int) "mem hit counted" 1 (VC.hits c1);
   (* A fresh instance over the same directory: the disk tier answers,
      and the hit is promoted so the next probe is a memory hit. *)
   let c2 = VC.create ~disk_dir:dir ~fingerprint:"fp" () in
-  Alcotest.(check bool) "disk hit" true (VC.lookup c2 "vc-a" = Some unsat);
+  Alcotest.(check bool) "disk hit" true (lookup c2 "vc-a" = Some good);
   Alcotest.(check int) "disk hit counted" 1 (VC.disk_hits c2);
-  Alcotest.(check bool) "promoted" true (VC.lookup c2 "vc-a" = Some unsat);
+  Alcotest.(check bool) "promoted" true (lookup c2 "vc-a" = Some good);
   Alcotest.(check int) "promoted to memory" 1 (VC.hits c2);
-  Alcotest.(check bool) "absent key misses" true (VC.lookup c2 "vc-b" = None);
+  Alcotest.(check bool) "absent key misses" true (lookup c2 "vc-b" = None);
   Alcotest.(check int) "miss counted" 1 (VC.misses c2)
 
 let test_cache_corrupt_disk_evicted () =
@@ -274,43 +275,43 @@ let test_cache_corrupt_disk_evicted () =
     (fun mode ->
       let dir = temp_dir () in
       let c1 = VC.create ~disk_dir:dir ~fingerprint:"fp" () in
-      VC.store c1 "vc-a" unsat;
+      VC.store_verdicts c1 "vc-a" good;
       let c2 = VC.create ~disk_dir:dir ~fingerprint:"fp" () in
       Alcotest.(check bool)
         "corruption applied" true
         (VC.corrupt_disk_entry ~mode c2 "vc-a");
       Alcotest.(check bool)
         "corrupt entry not trusted" true
-        (VC.lookup c2 "vc-a" = None);
+        (lookup c2 "vc-a" = None);
       Alcotest.(check int) "counted corrupt" 1 (VC.corrupt c2);
       Alcotest.(check int) "evicted from disk" 0 (VC.disk_entries c2);
-      (* The slot is reusable: a re-solve repopulates both tiers. *)
-      VC.store c2 "vc-a" unsat;
-      Alcotest.(check bool) "recovered" true (VC.lookup c2 "vc-a" = Some unsat))
+      (* The slot is reusable: a re-verification repopulates both tiers. *)
+      VC.store_verdicts c2 "vc-a" good;
+      Alcotest.(check bool) "recovered" true (lookup c2 "vc-a" = Some good))
     [ `Flip; `Truncate ]
 
 let test_cache_fingerprint_isolation () =
   let dir = temp_dir () in
   let c1 = VC.create ~disk_dir:dir ~fingerprint:"build-1" () in
-  VC.store c1 "vc-a" unsat;
+  VC.store_verdicts c1 "vc-a" good;
   (* A "rebuilt" verifier: same directory, different fingerprint — the
      old entry must not be replayed. *)
   let c2 = VC.create ~disk_dir:dir ~fingerprint:"build-2" () in
   Alcotest.(check bool)
     "stale build never replays" true
-    (VC.lookup c2 "vc-a" = None);
+    (lookup c2 "vc-a" = None);
   Alcotest.(check int) "counted as a miss" 1 (VC.misses c2);
   (* The original build still hits its own entries. *)
   let c3 = VC.create ~disk_dir:dir ~fingerprint:"build-1" () in
   Alcotest.(check bool)
     "original build unaffected" true
-    (VC.lookup c3 "vc-a" = Some unsat)
+    (lookup c3 "vc-a" = Some good)
 
 let test_cache_lru_bound () =
   let dir = temp_dir () in
   let c = VC.create ~disk_dir:dir ~max_bytes:300 ~fingerprint:"fp" () in
   for i = 1 to 6 do
-    VC.store c (Printf.sprintf "vc-%d" i) unsat
+    VC.store_verdicts c (Printf.sprintf "vc-%d" i) good
   done;
   Alcotest.(check bool)
     (Printf.sprintf "disk stays bounded (%d bytes)" (VC.disk_bytes c))
@@ -320,8 +321,8 @@ let test_cache_lru_bound () =
   (* LRU: the most recent store survives, the oldest went first. A
      fresh instance sees only what is on disk. *)
   let c' = VC.create ~disk_dir:dir ~max_bytes:300 ~fingerprint:"fp" () in
-  Alcotest.(check bool) "newest survives" true (VC.lookup c' "vc-6" = Some unsat);
-  Alcotest.(check bool) "oldest evicted" true (VC.lookup c' "vc-1" = None)
+  Alcotest.(check bool) "newest survives" true (lookup c' "vc-6" = Some good);
+  Alcotest.(check bool) "oldest evicted" true (lookup c' "vc-1" = None)
 
 let test_cache_crash_recovery () =
   let dir = temp_dir () in
@@ -333,7 +334,7 @@ let test_cache_crash_recovery () =
   (* Store one entry first so its on-disk name is observable, then a
      second survivor. *)
   let c1 = VC.create ~disk_dir:dir ~fingerprint:"fp" () in
-  VC.store c1 "vc-dead" unsat;
+  VC.store_verdicts c1 "vc-dead" good;
   let dead_file =
     match
       Sys.readdir dir |> Array.to_list
@@ -342,7 +343,7 @@ let test_cache_crash_recovery () =
     | [ f ] -> f
     | fs -> Alcotest.failf "expected one entry, found %d" (List.length fs)
   in
-  VC.store c1 "vc-keep" unsat;
+  VC.store_verdicts c1 "vc-keep" good;
   (* Fabricate the three kinds of kill -9 wreckage: a torn entry (the
      publication rename happened but the bytes are garbage — simulating
      a torn page), a temp file whose writer pid is long dead, and an
@@ -359,7 +360,7 @@ let test_cache_crash_recovery () =
   Alcotest.(check int) "journal replayed" 1 (VC.journal_replayed c2);
   Alcotest.(check bool)
     "condemned entry deleted" true
-    (VC.lookup c2 "vc-dead" = None);
+    (lookup c2 "vc-dead" = None);
   Alcotest.(check int) "orphan tmp swept" 1 (VC.recovered_tmp c2);
   Alcotest.(check bool)
     "tmp gone" false
@@ -373,7 +374,7 @@ let test_cache_crash_recovery () =
           (String.make 32 'a' ^ ".vc")));
   Alcotest.(check bool)
     "survivor still served" true
-    (VC.lookup c2 "vc-keep" = Some unsat)
+    (lookup c2 "vc-keep" = Some good)
 
 let test_cache_disk_fault_crash_window () =
   (* The [disk] fault site models kill -9 inside the publication
@@ -382,10 +383,10 @@ let test_cache_disk_fault_crash_window () =
   F.configure ~seed:1 [ (F.Disk, 1.0) ];
   Fun.protect ~finally:F.clear (fun () ->
       let c = VC.create ~disk_dir:dir ~fingerprint:"fp" () in
-      VC.store c "vc-a" unsat;
+      VC.store_verdicts c "vc-a" good;
       (* The memory tier still answers this instance... *)
       Alcotest.(check bool) "memory tier intact" true
-        (VC.lookup c "vc-a" = Some unsat));
+        (lookup c "vc-a" = Some good));
   let files () = Sys.readdir dir |> Array.to_list in
   Alcotest.(check bool)
     "nothing was published" true
@@ -409,11 +410,10 @@ let test_cache_disk_fault_crash_window () =
   Alcotest.(check int) "dead writer's litter swept" 1 (VC.recovered_tmp c2);
   Alcotest.(check bool)
     "the unpublished store is a miss" true
-    (VC.lookup c2 "vc-a" = None)
+    (lookup c2 "vc-a" = None)
 
 let test_verdict_tier () =
   let c = VC.create () in
-  let good = [ ("p", V.Verified); ("q", V.Failed "bad") ] in
   VC.store_verdicts c "prog-1" good;
   (match VC.lookup_verdicts c "prog-1" with
   | Some (v, `Memory) ->
@@ -423,13 +423,7 @@ let test_verdict_tier () =
   VC.store_verdicts c "prog-2" [ ("p", V.Timeout "deadline") ];
   Alcotest.(check bool)
     "abstentions not cached" true
-    (VC.lookup_verdicts c "prog-2" = None);
-  (* Verdict keys live in their own namespace: a VC entry under the
-     same bytes is a different slot. *)
-  VC.store c "prog-1" unsat;
-  (match VC.lookup_verdicts c "prog-1" with
-  | Some (v, _) -> Alcotest.(check bool) "namespaced" true (v = good)
-  | None -> Alcotest.fail "namespace collision")
+    (VC.lookup_verdicts c "prog-2" = None)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: a live daemon on a real socket *)
@@ -504,12 +498,10 @@ let with_daemon cfg f =
       finished := false;
       r)
 
-(** Ground truth: the sequential CLI path (no shared cache installed,
-    so it cannot interfere with a live daemon's hook). *)
+(** Ground truth: the sequential CLI path. *)
 let sequential_statuses () =
   let report =
     E.verify_programs
-      ~config:{ E.default_config with E.cache = false }
       (List.map (fun (e : Pr.entry) -> (e.name, e.prog)) Pr.all)
   in
   List.map2
@@ -574,16 +566,24 @@ let test_e2e_disk_cache_survives_restart () =
     }
   in
   let expected = sequential_statuses () in
-  (* Generation 1: populate the disk tier. *)
+  (* Generation 1: populate the disk tier. Its cold requests must do
+     solver work, or generation 2's "no solver work" proves nothing. *)
   with_daemon cfg (fun () ->
       let c = connect sock in
       Fun.protect
         ~finally:(fun () -> Server.Client.close c)
         (fun () ->
-          List.iter
-            (fun (e : Pr.entry) ->
-              ignore (rpc c (P.verify_request (P.Entry e.name))))
-            Pr.all));
+          let cold_queries =
+            List.fold_left
+              (fun n (e : Pr.entry) ->
+                let resp = rpc c (P.verify_request (P.Entry e.name)) in
+                n + report_stat resp "queries")
+              0 Pr.all
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "cold requests reach the solver (%d queries)"
+               cold_queries)
+            true (cold_queries > 0)));
   (* Generation 2: same directory, fresh process-state — every request
      must be answered from disk with zero solver work. *)
   with_daemon cfg (fun () ->

@@ -545,9 +545,7 @@ let session_differential =
    smart constructors still mean what the seed's plain constructors
    meant (eval / vars / subst agree with an independent reference
    implementation), and that interning delivers what it promises:
-   structurally equal constructions are physically equal, and the
-   canonical digest depends on structure only — never on intern ids —
-   which is what lets VC-cache keys survive process restarts. *)
+   structurally equal constructions are physically equal. *)
 
 type iexp =
   | RInt of int
@@ -717,14 +715,13 @@ let hashcons_physical_eq =
        (QCheck.make QCheck.Gen.(pair gen_iexp gen_bform))
        (fun (a, f) ->
          (* Two independent constructions of the same structure must
-            intern to the same node: [==], same id, same digest. *)
+            intern to the same node: [==], same id. *)
          let t1 = build_i a and t2 = build_i a in
          let u1 = build_b f and u2 = build_b f in
          t1 == t2
          && Term.equal t1 t2
          && Term.id t1 = Term.id t2
-         && u1 == u2
-         && String.equal (Term.digest u1) (Term.digest u2)))
+         && u1 == u2))
 
 let hashcons_eval =
   QCheck_alcotest.to_alcotest
@@ -776,72 +773,6 @@ let hashcons_subst =
          t == build_b (rsubst_b "x" r f)
          && Term.eval_bool ~env ~on_app:uf t
             = Some (reval_b env (rsubst_b "x" r f))))
-
-(* The canonical digest, recomputed by an independent implementation of
-   its spec (constructor tag byte, length-prefixed payloads, children
-   by digest). Agreement on random terms pins that [Term.digest] is a
-   pure function of structure — intern ids never leak in — which is
-   exactly the property that makes VC-cache keys identical across
-   processes and daemon restarts. *)
-let rec ref_digest (t : Term.t) : string =
-  let buf = Buffer.create 64 in
-  let s x =
-    Buffer.add_string buf (string_of_int (String.length x));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf x
-  in
-  let d x = Buffer.add_string buf (ref_digest x) in
-  (match Term.view t with
-  | Term.Var (v, Sort.Int) -> Buffer.add_char buf 'v'; s v
-  | Term.Var (v, Sort.Bool) -> Buffer.add_char buf 'b'; s v
-  | Term.Int_lit n -> Buffer.add_char buf 'n'; s (string_of_int n)
-  | Term.True -> Buffer.add_char buf 'T'
-  | Term.False -> Buffer.add_char buf 'F'
-  | Term.App (f, args) -> Buffer.add_char buf 'f'; s f; List.iter d args
-  | Term.Pred (f, args) -> Buffer.add_char buf 'p'; s f; List.iter d args
-  | Term.Add (a, b) -> Buffer.add_char buf '+'; d a; d b
-  | Term.Sub (a, b) -> Buffer.add_char buf '-'; d a; d b
-  | Term.Mul (a, b) -> Buffer.add_char buf '*'; d a; d b
-  | Term.Ite (c, a, b) -> Buffer.add_char buf '?'; d c; d a; d b
-  | Term.Eq (a, b) -> Buffer.add_char buf '='; d a; d b
-  | Term.Le (a, b) -> Buffer.add_char buf 'l'; d a; d b
-  | Term.Lt (a, b) -> Buffer.add_char buf '<'; d a; d b
-  | Term.Not a -> Buffer.add_char buf '!'; d a
-  | Term.And ts -> Buffer.add_char buf '&'; List.iter d ts
-  | Term.Or ts -> Buffer.add_char buf '|'; List.iter d ts
-  | Term.Implies (a, b) -> Buffer.add_char buf '>'; d a; d b
-  | Term.Iff (a, b) -> Buffer.add_char buf '~'; d a; d b);
-  Digest.string (Buffer.contents buf)
-
-let digest_structural =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"digest-vs-reference" ~count:300
-       (QCheck.make QCheck.Gen.(pair gen_iexp gen_bform))
-       (fun (a, f) ->
-         String.equal (Term.digest (build_i a)) (ref_digest (build_i a))
-         && String.equal (Term.digest (build_b f)) (ref_digest (build_b f))))
-
-(* VC-cache key stability: the key for a query must not depend on how
-   many unrelated terms were interned before it — a fresh process (or a
-   restarted daemon) computes the same key as a long-lived one. *)
-let test_vc_key_stable () =
-  let mk () =
-    [
-      eq (add x y) (int 3);
-      lt x (app "f" [ y ]);
-      or_ [ bvar "p"; not_ (bvar "q") ];
-    ]
-  in
-  let k1 = Solver.serialize_vc ~max_rounds:5000 ~minimize:true (mk ()) in
-  for i = 0 to 4999 do
-    ignore (add (var (Printf.sprintf "churn%d" i)) (int i))
-  done;
-  let k2 = Solver.serialize_vc ~max_rounds:5000 ~minimize:true (mk ()) in
-  Alcotest.(check string) "key survives interning churn" k1 k2;
-  let expect =
-    "vc2|5000|m|" ^ String.concat "" (List.map ref_digest (mk ()))
-  in
-  Alcotest.(check string) "key is structure-derived" expect k2
 
 (* ------------------------------------------------------------------ *)
 (* SAT core: random CNF vs brute force, with database reduction forced.
@@ -902,8 +833,6 @@ let hashcons_cases =
     hashcons_eval;
     hashcons_vars;
     hashcons_subst;
-    digest_structural;
-    Alcotest.test_case "vc-key-stability" `Quick test_vc_key_stable;
   ]
 
 let session_cases =
