@@ -784,7 +784,7 @@ let corpus_throughput () =
       {
         E.default_config with
         E.domains;
-        absint = not !no_absint;
+        options = { E.Options.default with absint = not !no_absint };
       }
     in
     let report = E.verify_programs ~config progs in

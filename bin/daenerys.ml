@@ -49,17 +49,6 @@ open Cmdliner
 let find_entry name =
   List.find_opt (fun (e : Pr.entry) -> String.equal e.name name) Pr.all
 
-let config ~jobs ~lint ~no_absint ~seed ~timeout_ms ~retries =
-  {
-    E.default_config with
-    E.domains = max 1 jobs;
-    lint;
-    absint = not no_absint;
-    seed;
-    timeout_ms;
-    retries;
-  }
-
 (* Exit codes (also in the README): the program is wrong vs. the
    verifier gave up. Shared with the daemon via [Server.Render]. *)
 let exit_ok = R.exit_ok
@@ -218,18 +207,30 @@ let json_flag =
     & info [ "json" ]
         ~doc:"Emit per-procedure outcomes and run stats as JSON.")
 
+(** [--lint]/[--no-absint]/[--seed]: the verdict-affecting options,
+    shared by [suite], [verify] and [client] so the local and daemon
+    paths read them identically. *)
+let options_term =
+  Term.(
+    const (fun lint no_absint seed ->
+        { E.Options.lint; absint = not no_absint; seed })
+    $ lint_flag $ no_absint_arg $ seed_arg)
+
+(** The local engine configuration of [suite] and [verify]. *)
+let config_term =
+  Term.(
+    const (fun jobs options timeout_ms retries ->
+        { E.domains = max 1 jobs; options; timeout_ms; retries })
+    $ jobs_arg $ options_term $ timeout_arg $ retries_arg)
+
 let suite_cmd =
   let doc = "Verify every program in the benchmark suite." in
   Cmd.v (Cmd.info "suite" ~doc)
     Term.(
-      const (fun jobs stats lint no_absint seed timeout_ms retries
-                 faults json ->
+      const (fun config stats faults json ->
           with_faults faults @@ fun () ->
           let report =
-            E.verify_programs
-              ~config:
-                (config ~jobs ~lint ~no_absint ~seed ~timeout_ms
-                   ~retries)
+            E.verify_programs ~config
               (List.map (fun (e : Pr.entry) -> (e.name, e.prog)) Pr.all)
           in
           if json then begin
@@ -245,7 +246,7 @@ let suite_cmd =
             exit_of_statuses statuses
           end
           else begin
-            if lint then print_lint_findings report.E.lint;
+            if config.E.options.lint then print_lint_findings report.E.lint;
             let statuses =
               List.map2 (fun e g -> report_entry e g) Pr.all report.E.groups
             in
@@ -262,8 +263,7 @@ let suite_cmd =
                    (timeout/resource/crash)@.");
             exit_of_statuses statuses
           end)
-      $ jobs_arg $ stats_arg $ lint_flag $ no_absint_arg
-      $ seed_arg $ timeout_arg $ retries_arg $ faults_arg $ json_flag)
+      $ config_term $ stats_arg $ faults_arg $ json_flag)
 
 let name_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME")
@@ -273,41 +273,26 @@ let print_proc_outcomes (g : E.group_result) =
     (fun (p, o) -> Fmt.pr "  proc %-12s %a@." p V.pp_outcome o)
     g.E.outcomes
 
-let verify_file path ~jobs ~lint ~no_absint ~seed ~stats
-    ~timeout_ms ~retries ~json =
+let verify_file path ~config ~json =
   match load_hl path with
   | Error m -> fail_cli m
   | Ok (prog, srcmap, src) ->
       let report =
-        E.verify_programs
-          ~config:
-            (config ~jobs ~lint ~no_absint ~seed ~timeout_ms
-               ~retries)
-          ~srcmaps:[ (path, srcmap) ]
-          [ (path, prog) ]
+        E.verify_programs ~config ~srcmaps:[ (path, srcmap) ] [ (path, prog) ]
       in
       let g = List.hd report.E.groups in
-      let ok = E.group_ok g in
-      let status =
-        if ok then R.Good else if E.group_gave_up g then R.Gave_up else R.Bad
-      in
+      let status = R.entry_status ~expect_fail:false g in
       if json then
         Fmt.pr "%s@." (json_of_report report [ (path, false, status) ])
       else begin
-        if lint then
+        if config.E.options.lint then
           print_lint_findings ~sources:[ (path, src) ] report.E.lint;
         print_proc_outcomes g;
         Fmt.pr "%-24s %s  %.1fms@." path
-          (if ok then "VERIFIED"
-           else if E.group_gave_up g then "GAVE UP"
-           else "FAILED")
-          g.E.ms;
-        if stats then Fmt.pr "%a@." E.pp_stats report.E.stats
+          (R.verdict_line ~expect_fail:false status)
+          g.E.ms
       end;
-      (match status with
-      | R.Good -> exit_ok
-      | R.Gave_up -> exit_gave_up
-      | R.Bad -> exit_wrong)
+      R.exit_of_status status
 
 let verify_cmd =
   let doc =
@@ -316,48 +301,30 @@ let verify_cmd =
   in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
-      const (fun name jobs lint no_absint seed timeout_ms retries
-                 faults json ->
+      const (fun name config faults json ->
           with_faults faults @@ fun () ->
-          if is_hl name then
-            verify_file name ~jobs ~lint ~no_absint ~seed
-              ~stats:false ~timeout_ms ~retries ~json
+          if is_hl name then verify_file name ~config ~json
           else
           match find_entry name with
           | Some e ->
-              let report =
-                E.verify_program
-                  ~config:
-                    (config ~jobs ~lint ~no_absint ~seed
-                       ~timeout_ms ~retries)
-                  ~name:e.name e.prog
-              in
+              let report = E.verify_program ~config ~name:e.name e.prog in
               let g = List.hd report.E.groups in
-              if json then begin
-                let status = entry_status e g in
+              let status = entry_status e g in
+              if json then
                 Fmt.pr "%s@."
                   (json_of_report report
-                     [ (e.Pr.name, e.Pr.expect_fail, status) ]);
-                match status with
-                | R.Good -> exit_ok
-                | R.Gave_up -> exit_gave_up
-                | R.Bad -> exit_wrong
-              end
+                     [ (e.Pr.name, e.Pr.expect_fail, status) ])
               else begin
-                if lint then print_lint_findings report.E.lint;
-                let status = report_entry e g in
+                if config.E.options.lint then print_lint_findings report.E.lint;
+                ignore (report_entry e g);
                 print_proc_outcomes g;
                 Fmt.pr "%a@." E.pp_stats report.E.stats;
-                match status with
-                | R.Good -> exit_ok
-                | R.Gave_up -> exit_gave_up
-                | R.Bad ->
-                    Fmt.epr "daenerys: verification misbehaved@.";
-                    exit_wrong
-              end
+                if status = R.Bad then
+                  Fmt.epr "daenerys: verification misbehaved@."
+              end;
+              R.exit_of_status status
           | None -> fail_cli ("unknown entry " ^ name))
-      $ name_arg $ jobs_arg $ lint_flag $ no_absint_arg
-      $ seed_arg $ timeout_arg $ retries_arg $ faults_arg $ json_flag)
+      $ name_arg $ config_term $ faults_arg $ json_flag)
 
 (* ------------------------------------------------------------------ *)
 (* lint *)
@@ -778,9 +745,8 @@ let client_cmd =
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
       const
-        (fun socket names suite stats shutdown json lint no_absint seed
-             timeout_ms retries retry no_retry ->
-          let absint = not no_absint in
+        (fun socket names suite stats shutdown json options timeout_ms
+             retries retry no_retry ->
           let retry =
             {
               Server.Client.default_retry with
@@ -821,8 +787,11 @@ let client_cmd =
                   | Ok target -> (
                       match
                         Server.Client.request s
-                          (Server.Protocol.verify_request ~lint ~absint
-                             ~seed ?timeout_ms ?retries target)
+                          Server.Protocol.(
+                            json_of_request
+                              (Verify
+                                 { id = Json.Null; target; options; timeout_ms;
+                                   retries }))
                       with
                       | Error (Server.Client.Fatal m) ->
                           Fmt.epr "daenerys: %s: %s@." name m;
@@ -860,8 +829,8 @@ let client_cmd =
                       ec
                 else ec))
           $ socket_arg $ names_arg $ suite_flag $ stats_flag $ shutdown_flag
-          $ json_flag $ lint_flag $ no_absint_arg $ seed_arg $ timeout_arg
-          $ retries_opt_arg $ retry_arg $ no_retry_flag)
+          $ json_flag $ options_term $ timeout_arg $ retries_opt_arg
+          $ retry_arg $ no_retry_flag)
 
 let () =
   let doc = "a destabilized separation-logic verifier" in

@@ -226,6 +226,17 @@ if [ "$(echo "$cold" | verdicts)" != "$(echo "$seeded" | verdicts)" ]; then
 fi
 echo "seeded suite (--seed 5): verdicts identical to seed 0"
 
+# suite, verify and client share one options term (--lint, --no-absint,
+# --seed): the same flags must give the same verdicts on the local and
+# the daemon path.
+local_opts=$("$DAE" suite --lint --no-absint --seed 5 --json)
+daemon_opts=$("$DAE" client --socket "$SOCK" --suite --lint --no-absint --seed 5 --json)
+if [ "$(echo "$local_opts" | verdicts)" != "$(echo "$daemon_opts" | verdicts)" ]; then
+  echo "FAIL: client --lint --no-absint --seed 5 verdicts differ from local suite" >&2
+  exit 1
+fi
+echo "options (--lint --no-absint --seed 5): daemon verdicts identical to local suite"
+
 stop_daemon
 start_daemon  # same cache dir: the disk tier must survive the restart
 restart=$("$DAE" client --socket "$SOCK" --suite --json)

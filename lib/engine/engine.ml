@@ -13,6 +13,7 @@
     "[-j 4] verdicts ≡ [-j 1] verdicts" checkable rather than
     aspirational. *)
 
+module Options = Options
 module Pool = Pool
 module Job = Job
 module Vc_cache = Vc_cache
@@ -20,36 +21,14 @@ module V = Verifier.Exec
 
 type config = {
   domains : int;  (** worker domains (including the calling one) *)
-  heap_dep : bool;  (** heap-dependent assertions (ablation A1) *)
-  absint : bool;
-      (** abstract-interpretation pass: DA018–DA025 in the lint stage
-          and the [Valid]-only VC pre-discharge ahead of the solver
-          ([--no-absint] disables both) *)
-  lint : bool;
-      (** run the static analyzer first; programs with error-severity
-          diagnostics are gated (their procedures report [Failed]
-          without touching the solver) *)
-  seed : int;
-      (** interleaving-scheduler seed, threaded to every job: permutes
-          the order [par] branches are explored in (0 = left-first).
-          Verdicts are schedule-independent by construction; the
-          daemon keys its verdict cache on the seed so the property is
-          re-checked, not assumed, when the seed changes *)
+  options : Options.t;  (** the verdict-affecting knobs *)
   timeout_ms : float option;  (** per-job wall-clock deadline *)
   retries : int;
       (** budget-escalated retries per job on [Timeout]/[Resource_out] *)
 }
 
 let default_config =
-  {
-    domains = 1;
-    heap_dep = true;
-    absint = true;
-    lint = false;
-    seed = 0;
-    timeout_ms = None;
-    retries = 0;
-  }
+  { domains = 1; options = Options.default; timeout_ms = None; retries = 0 }
 
 type analysis_stats = {
   a_programs : int;
@@ -59,7 +38,7 @@ type analysis_stats = {
 }
 
 type stats = {
-  analysis : analysis_stats option;  (** when [config.lint] *)
+  analysis : analysis_stats option;  (** when [config.options.lint] *)
   jobs : int;
   wall_ms : float;  (** end-to-end wall clock for the whole run *)
   pool : Pool.stats;
@@ -87,7 +66,8 @@ type group_result = {
 type report = {
   groups : group_result list;
   lint : (string * Diag.t list) list;
-      (** per-program analyzer findings (empty unless [config.lint]) *)
+      (** per-program analyzer findings (empty unless
+          [config.options.lint]) *)
   stats : stats;
 }
 
@@ -152,17 +132,17 @@ let run_analysis ?(srcmaps : (string * Diag.srcmap) list = [])
 
 (** Verify a list of named programs. Every procedure of every program
     becomes one job; all jobs share one queue, so parallelism is
-    across programs as well as within them. With [config.lint], the
-    analysis phase runs on the pool first and gates error-ridden
+    across programs as well as within them. With [config.options.lint],
+    the analysis phase runs on the pool first and gates error-ridden
     programs away from the solver. *)
 let verify_programs ?(config = default_config)
     ?(srcmaps : (string * Diag.srcmap) list = [])
     (progs : (string * V.program) list) : report =
   let lint_results, analysis_stats =
-    if config.lint then
+    if config.options.lint then
       let r, s =
-        run_analysis ~srcmaps ~absint:config.absint ~domains:config.domains
-          progs
+        run_analysis ~srcmaps ~absint:config.options.absint
+          ~domains:config.domains progs
       in
       (r, Some s)
     else ([], None)
@@ -199,8 +179,7 @@ let verify_programs ?(config = default_config)
         let srcmap =
           Option.value ~default:[] (List.assoc_opt group srcmaps)
         in
-        Job.of_program ~heap_dep:config.heap_dep ~absint:config.absint
-          ~seed:config.seed ~srcmap ~group prog)
+        Job.of_program ~options:config.options ~srcmap ~group prog)
       live
     |> Array.of_list
   in

@@ -15,9 +15,7 @@ type t = {
   group : string;  (** owning program (suite entry / file) *)
   proc : V.proc;
   prog : V.program;  (** the whole program, for callee specs *)
-  heap_dep : bool;
-  absint : bool;  (** abstract pre-discharge ahead of the solver *)
-  seed : int;  (** par-branch exploration order; 0 = left-first *)
+  options : Options.t;  (** [absint] and [seed] reach the verifier *)
   srcmap : Diag.srcmap;
       (** source spans for the program's spec clauses; [[]] for
           hand-built programs *)
@@ -32,11 +30,9 @@ type result = {
 }
 
 (** One job per procedure of [prog], in declaration order. *)
-let of_program ?(heap_dep = true) ?(absint = true) ?(seed = 0)
-    ?(srcmap = []) ~group (prog : V.program) : t list =
-  List.map
-    (fun proc -> { group; proc; prog; heap_dep; absint; seed; srcmap })
-    prog.V.procs
+let of_program ?(options = Options.default) ?(srcmap = []) ~group
+    (prog : V.program) : t list =
+  List.map (fun proc -> { group; proc; prog; options; srcmap }) prog.V.procs
 
 (** Each retry multiplies the previous deadline by this factor, so a
     job that timed out narrowly gets decisively more room instead of
@@ -49,7 +45,7 @@ let run_once (job : t) vstats ~timeout_ms : V.outcome =
        fault surfaces as [Crashed], exercising the engine's promise
        that one dying job cannot strand the queue or flip a verdict. *)
     Stdx.Fault.inject Stdx.Fault.Pool;
-    V.verify_proc ~heap_dep:job.heap_dep ~absint:job.absint ~seed:job.seed
+    V.verify_proc ~absint:job.options.absint ~seed:job.options.seed
       ~srcmap:job.srcmap ~stats:vstats job.prog job.proc
   in
   match

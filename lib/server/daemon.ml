@@ -174,14 +174,10 @@ type t = {
   parse_errors : int Atomic.t;
   socket_faults : int Atomic.t;
   slow_consumers : int Atomic.t;  (** connections dropped over [wbuf_cap] *)
-  absint_discharged : int Atomic.t;
-      (** entailments answered by the abstract domain, summed over all
-          cold verify runs this daemon served *)
-  absint_abstained : int Atomic.t;
-      (** entailments the abstract domain passed to the solver *)
-  par_branches : int Atomic.t;  (** par branches verified (cold runs) *)
-  inv_opens : int Atomic.t;  (** named-invariant opens at atomic sections *)
-  interference_havocs : int Atomic.t;  (** fork-join interference points *)
+  vlock : Mutex.t;  (** guards [vstats] *)
+  mutable vstats : Verifier.Vstats.t;
+      (** verifier counters summed over every cold verify run this
+          daemon served *)
 }
 
 (* [c.clock] held. Push as much of [wbuf] as the (non-blocking) socket
@@ -255,36 +251,45 @@ let lint_findings_text ?source results =
     results;
   Buffer.contents b
 
-(** The verdict-cache key is the {e request content}: a suite entry is
-    keyed by name (its program is a static constant of this build — the
-    build fingerprint on the disk tier keeps entries from outliving the
-    code that produced them), a surface program by its full source text
-    (so an edited file misses, an unchanged one hits even under a
-    different path). [lint] participates because lint gating changes
-    outcomes. Deadline/retry knobs deliberately do not: only decided
-    verdicts are stored, and those are budget-independent. [absint]
-    participates too — verdicts are identical by design with the pass
-    on or off, but lint findings differ, and keying on it keeps the
-    cached response an exact replay of a cold run with the same
-    request. [seed] participates for the same replay reason: verdicts
-    are schedule-independent by construction, and keying on the seed
-    means a changed seed is re-verified — the independence property
-    stays continuously checked instead of assumed. *)
-let verdict_key ~lint ~absint ~seed (target : Protocol.target) =
-  (if lint then "lint\x00" else "")
-  ^ (if absint then "" else "noabsint\x00")
-  ^ (if seed = 0 then "" else Printf.sprintf "seed=%d\x00" seed)
+(** The verdict-cache key is the {e request content}: the request's
+    {!Engine.Options} (every field, via [Options.key]) followed by the
+    target. A suite entry is keyed by name (its program is a static
+    constant of this build — the build fingerprint on the disk tier
+    keeps entries from outliving the code that produced them), a
+    surface program by its full source text (so an edited file misses,
+    an unchanged one hits even under a different path). Every option
+    participates: [lint] because gating changes outcomes, [absint]
+    because lint findings differ (keying on it keeps the cached
+    response an exact replay of a cold run), [seed] so a changed seed
+    is re-verified and schedule independence stays continuously
+    checked instead of assumed. Deadline/retry knobs deliberately do
+    not: only decided verdicts are stored, and those are
+    budget-independent. *)
+let verdict_key (options : E.Options.t) (target : Protocol.target) =
+  E.Options.key options
   ^
   match target with
   | Protocol.Entry n -> "entry\x00" ^ n
   | Protocol.Source { source; _ } -> "source\x00" ^ source
 
-let handle_verify (d : t) ~id ~target ~lint ~absint ~seed ~timeout_ms
-    ~retries : Json.t =
-  match resolve target with
-  | Error m -> Protocol.error_response ~id m
+(** The engine configuration a verify request runs under: its options,
+    and its deadline/retry overrides resolved against the daemon's
+    defaults — the one place that fallback is written. *)
+let engine_config (d : t) (v : Protocol.verify) : E.config =
+  {
+    E.domains = 1;
+    options = v.options;
+    timeout_ms =
+      (match v.timeout_ms with Some _ as t -> t | None -> d.cfg.timeout_ms);
+    retries = Option.value ~default:d.cfg.retries v.retries;
+  }
+
+let handle_verify (d : t) (config : E.config) (v : Protocol.verify) : Json.t =
+  let options = config.E.options in
+  match resolve v.target with
+  | Error m -> Protocol.error_response ~id:v.id m
   | Ok r ->
-      let key = verdict_key ~lint ~absint ~seed target in
+      let key = verdict_key options v.target in
       let t0 = Unix.gettimeofday () in
       let report, cached =
         match E.Vc_cache.lookup_verdicts d.cache key with
@@ -297,28 +302,15 @@ let handle_verify (d : t) ~id ~target ~lint ~absint ~seed ~timeout_ms
             let rep =
               E.cached_report ~group:r.r_name ~outcomes ~tier ~wall_ms
             in
-            if lint then
+            if options.lint then
               let results, _ =
-                E.run_analysis ~srcmaps:r.r_srcmaps ~absint ~domains:1
+                E.run_analysis ~srcmaps:r.r_srcmaps ~absint:options.absint
+                  ~domains:1
                   [ (r.r_name, r.r_prog) ]
               in
               ({ rep with E.lint = results }, true)
             else (rep, true)
         | None ->
-            let config =
-              {
-                E.default_config with
-                E.domains = 1;
-                lint;
-                absint;
-                seed;
-                timeout_ms =
-                  (match timeout_ms with
-                  | Some _ as t -> t
-                  | None -> d.cfg.timeout_ms);
-                retries = Option.value ~default:d.cfg.retries retries;
-              }
-            in
             let report =
               E.verify_programs ~config ~srcmaps:r.r_srcmaps
                 [ (r.r_name, r.r_prog) ]
@@ -328,32 +320,20 @@ let handle_verify (d : t) ~id ~target ~lint ~absint ~seed ~timeout_ms
             (* Daemon-lifetime gauges for the [stats] op: how much work
                the abstract pre-discharge saved across cold runs. *)
             let vs = report.E.stats.E.vstats in
-            ignore
-              (Atomic.fetch_and_add d.absint_discharged
-                 vs.Verifier.Vstats.absint_discharged);
-            ignore
-              (Atomic.fetch_and_add d.absint_abstained
-                 vs.Verifier.Vstats.absint_abstained);
-            ignore
-              (Atomic.fetch_and_add d.par_branches
-                 vs.Verifier.Vstats.par_branches);
-            ignore
-              (Atomic.fetch_and_add d.inv_opens
-                 vs.Verifier.Vstats.inv_opens);
-            ignore
-              (Atomic.fetch_and_add d.interference_havocs
-                 vs.Verifier.Vstats.interference_havocs);
+            Mutex.protect d.vlock (fun () ->
+                d.vstats <- Verifier.Vstats.sum d.vstats vs);
             (report, false)
       in
       let g = List.hd report.E.groups in
       let status = Render.entry_status ~expect_fail:r.r_expect_fail g in
       let output =
-        (if lint then lint_findings_text ?source:r.r_source report.E.lint
+        (if options.lint then
+           lint_findings_text ?source:r.r_source report.E.lint
          else "")
         ^ Render.group_text ~name:r.r_name ~expect_fail:r.r_expect_fail status
             g
       in
-      Protocol.response ~id
+      Protocol.response ~id:v.id
         [
           ("ok", Json.Bool true);
           ("exit", Json.Num (float_of_int (Render.exit_of_status status)));
@@ -366,13 +346,14 @@ let handle_verify (d : t) ~id ~target ~lint ~absint ~seed ~timeout_ms
           ("output", Json.Str output);
         ]
 
-let handle_lint (d : t) ~id ~target ~absint : Json.t =
-  ignore d;
-  match resolve target with
+let handle_lint (l : Protocol.lint) : Json.t =
+  let id = l.id in
+  match resolve l.target with
   | Error m -> Protocol.error_response ~id m
   | Ok r ->
       let results, a =
-        E.run_analysis ~srcmaps:r.r_srcmaps ~absint ~domains:1
+        E.run_analysis ~srcmaps:r.r_srcmaps ~absint:l.options.absint
+          ~domains:1
           [ (r.r_name, r.r_prog) ]
       in
       let ds = List.concat_map snd results in
@@ -397,6 +378,7 @@ let stats_json (d : t) =
   let s = Scheduler.stats d.sched in
   let sup = Supervisor.stats d.sup in
   let cache = d.cache in
+  let vs = Mutex.protect d.vlock (fun () -> d.vstats) in
   Json.Obj
     [
       ( "uptime_ms",
@@ -410,11 +392,11 @@ let stats_json (d : t) =
       ("parse_errors", num (Atomic.get d.parse_errors));
       ("socket_faults", num (Atomic.get d.socket_faults));
       ("slow_consumers", num (Atomic.get d.slow_consumers));
-      ("absint_discharged", num (Atomic.get d.absint_discharged));
-      ("absint_abstained", num (Atomic.get d.absint_abstained));
-      ("par_branches", num (Atomic.get d.par_branches));
-      ("inv_opens", num (Atomic.get d.inv_opens));
-      ("interference_havocs", num (Atomic.get d.interference_havocs));
+      ("absint_discharged", num vs.Verifier.Vstats.absint_discharged);
+      ("absint_abstained", num vs.Verifier.Vstats.absint_abstained);
+      ("par_branches", num vs.Verifier.Vstats.par_branches);
+      ("inv_opens", num vs.Verifier.Vstats.inv_opens);
+      ("interference_havocs", num vs.Verifier.Vstats.interference_havocs);
       ( "supervisor",
         (* The PR 10 supervision counters the chaos gates watch: every
            repair mechanism leaves an audit trail here. *)
@@ -490,41 +472,34 @@ exception Signal_drain  (* SIGTERM/SIGINT: graceful drain, no ack conn *)
     escalated retry it is entitled to. The watchdog only calls a
     worker stuck once this whole envelope (times the grace factor) is
     exhausted — legitimate slow requests retire on their own. *)
-let request_budget_ms (d : t) ~timeout_ms ~retries =
-  let base =
-    match timeout_ms with Some _ as t -> t | None -> d.cfg.timeout_ms
-  in
-  let retries = Option.value ~default:d.cfg.retries retries in
+let request_budget_ms (config : E.config) =
   Option.map
     (fun ms ->
       let rec total acc ms i =
-        if i > retries then acc
+        if i > config.E.retries then acc
         else total (acc +. ms) (ms *. E.Job.escalation) (i + 1)
       in
       total 0.0 ms 0)
-    base
+    config.E.timeout_ms
 
 (** The circuit breaker's identity for a request: everything that
     determines what work it triggers. Two requests with the same
     digest crash workers the same way. *)
 let request_digest (req : Protocol.request) =
+  let digest op options target =
+    Digest.to_hex (Digest.string (op ^ "\x00" ^ verdict_key options target))
+  in
   match req with
-  | Protocol.Verify { target; lint; absint; seed; _ } ->
-      Digest.to_hex
-        (Digest.string ("verify\x00" ^ verdict_key ~lint ~absint ~seed target))
-  | Protocol.Lint { target; absint; _ } ->
-      Digest.to_hex
-        (Digest.string
-           (Printf.sprintf "lintop\x00%b\x00%s" absint
-              (verdict_key ~lint:false ~absint ~seed:0 target)))
+  | Protocol.Verify { options; target; _ } -> digest "verify" options target
+  | Protocol.Lint { options; target; _ } -> digest "lintop" options target
   | Protocol.Stats _ | Protocol.Shutdown _ -> ""
 
-(** Run an admitted verify/lint request on a scheduler worker under
+(** Run an admitted request's [handle] on a scheduler worker under
     the supervisor's guard, with a once-only reply: exactly one of the
     handler's response, a structured crash response, or the watchdog's
     preemption response reaches the client — whichever settles
     first. *)
-let submit_guarded (d : t) (c : conn) req ~id ~digest ~budget_ms =
+let submit_guarded (d : t) (c : conn) ~id ~digest ~budget_ms handle =
   let settled = Atomic.make false in
   let reply json =
     if not (Atomic.exchange settled true) then begin
@@ -540,18 +515,7 @@ let submit_guarded (d : t) (c : conn) req ~id ~digest ~budget_ms =
             (Protocol.error_response ~id ~retryable:true
                "preempted: worker exceeded its budget and stopped \
                 responding; the watchdog replaced it"))
-        (fun () ->
-          let resp =
-            match req with
-            | Protocol.Verify
-                { id; target; lint; absint; seed; timeout_ms; retries } ->
-                handle_verify d ~id ~target ~lint ~absint ~seed ~timeout_ms
-                  ~retries
-            | Protocol.Lint { id; target; absint } ->
-                handle_lint d ~id ~target ~absint
-            | Protocol.Stats _ | Protocol.Shutdown _ -> assert false
-          in
-          reply resp)
+        (fun () -> reply (handle ()))
     with
     | Supervisor.Done | Supervisor.Preempted -> ()
     | Supervisor.Crashed msg ->
@@ -570,6 +534,32 @@ let submit_guarded (d : t) (c : conn) req ~id ~digest ~budget_ms =
   | `Stopping ->
       Mutex.protect c.clock (fun () -> c.pending <- c.pending - 1);
       respond c (Protocol.error_response ~id "daemon is shutting down")
+
+(** Admission control for a verify/lint request. [inline_ok] says
+    whether it can be served without the solver — lint, a
+    verdict-cache hit — and so inline from the main loop when solve
+    capacity is saturated (degraded mode), keeping the service
+    reachable under overload. *)
+let admit (d : t) (c : conn) req ~budget_ms ~inline_ok handle =
+  let id = Protocol.request_id req in
+  let digest = request_digest req in
+  let pending = (Scheduler.stats d.sched).Scheduler.pending in
+  match Supervisor.admit d.sup ~pending ~digest with
+  | Supervisor.Quarantined { retry_after_ms; crashes } ->
+      respond c
+        (Protocol.error_response ~id ~retryable:true ~retry_after_ms
+           (Printf.sprintf
+              "quarantined: this request crashed %d consecutive workers; \
+               circuit open, retry after cooldown"
+              crashes))
+  | Supervisor.Shed _ when inline_ok () ->
+      Supervisor.note_degraded d.sup;
+      respond c (handle ())
+  | Supervisor.Shed { retry_after_ms } ->
+      respond c
+        (Protocol.error_response ~id ~busy:true ~retry_after_ms
+           "overloaded — global in-flight budget exhausted, retry later")
+  | Supervisor.Admit -> submit_guarded d c ~id ~digest ~budget_ms handle
 
 (** Dispatch one request line from [c]. Cheap requests (stats, errors,
     backpressure rejections) answer inline from the main loop;
@@ -596,49 +586,17 @@ let dispatch (d : t) (c : conn) line =
           (Protocol.response ~id
              [ ("ok", Json.Bool true); ("stats", stats_json d) ])
     | Ok (Protocol.Shutdown { id }) -> raise (Shutdown_requested (c, id))
-    | Ok ((Protocol.Verify _ | Protocol.Lint _) as req) -> (
-        let id = Protocol.request_id req in
-        let digest = request_digest req in
-        let pending = (Scheduler.stats d.sched).Scheduler.pending in
-        match Supervisor.admit d.sup ~pending ~digest with
-        | Supervisor.Quarantined { retry_after_ms; crashes } ->
-            respond c
-              (Protocol.error_response ~id ~retryable:true ~retry_after_ms
-                 (Printf.sprintf
-                    "quarantined: this request crashed %d consecutive \
-                     workers; circuit open, retry after cooldown"
-                    crashes))
-        | Supervisor.Shed { retry_after_ms } -> (
-            (* Degraded mode: solve capacity is saturated, but requests
-               that need no solver — lint, verdict-cache hits — are
-               served inline from the main loop, so the service stays
-               reachable under overload. *)
-            match req with
-            | Protocol.Lint { id; target; absint } ->
-                Supervisor.note_degraded d.sup;
-                respond c (handle_lint d ~id ~target ~absint)
-            | Protocol.Verify
-                { id; target; lint; absint; seed; timeout_ms; retries }
-              when E.Vc_cache.lookup_verdicts d.cache
-                     (verdict_key ~lint ~absint ~seed target)
-                   <> None ->
-                Supervisor.note_degraded d.sup;
-                respond c
-                  (handle_verify d ~id ~target ~lint ~absint ~seed
-                     ~timeout_ms ~retries)
-            | _ ->
-                respond c
-                  (Protocol.error_response ~id ~busy:true ~retry_after_ms
-                     "overloaded — global in-flight budget exhausted, \
-                      retry later"))
-        | Supervisor.Admit ->
-            let budget_ms =
-              match req with
-              | Protocol.Verify { timeout_ms; retries; _ } ->
-                  request_budget_ms d ~timeout_ms ~retries
-              | _ -> None
-            in
-            submit_guarded d c req ~id ~digest ~budget_ms)
+    | Ok (Protocol.Lint l as req) ->
+        admit d c req ~budget_ms:None
+          ~inline_ok:(fun () -> true)
+          (fun () -> handle_lint l)
+    | Ok (Protocol.Verify v as req) ->
+        let config = engine_config d v in
+        admit d c req ~budget_ms:(request_budget_ms config)
+          ~inline_ok:(fun () ->
+            E.Vc_cache.lookup_verdicts d.cache (verdict_key v.options v.target)
+            <> None)
+          (fun () -> handle_verify d config v)
 
 (** Consume complete lines from [c]'s read buffer. *)
 let drain_lines (d : t) (c : conn) =
@@ -809,11 +767,8 @@ let run (cfg : config) : (unit, string) result =
           parse_errors = Atomic.make 0;
           socket_faults = Atomic.make 0;
           slow_consumers = Atomic.make 0;
-          absint_discharged = Atomic.make 0;
-          absint_abstained = Atomic.make 0;
-          par_branches = Atomic.make 0;
-          inv_opens = Atomic.make 0;
-          interference_havocs = Atomic.make 0;
+          vlock = Mutex.create ();
+          vstats = Verifier.Vstats.create ();
         }
       in
       (* Signal-driven lifecycle: TERM/INT request a graceful drain,

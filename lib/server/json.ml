@@ -35,11 +35,15 @@ let escape s =
     s;
   Buffer.contents b
 
+(** Integers up to this magnitude are exact in a double: the range a
+    JSON number can carry an [int] in (both ways, see {!to_int}). *)
+let max_safe_int = 9007199254740992.0 (* 2^53 *)
+
 let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
+      if Float.is_integer f && Float.abs f <= max_safe_int then
         Buffer.add_string b (Printf.sprintf "%.0f" f)
       else Buffer.add_string b (Printf.sprintf "%g" f)
   | Str s ->
@@ -245,7 +249,14 @@ let parse s : (t, string) result =
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_num = function Num f -> Some f | _ -> None
-let to_int = function Num f -> Some (int_of_float f) | _ -> None
+
+(** [None] unless the number is integral and within ±2^53: a
+    fractional or huge number is a malformed integer, not one to round. *)
+let to_int = function
+  | Num f when Float.is_integer f && Float.abs f <= max_safe_int ->
+      Some (int_of_float f)
+  | _ -> None
+
 let to_bool = function Bool b -> Some b | _ -> None
 let str_member k v = Option.bind (member k v) to_str
 let num_member k v = Option.bind (member k v) to_num

@@ -7,7 +7,7 @@
     {"op":"verify","name":"swap","id":1}
     {"op":"verify","file":"swap.hl","source":"...","id":2,
      "lint":true,"timeout_ms":500,"retries":2,"seed":7}
-    {"op":"lint","name":"swap","id":3}
+    {"op":"lint","name":"swap","id":3,"absint":false}
     {"op":"stats","id":4}
     {"op":"shutdown","id":5}
     v}
@@ -16,8 +16,19 @@
     annotated surface program inline ([file] for diagnostics spans +
     [source] text) — the client ships the file's contents, so daemon
     and client need not share a working directory. [id] is an opaque
-    client token echoed in the response; [lint]/[timeout_ms]/[retries]
-    override the daemon's per-request defaults.
+    client token echoed in the response.
+
+    The optional fields are typed: [lint] and [absint] are booleans,
+    [seed] and [retries] integers, [timeout_ms] a number. [lint],
+    [absint] and [seed] are the {!Engine.Options} fields and are read
+    on both ops ([lint] uses only [absint]); [timeout_ms]/[retries]
+    override the daemon's per-request budget on [verify]. An absent
+    field takes its default ([lint:false], [absint:true], [seed:0], the
+    daemon's budget). A present field of the wrong type is rejected
+    with an error response, never defaulted: ["lint":"true"],
+    ["absint":0], a fractional or out-of-range integer (beyond ±2^53),
+    [retries < 0], and a [timeout_ms] that is not a finite number
+    greater than 0.
 
     Responses always carry ["ok"] and echo ["id"]:
 
@@ -36,27 +47,34 @@
     backpressure: the client's queue is full and the request was {e
     not} enqueued — resubmit later. *)
 
+module Options = Engine.Options
+
 type target =
   | Entry of string  (** a suite entry, by name *)
   | Source of { file : string; source : string }
       (** an annotated surface program, shipped inline *)
 
+type verify = {
+  id : Json.t;  (** echoed verbatim; [Null] if absent *)
+  target : target;
+  options : Options.t;
+  timeout_ms : float option;  (** per-request deadline override *)
+  retries : int option;  (** per-request retry override *)
+}
+
+type lint = { id : Json.t; target : target; options : Options.t }
+
 type request =
-  | Verify of {
-      id : Json.t;  (** echoed verbatim; [Null] if absent *)
-      target : target;
-      lint : bool;
-      absint : bool;  (** abstract pre-discharge (["absint":false] opts out) *)
-      seed : int;  (** par-branch exploration order; 0 = left-first *)
-      timeout_ms : float option;  (** per-request deadline override *)
-      retries : int option;  (** per-request retry override *)
-    }
-  | Lint of { id : Json.t; target : target; absint : bool }
+  | Verify of verify
+  | Lint of lint
   | Stats of { id : Json.t }
   | Shutdown of { id : Json.t }
 
 let request_id = function
   | Verify { id; _ } | Lint { id; _ } | Stats { id } | Shutdown { id } -> id
+
+(* --------------------------------------------------------------- *)
+(* Decoding *)
 
 let target_of_json v : (target, string) result =
   match (Json.str_member "name" v, Json.str_member "source" v) with
@@ -67,6 +85,40 @@ let target_of_json v : (target, string) result =
   | Some _, Some _ -> Error "request carries both \"name\" and \"source\""
   | None, None -> Error "request needs \"name\" or \"source\""
 
+(** An optional field: [Ok None] when absent, [Error] when present but
+    [conv] rejects it. *)
+let field k conv ~expected v =
+  match Json.member k v with
+  | None -> Ok None
+  | Some j -> (
+      match conv j with
+      | Some x -> Ok (Some x)
+      | None -> Error (Printf.sprintf "field %S must be %s" k expected))
+
+(** The JSON shape of each {!Options.kind}: decoder, encoder, and the
+    type named in rejection messages. *)
+let json_kind : type a.
+    a Options.kind -> (Json.t -> a option) * (a -> Json.t) * string =
+  function
+  | Options.Bool -> (Json.to_bool, (fun b -> Json.Bool b), "a boolean")
+  | Options.Int ->
+      (Json.to_int, (fun n -> Json.Num (float_of_int n)), "an integer")
+
+let options_of_json v : (Options.t, string) result =
+  List.fold_left
+    (fun acc (Options.Field f) ->
+      let decode, _, expected = json_kind f.kind in
+      Result.bind acc (fun o ->
+          Result.map
+            (Option.fold ~none:o ~some:(f.set o))
+            (field f.name decode ~expected v)))
+    (Ok Options.default) Options.fields
+
+let where conv ok j =
+  Option.bind (conv j) (fun x -> if ok x then Some x else None)
+
+let ( let* ) = Result.bind
+
 let request_of_line line : (request, string) result =
   match Json.parse line with
   | Error m -> Error ("bad JSON: " ^ m)
@@ -74,73 +126,75 @@ let request_of_line line : (request, string) result =
       let id = Option.value ~default:Json.Null (Json.member "id" v) in
       match Json.str_member "op" v with
       | Some "verify" ->
-          Result.map
-            (fun target ->
-              Verify
-                {
-                  id;
-                  target;
-                  lint =
-                    Option.value ~default:false (Json.bool_member "lint" v);
-                  absint =
-                    Option.value ~default:true (Json.bool_member "absint" v);
-                  seed = Option.value ~default:0 (Json.int_member "seed" v);
-                  timeout_ms = Json.num_member "timeout_ms" v;
-                  retries = Json.int_member "retries" v;
-                })
-            (target_of_json v)
+          let* target = target_of_json v in
+          let* options = options_of_json v in
+          let* timeout_ms =
+            field "timeout_ms" ~expected:"a finite number > 0"
+              (where Json.to_num (fun ms -> Float.is_finite ms && ms > 0.0))
+              v
+          in
+          let* retries =
+            field "retries" ~expected:"an integer >= 0"
+              (where Json.to_int (fun r -> r >= 0))
+              v
+          in
+          Ok (Verify { id; target; options; timeout_ms; retries })
       | Some "lint" ->
-          Result.map
-            (fun target ->
-              Lint
-                {
-                  id;
-                  target;
-                  absint =
-                    Option.value ~default:true (Json.bool_member "absint" v);
-                })
-            (target_of_json v)
+          let* target = target_of_json v in
+          let* options = options_of_json v in
+          Ok (Lint { id; target; options })
       | Some "stats" -> Ok (Stats { id })
       | Some "shutdown" -> Ok (Shutdown { id })
       | Some op -> Error (Printf.sprintf "unknown op %S" op)
       | None -> Error "request needs an \"op\" field")
 
 (* --------------------------------------------------------------- *)
-(* Client-side request construction *)
+(* Encoding (client side) *)
 
 let target_fields = function
   | Entry n -> [ ("name", Json.Str n) ]
   | Source { file; source } ->
       [ ("file", Json.Str file); ("source", Json.Str source) ]
 
-let verify_request ?(id = Json.Null) ?(lint = false) ?(absint = true)
-    ?(seed = 0) ?timeout_ms ?retries target =
-  Json.Obj
-    ([ ("op", Json.Str "verify"); ("id", id) ]
-    @ target_fields target
-    @ (if lint then [ ("lint", Json.Bool true) ] else [])
-    @ (if absint then [] else [ ("absint", Json.Bool false) ])
-    @ (if seed = 0 then []
-       else [ ("seed", Json.Num (float_of_int seed)) ])
-    @ (match timeout_ms with
-      | Some ms -> [ ("timeout_ms", Json.Num ms) ]
-      | None -> [])
-    @
-    match retries with
-    | Some r -> [ ("retries", Json.Num (float_of_int r)) ]
-    | None -> [])
+(** Only the fields that differ from {!Options.default}: the decoder
+    fills the rest back in. *)
+let options_fields (o : Options.t) =
+  List.filter_map
+    (fun (Options.Field f) ->
+      let v = f.get o in
+      if v = f.get Options.default then None
+      else
+        let _, encode, _ = json_kind f.kind in
+        Some (f.name, encode v))
+    Options.fields
 
-let lint_request ?(id = Json.Null) ?(absint = true) target =
-  Json.Obj
-    ([ ("op", Json.Str "lint"); ("id", id) ]
-    @ target_fields target
-    @ if absint then [] else [ ("absint", Json.Bool false) ])
+let optional k encode = function Some x -> [ (k, encode x) ] | None -> []
 
-let stats_request ?(id = Json.Null) () =
-  Json.Obj [ ("op", Json.Str "stats"); ("id", id) ]
+let json_of_request req =
+  let op name id rest =
+    Json.Obj (("op", Json.Str name) :: ("id", id) :: rest)
+  in
+  match req with
+  | Verify { id; target; options; timeout_ms; retries } ->
+      op "verify" id
+        (target_fields target @ options_fields options
+        @ optional "timeout_ms" (fun ms -> Json.Num ms) timeout_ms
+        @ optional "retries" (fun r -> Json.Num (float_of_int r)) retries)
+  | Lint { id; target; options } ->
+      op "lint" id (target_fields target @ options_fields options)
+  | Stats { id } -> op "stats" id []
+  | Shutdown { id } -> op "shutdown" id []
 
-let shutdown_request ?(id = Json.Null) () =
-  Json.Obj [ ("op", Json.Str "shutdown"); ("id", id) ]
+let verify_request ?(id = Json.Null) ?lint ?absint ?seed ?timeout_ms ?retries
+    target =
+  let options = Options.make ?lint ?absint ?seed () in
+  json_of_request (Verify { id; target; options; timeout_ms; retries })
+
+let lint_request ?(id = Json.Null) ?absint target =
+  json_of_request (Lint { id; target; options = Options.make ?absint () })
+
+let stats_request ?(id = Json.Null) () = json_of_request (Stats { id })
+let shutdown_request ?(id = Json.Null) () = json_of_request (Shutdown { id })
 
 (* --------------------------------------------------------------- *)
 (* Response construction (daemon side) *)

@@ -52,20 +52,6 @@ let exit_of_status = function
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_outcome (o : V.outcome) =
   let kind, msg =
     match o with
@@ -78,7 +64,7 @@ let json_of_outcome (o : V.outcome) =
   match msg with
   | None -> Printf.sprintf {|{"kind":"%s"}|} kind
   | Some m ->
-      Printf.sprintf {|{"kind":"%s","message":"%s"}|} kind (json_escape m)
+      Printf.sprintf {|{"kind":"%s","message":"%s"}|} kind (Json.escape m)
 
 (** [rows]: one (name, expect_fail, status) triple per report group.
     The stats block carries the solver-query and cache counters the
@@ -91,13 +77,13 @@ let json_of_report (report : E.report) rows =
         let procs =
           List.map
             (fun (p, o) ->
-              Printf.sprintf {|{"proc":"%s","outcome":%s}|} (json_escape p)
+              Printf.sprintf {|{"proc":"%s","outcome":%s}|} (Json.escape p)
                 (json_of_outcome o))
             g.E.outcomes
         in
         Printf.sprintf
           {|{"entry":"%s","expect_fail":%b,"status":"%s","ms":%.1f,"procs":[%s]}|}
-          (json_escape name) expect_fail (status_string status) g.E.ms
+          (Json.escape name) expect_fail (status_string status) g.E.ms
           (String.concat "," procs))
       rows report.E.groups
   in

@@ -11,8 +11,8 @@
       ill-formed case produces its annotated codes.
     - Spec-shaped failures route through {!Diag.Spec_error} in the
       executor, so lint-clean programs never reach them.
-    - Engine gating: with [config.lint], bad programs fail without a
-      solver call while good ones still verify.
+    - Engine gating: with [config.options.lint], bad programs fail
+      without a solver call while good ones still verify.
     - JSON renderer smoke tests. *)
 
 module An = Analysis
@@ -444,7 +444,9 @@ let test_spec_error_routing () =
 (* Engine gating *)
 
 let test_engine_gating () =
-  let cfg = { E.default_config with E.lint = true } in
+  let cfg =
+    { E.default_config with E.options = { E.Options.default with lint = true } }
+  in
   let bad = Suite.Ill_formed.unknown_pred in
   let bank = Suite.Programs.bank in
   let report =

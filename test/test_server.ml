@@ -107,14 +107,27 @@ let test_protocol_roundtrip () =
        (P.verify_request ~id:(J.Num 7.0) ~lint:true ~absint:false ~seed:11
           ~timeout_ms:250.0 ~retries:2 (P.Entry "swap")))
     (function
-      | P.Verify { id = J.Num 7.0; target = P.Entry "swap"; lint = true;
-                   absint = false; seed = 11; timeout_ms = Some 250.0;
-                   retries = Some 2 } ->
+      | P.Verify
+          {
+            id = J.Num 7.0;
+            target = P.Entry "swap";
+            options = { lint = true; absint = false; seed = 11 };
+            timeout_ms = Some 250.0;
+            retries = Some 2;
+          } ->
           ()
       | _ -> Alcotest.fail "verify fields");
   check_req (J.to_string (P.verify_request (P.Entry "swap"))) (function
-    | P.Verify { seed = 0; _ } -> ()
-    | _ -> Alcotest.fail "seed defaults to 0");
+    | P.Verify { options; timeout_ms = None; retries = None; _ }
+      when options = E.Options.default ->
+        ()
+    | _ -> Alcotest.fail "options default when absent");
+  check_req
+    (J.to_string
+       (P.lint_request ~id:(J.Num 3.0) ~absint:false (P.Entry "swap")))
+    (function
+      | P.Lint { id = J.Num 3.0; options = { absint = false; _ }; _ } -> ()
+      | _ -> Alcotest.fail "lint absint");
   check_req
     (J.to_string
        (P.verify_request (P.Source { file = "f.hl"; source = "src" })))
@@ -142,7 +155,86 @@ let test_protocol_errors () =
       "{\"op\":\"frobnicate\"}";
       "{\"op\":\"verify\"}";
       "{\"op\":\"verify\",\"name\":\"a\",\"source\":\"b\"}";
+      (* A present field of the wrong type is an error, never its
+         default. *)
+      {|{"op":"verify","name":"swap","lint":"true"}|};
+      {|{"op":"verify","name":"swap","lint":null}|};
+      {|{"op":"verify","name":"swap","absint":0}|};
+      {|{"op":"verify","name":"swap","seed":7.9}|};
+      {|{"op":"verify","name":"swap","seed":1e300}|};
+      {|{"op":"verify","name":"swap","seed":"7"}|};
+      {|{"op":"verify","name":"swap","retries":1.5}|};
+      {|{"op":"verify","name":"swap","retries":-1}|};
+      {|{"op":"verify","name":"swap","timeout_ms":0}|};
+      {|{"op":"verify","name":"swap","timeout_ms":-5}|};
+      {|{"op":"verify","name":"swap","timeout_ms":1e999}|};
+      {|{"op":"verify","name":"swap","timeout_ms":"500"}|};
+      {|{"op":"lint","name":"swap","absint":"no"}|};
     ]
+
+(* Options are the whole verdict-affecting part of a request: distinct
+   options must never share a verdict-cache key or a breaker digest,
+   and every options value must survive the wire. Seeds stay within
+   the ±2^53 a JSON number carries exactly. *)
+let gen_options =
+  QCheck.Gen.(
+    map3
+      (fun lint absint seed -> { E.Options.lint; absint; seed })
+      bool bool
+      (frequency
+         [ (3, int_range (-2) 2); (1, int_range (-(1 lsl 53)) (1 lsl 53)) ]))
+
+let gen_target =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun n -> P.Entry n) (string_size ~gen:printable (int_range 0 6));
+        map
+          (fun source -> P.Source { file = "f.hl"; source })
+          (string_size ~gen:printable (int_range 0 12));
+      ])
+
+let print_options (o : E.Options.t) =
+  Printf.sprintf "{lint=%b; absint=%b; seed=%d}" o.lint o.absint o.seed
+
+let verify_of options target =
+  P.Verify { id = J.Null; target; options; timeout_ms = None; retries = None }
+
+let qcheck_options_distinct =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"options-keys-distinct" ~count:500
+       (QCheck.make
+          ~print:(fun (a, b, _) -> print_options a ^ " vs " ^ print_options b)
+          QCheck.Gen.(triple gen_options gen_options gen_target))
+       (fun (o1, o2, target) ->
+         QCheck.assume (o1 <> o2);
+         Server.Daemon.verdict_key o1 target
+         <> Server.Daemon.verdict_key o2 target
+         && Server.Daemon.request_digest (verify_of o1 target)
+            <> Server.Daemon.request_digest (verify_of o2 target)))
+
+let qcheck_options_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"options-wire-roundtrip" ~count:500
+       (QCheck.make
+          ~print:(fun (o, _) -> print_options o)
+          QCheck.Gen.(pair gen_options gen_target))
+       (fun ((o : E.Options.t), target) ->
+         let back req =
+           P.request_of_line (J.to_string (P.json_of_request req))
+         in
+         (match
+            P.request_of_line
+              (J.to_string
+                 (P.verify_request ~lint:o.lint ~absint:o.absint ~seed:o.seed
+                    target))
+          with
+         | Ok (P.Verify v) -> v.options = o && v.target = target
+         | _ -> false)
+         &&
+         match back (P.Lint { id = J.Null; target; options = o }) with
+         | Ok (P.Lint l) -> l.options = o
+         | _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
@@ -516,6 +608,9 @@ let test_e2e_concurrent_matches_sequential () =
     { Server.Daemon.default_config with socket_path = sock; workers = 3 }
   in
   with_daemon cfg (fun () ->
+      (* Client domains only collect responses: Alcotest's reporter
+         (a shared [Format] formatter) is not domain-safe, so every
+         check runs on the main domain after the joins. *)
       let run_client () =
         let c = connect sock in
         Fun.protect
@@ -523,18 +618,20 @@ let test_e2e_concurrent_matches_sequential () =
           (fun () ->
             List.map
               (fun (e : Pr.entry) ->
-                let resp = rpc c (P.verify_request (P.Entry e.name)) in
-                Alcotest.(check bool)
-                  (e.name ^ " ok") true (get_bool resp "ok");
-                (e.name, get_str resp "status"))
+                (e.name, rpc c (P.verify_request (P.Entry e.name))))
               Pr.all)
       in
       let doms = List.init 3 (fun _ -> Domain.spawn run_client) in
       let results = List.map Domain.join doms in
       List.iter
-        (fun statuses ->
+        (fun resps ->
+          List.iter
+            (fun (name, resp) ->
+              Alcotest.(check bool) (name ^ " ok") true (get_bool resp "ok"))
+            resps;
           Alcotest.(check (list (pair string string)))
-            "concurrent verdicts = sequential verdicts" expected statuses)
+            "concurrent verdicts = sequential verdicts" expected
+            (List.map (fun (n, resp) -> (n, get_str resp "status")) resps))
         results)
 
 let test_e2e_warm_cache () =
@@ -962,6 +1059,17 @@ let test_e2e_overload_sheds_and_degrades () =
           (* Warm the verdict cache while capacity is free. *)
           let warm = rpc c2 (P.verify_request (P.Entry "swap")) in
           Alcotest.(check bool) "warm-up ok" true (get_bool warm "ok");
+          (* The warm-up's in-flight slot is released just after its
+             reply is written; under load the stall request below could
+             otherwise arrive first and be shed instead of admitted. *)
+          let rec until_idle n =
+            let st = rpc c2 (P.stats_request ()) in
+            if n > 0 && stat st [ "stats" ] "pending" <> 0 then begin
+              Unix.sleepf 0.01;
+              until_idle (n - 1)
+            end
+          in
+          until_idle 500;
           (* Wedge the only worker on a stalled cold request; the
              watchdog will answer it in ~1.6s, which is our window. *)
           F.configure ~seed:7 [ (F.Stall, 1.0) ];
@@ -1177,6 +1285,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "errors" `Quick test_protocol_errors;
+          qcheck_options_distinct;
+          qcheck_options_roundtrip;
         ] );
       ( "scheduler",
         [
