@@ -237,6 +237,20 @@ if [ "$(echo "$local_opts" | verdicts)" != "$(echo "$daemon_opts" | verdicts)" ]
 fi
 echo "options (--lint --no-absint --seed 5): daemon verdicts identical to local suite"
 
+# A program with no procedures (an empty file) is vacuously verified:
+# the CLI and the daemon must answer it (exit 0), never crash on it.
+: > "$TMPD/empty.hl"
+"$DAE" verify "$TMPD/empty.hl" >/dev/null || {
+  echo "FAIL: verify of a zero-procedure file exited $?" >&2; exit 1; }
+"$DAE" client --socket "$SOCK" "$TMPD/empty.hl" >/dev/null || {
+  echo "FAIL: client verify of a zero-procedure file exited $?" >&2; exit 1; }
+crashes=$("$DAE" client --socket "$SOCK" --stats | grep -o '"crashes":[0-9]*' | head -1 | cut -d: -f2)
+if [ "$crashes" != 0 ]; then
+  echo "FAIL: zero-procedure file crashed the daemon (crashes=${crashes:-missing})" >&2
+  exit 1
+fi
+echo "zero procedures: vacuously verified by the CLI and the daemon, no crash"
+
 stop_daemon
 start_daemon  # same cache dir: the disk tier must survive the restart
 restart=$("$DAE" client --socket "$SOCK" --suite --json)

@@ -82,20 +82,6 @@ let group_gave_up (g : group_result) =
   List.exists (fun (_, o) -> not (V.decided o)) g.outcomes
   && not (List.exists (fun (_, o) -> match o with V.Failed _ -> true | _ -> false) g.outcomes)
 
-(** Fold per-job results back into per-program groups, preserving the
-    input program order (jobs of one program are contiguous). *)
-let regroup (results : Job.result array) : group_result list =
-  Array.fold_left
-    (fun acc (r : Job.result) ->
-      let outcome = (r.job.Job.proc.V.pname, r.outcome) in
-      match acc with
-      | g :: rest when String.equal g.group r.job.Job.group ->
-          { g with outcomes = outcome :: g.outcomes; ms = g.ms +. r.ms }
-          :: rest
-      | _ -> { group = r.job.Job.group; outcomes = [ outcome ]; ms = r.ms } :: acc)
-    [] results
-  |> List.rev_map (fun g -> { g with outcomes = List.rev g.outcomes })
-
 (** The static-analysis phase: one job per program, drained over the
     same domain pool the verification jobs will use. Pure and
     solver-free, so no stats prologue/epilogue is needed. [srcmaps]
@@ -130,11 +116,33 @@ let run_analysis ?(srcmaps : (string * Diag.srcmap) list = [])
       a_wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
     } )
 
+(** A run's stats before any work: every counter zero. *)
+let zero_stats () =
+  {
+    analysis = None;
+    jobs = 0;
+    wall_ms = 0.0;
+    pool =
+      { Pool.domains = 0; jobs_per_domain = [||]; ms_per_domain = [||]; steals = 0 };
+    solver_ms_per_domain = [||];
+    cache_hits = 0;
+    cache_disk_hits = 0;
+    cache_misses = 0;
+    timeouts = 0;
+    resource_outs = 0;
+    crashes = 0;
+    retries = 0;
+    vstats = Verifier.Vstats.create ();
+    smt = Smt.Stats.create ();
+  }
+
 (** Verify a list of named programs. Every procedure of every program
     becomes one job; all jobs share one queue, so parallelism is
     across programs as well as within them. With [config.options.lint],
     the analysis phase runs on the pool first and gates error-ridden
-    programs away from the solver. *)
+    programs away from the solver. The report has exactly one group per
+    input program, in input order; a program without procedures gets a
+    group with no outcomes (vacuously verified). *)
 let verify_programs ?(config = default_config)
     ?(srcmaps : (string * Diag.srcmap) list = [])
     (progs : (string * V.program) list) : report =
@@ -148,39 +156,24 @@ let verify_programs ?(config = default_config)
     else ([], None)
   in
   (* Gate: a program with error-severity findings never reaches the
-     solver — each of its procedures reports the first error. *)
-  let gated name =
-    match List.assoc_opt name lint_results with
-    | Some ds when Diag.has_errors ds ->
-        Some (List.find Diag.is_error ds)
-    | _ -> None
-  in
-  let live, gated_groups =
-    List.partition_map
-      (fun (name, prog) ->
-        match gated name with
-        | None -> Either.Left (name, prog)
-        | Some d ->
-            Either.Right
-              {
-                group = name;
-                outcomes =
-                  List.map
-                    (fun (p : V.proc) ->
-                      (p.V.pname, V.Failed (Diag.to_string d)))
-                    prog.V.procs;
-                ms = 0.0;
-              })
-      progs
+     solver — each of its procedures reports the first error. The
+     analysis results are in input order, one per program. *)
+  let gates =
+    if config.options.lint then
+      List.map (fun (_, ds) -> List.find_opt Diag.is_error ds) lint_results
+    else List.map (fun _ -> None) progs
   in
   let jobs =
-    List.concat_map
-      (fun (group, prog) ->
-        let srcmap =
-          Option.value ~default:[] (List.assoc_opt group srcmaps)
-        in
-        Job.of_program ~options:config.options ~srcmap ~group prog)
-      live
+    List.concat
+      (List.map2
+         (fun (group, prog) gate ->
+           if Option.is_some gate then []
+           else
+             let srcmap =
+               Option.value ~default:[] (List.assoc_opt group srcmaps)
+             in
+             Job.of_program ~options:config.options ~srcmap ~group prog)
+         progs gates)
     |> Array.of_list
   in
   let t0 = Unix.gettimeofday () in
@@ -191,14 +184,6 @@ let verify_programs ?(config = default_config)
       jobs
   in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  let vstats =
-    Array.fold_left
-      (fun acc (r : Job.result) -> Verifier.Vstats.sum acc r.vstats)
-      (Verifier.Vstats.create ()) results
-  in
-  let smt =
-    Array.fold_left Smt.Stats.sum (Smt.Stats.create ()) smt_per_domain
-  in
   let count pred =
     Array.fold_left
       (fun n (r : Job.result) -> if pred r.Job.outcome then n + 1 else n)
@@ -206,15 +191,13 @@ let verify_programs ?(config = default_config)
   in
   let stats =
     {
+      (zero_stats ()) with
       analysis = analysis_stats;
       jobs = Array.length jobs;
       wall_ms;
       pool;
       solver_ms_per_domain =
         Array.map (fun (s : Smt.Stats.t) -> s.Smt.Stats.solve_ms) smt_per_domain;
-      cache_hits = 0;
-      cache_disk_hits = 0;
-      cache_misses = 0;
       timeouts = count (function V.Timeout _ -> true | _ -> false);
       resource_outs = count (function V.Resource_out _ -> true | _ -> false);
       crashes = count (function V.Crashed _ -> true | _ -> false);
@@ -222,24 +205,41 @@ let verify_programs ?(config = default_config)
         Array.fold_left
           (fun n (r : Job.result) -> n + r.Job.attempts - 1)
           0 results;
-      vstats;
-      smt;
+      vstats =
+        Array.fold_left
+          (fun acc (r : Job.result) -> Verifier.Vstats.sum acc r.vstats)
+          (Verifier.Vstats.create ()) results;
+      smt = Array.fold_left Smt.Stats.sum (Smt.Stats.create ()) smt_per_domain;
     }
   in
-  (* Stitch gated groups back in, preserving the input program order. *)
-  let verified_groups = regroup results in
+  (* Stitch one group per program: a live program's jobs are the next
+     [List.length procs] results (jobs were laid out program by
+     program), a gated one reports its first error on every procedure. *)
+  let next = ref 0 in
   let groups =
-    List.filter_map
-      (fun (name, _) ->
-        match
-          List.find_opt (fun g -> String.equal g.group name) gated_groups
-        with
-        | Some g -> Some g
+    List.map2
+      (fun (group, (prog : V.program)) gate ->
+        match gate with
+        | Some d ->
+            let failed = V.Failed (Diag.to_string d) in
+            {
+              group;
+              outcomes =
+                List.map (fun (p : V.proc) -> (p.V.pname, failed)) prog.V.procs;
+              ms = 0.0;
+            }
         | None ->
-            List.find_opt
-              (fun g -> String.equal g.group name)
-              verified_groups)
-      progs
+            let rs = Array.sub results !next (List.length prog.V.procs) in
+            next := !next + Array.length rs;
+            {
+              group;
+              outcomes =
+                Array.to_list rs
+                |> List.map (fun (r : Job.result) ->
+                       (r.job.Job.proc.V.pname, r.outcome));
+              ms = Array.fold_left (fun a (r : Job.result) -> a +. r.ms) 0.0 rs;
+            })
+      progs gates
   in
   { groups; lint = lint_results; stats }
 
@@ -260,29 +260,29 @@ let cached_report ~group ~(outcomes : (string * V.outcome) list)
     groups = [ { group; outcomes; ms = wall_ms } ];
     lint = [];
     stats =
-      {
-        analysis = None;
-        jobs = 0;
-        wall_ms;
-        pool =
-          {
-            Pool.domains = 0;
-            jobs_per_domain = [||];
-            ms_per_domain = [||];
-            steals = 0;
-          };
-        solver_ms_per_domain = [||];
-        cache_hits = mem;
-        cache_disk_hits = disk;
-        cache_misses = 0;
-        timeouts = 0;
-        resource_outs = 0;
-        crashes = 0;
-        retries = 0;
-        vstats = Verifier.Vstats.create ();
-        smt = Smt.Stats.create ();
-      };
+      { (zero_stats ()) with wall_ms; cache_hits = mem; cache_disk_hits = disk };
   }
+
+(** The engine's own counters, under their report-JSON keys. *)
+let engine_counters (s : stats) : (string * Stdx.Counters.value) list =
+  [
+    ("jobs", `Int s.jobs);
+    ("wall_ms", `Float s.wall_ms);
+    ("cache_hits", `Int s.cache_hits);
+    ("cache_disk_hits", `Int s.cache_disk_hits);
+    ("cache_misses", `Int s.cache_misses);
+    ("timeouts", `Int s.timeouts);
+    ("resource_outs", `Int s.resource_outs);
+    ("crashes", `Int s.crashes);
+    ("retries", `Int s.retries);
+  ]
+
+(** Every counter of a run — engine, then solver, then verifier — under
+    its field name: the report JSON's [stats] object. *)
+let counters (s : stats) =
+  engine_counters s
+  @ Stdx.Counters.to_list Smt.Stats.fields s.smt
+  @ Stdx.Counters.to_list Verifier.Vstats.fields s.vstats
 
 let pp_stats ppf (s : stats) =
   (match s.analysis with
@@ -292,15 +292,13 @@ let pp_stats ppf (s : stats) =
         a.a_programs a.a_wall_ms a.a_diags a.a_errors
   | None -> ());
   Fmt.pf ppf
-    "@[<v>engine: %d jobs on %d domain(s) in %.1fms (steals=%d)@ \
-     per-domain jobs=[%a] wall=[%a]ms solver=[%a]ms@ \
-     resilience: timeouts=%d resource-outs=%d crashes=%d retries=%d@ \
-     %a@ %a@]"
-    s.jobs s.pool.Pool.domains s.wall_ms s.pool.Pool.steals
+    "@[<v>engine: %d domain(s), steals=%d, per-domain jobs=[%a] wall=[%a]ms \
+     solver=[%a]ms@ run: %a@ verifier: %a@ solver: %a@]"
+    s.pool.Pool.domains s.pool.Pool.steals
     Fmt.(array ~sep:(any ",") int)
     s.pool.Pool.jobs_per_domain
     Fmt.(array ~sep:(any ",") (fmt "%.1f"))
     s.pool.Pool.ms_per_domain
     Fmt.(array ~sep:(any ",") (fmt "%.1f"))
-    s.solver_ms_per_domain s.timeouts s.resource_outs s.crashes s.retries
+    s.solver_ms_per_domain Stdx.Counters.pp_list (engine_counters s)
     Verifier.Vstats.pp s.vstats Smt.Stats.pp s.smt

@@ -19,13 +19,6 @@ type stats = {
           work the dynamic queue moved between domains *)
 }
 
-let pp_stats ppf s =
-  Fmt.pf ppf "domains=%d jobs=[%a] wall=[%a]ms steals=%d" s.domains
-    Fmt.(array ~sep:(any ",") int)
-    s.jobs_per_domain
-    Fmt.(array ~sep:(any ",") (fmt "%.1f"))
-    s.ms_per_domain s.steals
-
 (** [run ~domains ~prologue ~epilogue f xs] applies [f] to every
     element of [xs] on a pool of [domains] workers (the calling domain
     is worker 0; [domains - 1] are spawned). [prologue]/[epilogue] run

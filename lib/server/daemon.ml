@@ -373,14 +373,14 @@ let handle_lint (l : Protocol.lint) : Json.t =
 (* Stats *)
 
 let num i = Json.Num (float_of_int i)
+let nums = List.map (fun (k, i) -> (k, num i))
 
 let stats_json (d : t) =
   let s = Scheduler.stats d.sched in
-  let sup = Supervisor.stats d.sup in
   let cache = d.cache in
   let vs = Mutex.protect d.vlock (fun () -> d.vstats) in
   Json.Obj
-    [
+    ([
       ( "uptime_ms",
         Json.Num ((Unix.gettimeofday () -. d.started) *. 1000.0) );
       ("workers", num s.Scheduler.workers);
@@ -392,39 +392,28 @@ let stats_json (d : t) =
       ("parse_errors", num (Atomic.get d.parse_errors));
       ("socket_faults", num (Atomic.get d.socket_faults));
       ("slow_consumers", num (Atomic.get d.slow_consumers));
-      ("absint_discharged", num vs.Verifier.Vstats.absint_discharged);
-      ("absint_abstained", num vs.Verifier.Vstats.absint_abstained);
-      ("par_branches", num vs.Verifier.Vstats.par_branches);
-      ("inv_opens", num vs.Verifier.Vstats.inv_opens);
-      ("interference_havocs", num vs.Verifier.Vstats.interference_havocs);
+    ]
+    @ List.map
+        (fun (k, v) -> (k, Json.Raw (Stdx.Counters.value_to_string v)))
+        (Stdx.Counters.to_list Verifier.Vstats.fields vs)
+    @ [
       ( "supervisor",
         (* The PR 10 supervision counters the chaos gates watch: every
            repair mechanism leaves an audit trail here. *)
         Json.Obj
-          [
-            ("worker_crashes", num s.Scheduler.worker_crashes);
-            ( "worker_crash_counts",
-              Json.List (List.map num (Scheduler.crash_counts d.sched)) );
-            ("respawns", num s.Scheduler.respawns);
-            ("abandoned", num s.Scheduler.abandoned);
-            ("crashes", num sup.Supervisor.crashes);
-            ("preempted", num sup.Supervisor.preempted);
-            ("stalls", num sup.Supervisor.stalls);
-            ("breaker_trips", num sup.Supervisor.breaker_trips);
-            ("breaker_rejects", num sup.Supervisor.breaker_rejects);
-            ("breaker_open", num sup.Supervisor.breaker_open);
-            ("shed", num sup.Supervisor.shed);
-            ("degraded_served", num sup.Supervisor.degraded);
-            ( "watchdog",
-              let w = sup.Supervisor.watchdog in
-              Json.Obj
-                [
-                  ("active", num w.Stdx.Watchdog.active);
-                  ("watched", num w.Stdx.Watchdog.watched_total);
-                  ("cancels", num w.Stdx.Watchdog.cancels);
-                  ("abandons", num w.Stdx.Watchdog.abandons);
-                ] );
-          ] );
+          ([
+             ("worker_crashes", num s.Scheduler.worker_crashes);
+             ( "worker_crash_counts",
+               Json.List (List.map num (Scheduler.crash_counts d.sched)) );
+             ("respawns", num s.Scheduler.respawns);
+             ("abandoned", num s.Scheduler.abandoned);
+           ]
+          @ nums (Supervisor.counters d.sup)
+          @ [
+              ( "watchdog",
+                Json.Obj
+                  (nums (Stdx.Watchdog.counters d.sup.Supervisor.watchdog)) );
+            ]) );
       ( "solver",
         (* Process-global gauges from the hash-consed term pool; the
            solver counters live in the per-report engine stats. *)
@@ -460,7 +449,7 @@ let stats_json (d : t) =
           match E.Vc_cache.fingerprint cache with
           | Some f -> [ ("fingerprint", Json.Str f) ]
           | None -> []) );
-    ]
+    ])
 
 (* --------------------------------------------------------------- *)
 (* The main loop *)

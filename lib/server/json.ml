@@ -127,6 +127,16 @@ let add_utf8 b u =
 
 let parse_string c =
   expect c '"';
+  (* Fast path: no escape before the closing quote (every key). *)
+  let n = String.length c.s in
+  let i = ref c.pos in
+  while !i < n && c.s.[!i] <> '"' && c.s.[!i] <> '\\' do incr i done;
+  if !i < n && c.s.[!i] = '"' then begin
+    let str = String.sub c.s c.pos (!i - c.pos) in
+    c.pos <- !i + 1;
+    str
+  end
+  else
   let b = Buffer.create 16 in
   let rec go () =
     if c.pos >= String.length c.s then error c "unterminated string";

@@ -290,27 +290,15 @@ let guard t ~sched ~digest ~budget_ms ~on_preempt body =
 (* --------------------------------------------------------------- *)
 (* Stats *)
 
-type stats = {
-  crashes : int;
-  preempted : int;
-  stalls : int;
-  breaker_trips : int;
-  breaker_rejects : int;
-  breaker_open : int;
-  shed : int;
-  degraded : int;
-  watchdog : Stdx.Watchdog.stats;
-}
-
-let stats (t : t) =
-  {
-    crashes = Atomic.get t.crashes;
-    preempted = Atomic.get t.preempted;
-    stalls = Atomic.get t.stalls;
-    breaker_trips = Atomic.get t.breaker_trips;
-    breaker_rejects = Atomic.get t.breaker_rejects;
-    breaker_open = breaker_open t;
-    shed = Atomic.get t.shed;
-    degraded = Atomic.get t.degraded;
-    watchdog = Stdx.Watchdog.stats t.watchdog;
-  }
+(** The supervision counters under their [stats]-op keys. *)
+let counters (t : t) =
+  [
+    ("crashes", Atomic.get t.crashes);
+    ("preempted", Atomic.get t.preempted);
+    ("stalls", Atomic.get t.stalls);
+    ("breaker_trips", Atomic.get t.breaker_trips);
+    ("breaker_rejects", Atomic.get t.breaker_rejects);
+    ("breaker_open", breaker_open t);
+    ("shed", Atomic.get t.shed);
+    ("degraded_served", Atomic.get t.degraded);
+  ]

@@ -79,34 +79,57 @@ let create () =
     solve_ms = 0.0;
   }
 
+(** Every counter, once: reset, [diff], [sum], [pp] and the report
+    JSON are derived from this list. *)
+let fields : t Stdx.Counters.field list =
+  Stdx.Counters.
+    [
+      Int ("queries", (fun s -> s.queries), fun s v -> s.queries <- v);
+      Int ("sat_conflicts", (fun s -> s.sat_conflicts),
+           fun s v -> s.sat_conflicts <- v);
+      Int ("sat_decisions", (fun s -> s.sat_decisions),
+           fun s v -> s.sat_decisions <- v);
+      Int ("sat_propagations", (fun s -> s.sat_propagations),
+           fun s v -> s.sat_propagations <- v);
+      Int ("theory_checks", (fun s -> s.theory_checks),
+           fun s v -> s.theory_checks <- v);
+      Int ("lia_checks", (fun s -> s.lia_checks), fun s v -> s.lia_checks <- v);
+      Int ("euf_checks", (fun s -> s.euf_checks), fun s v -> s.euf_checks <- v);
+      Int ("blocking_clauses", (fun s -> s.blocking_clauses),
+           fun s v -> s.blocking_clauses <- v);
+      Int ("eq_propagations", (fun s -> s.eq_propagations),
+           fun s v -> s.eq_propagations <- v);
+      Int ("combination_timeouts", (fun s -> s.combination_timeouts),
+           fun s v -> s.combination_timeouts <- v);
+      Int ("session_checks", (fun s -> s.session_checks),
+           fun s v -> s.session_checks <- v);
+      Int ("session_fallbacks", (fun s -> s.session_fallbacks),
+           fun s v -> s.session_fallbacks <- v);
+      Int ("learnts_deleted", (fun s -> s.learnts_deleted),
+           fun s v -> s.learnts_deleted <- v);
+      Int ("heap_decisions", (fun s -> s.heap_decisions),
+           fun s v -> s.heap_decisions <- v);
+      Int ("fuel_sat_conflicts", (fun s -> s.fuel_sat_conflicts),
+           fun s v -> s.fuel_sat_conflicts <- v);
+      Int ("fuel_lazy_rounds", (fun s -> s.fuel_lazy_rounds),
+           fun s v -> s.fuel_lazy_rounds <- v);
+      Int ("fuel_simplex", (fun s -> s.fuel_simplex),
+           fun s v -> s.fuel_simplex <- v);
+      Int ("fuel_combination", (fun s -> s.fuel_combination),
+           fun s v -> s.fuel_combination <- v);
+      Int ("fuel_eq_budget", (fun s -> s.fuel_eq_budget),
+           fun s v -> s.fuel_eq_budget <- v);
+      Int ("deadline_stops", (fun s -> s.deadline_stops),
+           fun s v -> s.deadline_stops <- v);
+      Float ("solve_ms", (fun s -> s.solve_ms), fun s v -> s.solve_ms <- v);
+    ]
+
 let key : t Domain.DLS.key = Domain.DLS.new_key create
 
 (** The calling domain's statistics instance. *)
 let current () = Domain.DLS.get key
 
-let reset () =
-  let s = current () in
-  s.queries <- 0;
-  s.sat_conflicts <- 0;
-  s.sat_decisions <- 0;
-  s.sat_propagations <- 0;
-  s.theory_checks <- 0;
-  s.lia_checks <- 0;
-  s.euf_checks <- 0;
-  s.blocking_clauses <- 0;
-  s.eq_propagations <- 0;
-  s.combination_timeouts <- 0;
-  s.session_checks <- 0;
-  s.session_fallbacks <- 0;
-  s.learnts_deleted <- 0;
-  s.heap_decisions <- 0;
-  s.fuel_sat_conflicts <- 0;
-  s.fuel_lazy_rounds <- 0;
-  s.fuel_simplex <- 0;
-  s.fuel_combination <- 0;
-  s.fuel_eq_budget <- 0;
-  s.deadline_stops <- 0;
-  s.solve_ms <- 0.0
+let reset () = Stdx.Counters.reset fields (current ())
 
 let copy s = { s with queries = s.queries }
 
@@ -114,55 +137,11 @@ let copy s = { s with queries = s.queries }
 let snapshot () = copy (current ())
 
 let diff a b =
-  {
-    queries = a.queries - b.queries;
-    sat_conflicts = a.sat_conflicts - b.sat_conflicts;
-    sat_decisions = a.sat_decisions - b.sat_decisions;
-    sat_propagations = a.sat_propagations - b.sat_propagations;
-    theory_checks = a.theory_checks - b.theory_checks;
-    lia_checks = a.lia_checks - b.lia_checks;
-    euf_checks = a.euf_checks - b.euf_checks;
-    blocking_clauses = a.blocking_clauses - b.blocking_clauses;
-    eq_propagations = a.eq_propagations - b.eq_propagations;
-    combination_timeouts = a.combination_timeouts - b.combination_timeouts;
-    session_checks = a.session_checks - b.session_checks;
-    session_fallbacks = a.session_fallbacks - b.session_fallbacks;
-    learnts_deleted = a.learnts_deleted - b.learnts_deleted;
-    heap_decisions = a.heap_decisions - b.heap_decisions;
-    fuel_sat_conflicts = a.fuel_sat_conflicts - b.fuel_sat_conflicts;
-    fuel_lazy_rounds = a.fuel_lazy_rounds - b.fuel_lazy_rounds;
-    fuel_simplex = a.fuel_simplex - b.fuel_simplex;
-    fuel_combination = a.fuel_combination - b.fuel_combination;
-    fuel_eq_budget = a.fuel_eq_budget - b.fuel_eq_budget;
-    deadline_stops = a.deadline_stops - b.deadline_stops;
-    solve_ms = a.solve_ms -. b.solve_ms;
-  }
+  Stdx.Counters.combine fields ~int:( - ) ~float:( -. ) a b (create ())
 
 (** Pointwise sum; used by the engine to merge per-domain snapshots. *)
 let sum a b =
-  {
-    queries = a.queries + b.queries;
-    sat_conflicts = a.sat_conflicts + b.sat_conflicts;
-    sat_decisions = a.sat_decisions + b.sat_decisions;
-    sat_propagations = a.sat_propagations + b.sat_propagations;
-    theory_checks = a.theory_checks + b.theory_checks;
-    lia_checks = a.lia_checks + b.lia_checks;
-    euf_checks = a.euf_checks + b.euf_checks;
-    blocking_clauses = a.blocking_clauses + b.blocking_clauses;
-    eq_propagations = a.eq_propagations + b.eq_propagations;
-    combination_timeouts = a.combination_timeouts + b.combination_timeouts;
-    session_checks = a.session_checks + b.session_checks;
-    session_fallbacks = a.session_fallbacks + b.session_fallbacks;
-    learnts_deleted = a.learnts_deleted + b.learnts_deleted;
-    heap_decisions = a.heap_decisions + b.heap_decisions;
-    fuel_sat_conflicts = a.fuel_sat_conflicts + b.fuel_sat_conflicts;
-    fuel_lazy_rounds = a.fuel_lazy_rounds + b.fuel_lazy_rounds;
-    fuel_simplex = a.fuel_simplex + b.fuel_simplex;
-    fuel_combination = a.fuel_combination + b.fuel_combination;
-    fuel_eq_budget = a.fuel_eq_budget + b.fuel_eq_budget;
-    deadline_stops = a.deadline_stops + b.deadline_stops;
-    solve_ms = a.solve_ms +. b.solve_ms;
-  }
+  Stdx.Counters.combine fields ~int:( + ) ~float:( +. ) a b (create ())
 
 let pp ppf s =
   (* The term pool is a process-global gauge (the hash-consing tables
@@ -174,16 +153,5 @@ let pp ppf s =
     if lookups = 0 then 0.0
     else 100.0 *. float_of_int ps.Term.pool_hits /. float_of_int lookups
   in
-  Fmt.pf ppf
-    "queries=%d conflicts=%d decisions=%d theory=%d lia=%d euf=%d blocked=%d \
-     eqprop=%d timeouts=%d session=%d/%d solve=%.1fms@ \
-     sat-db: learnts_deleted=%d heap_decisions=%d@ \
-     terms: pool=%d hit-rate=%.1f%%@ \
-     fuel-out: sat_conflicts=%d lazy_rounds=%d simplex=%d combination=%d \
-     eq_budget=%d deadline-stops=%d"
-    s.queries s.sat_conflicts s.sat_decisions s.theory_checks s.lia_checks
-    s.euf_checks s.blocking_clauses s.eq_propagations s.combination_timeouts
-    s.session_checks s.session_fallbacks s.solve_ms s.learnts_deleted
-    s.heap_decisions ps.Term.pool_size hit_rate s.fuel_sat_conflicts
-    s.fuel_lazy_rounds s.fuel_simplex s.fuel_combination s.fuel_eq_budget
-    s.deadline_stops
+  Fmt.pf ppf "%a@ terms: pool=%d hit-rate=%.1f%%" (Stdx.Counters.pp fields) s
+    ps.Term.pool_size hit_rate

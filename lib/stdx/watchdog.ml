@@ -167,20 +167,13 @@ let stop t =
   Option.iter Domain.join t.monitor;
   t.monitor <- None
 
-type stats = {
-  active : int;
-  watched_total : int;
-  cancels : int;
-  abandons : int;
-  errors : int;
-}
-
-let stats t =
+(** The watchdog's counters under their [stats]-op keys. *)
+let counters t =
   Mutex.protect t.lock (fun () ->
-      {
-        active = Hashtbl.length t.watches;
-        watched_total = Atomic.get t.watched;
-        cancels = Atomic.get t.soft_cancels;
-        abandons = Atomic.get t.hard_abandons;
-        errors = Atomic.get t.callback_errors;
-      })
+      [
+        ("active", Hashtbl.length t.watches);
+        ("watched", Atomic.get t.watched);
+        ("cancels", Atomic.get t.soft_cancels);
+        ("abandons", Atomic.get t.hard_abandons);
+        ("errors", Atomic.get t.callback_errors);
+      ])

@@ -47,46 +47,39 @@ let create () =
     interference_havocs = 0;
   }
 
-let reset s =
-  s.obligations <- 0;
-  s.chunk_matches <- 0;
-  s.resolutions <- 0;
-  s.stab_checks <- 0;
-  s.unstable_facts <- 0;
-  s.branches <- 0;
-  s.loops <- 0;
-  s.calls <- 0;
-  s.absint_discharged <- 0;
-  s.absint_abstained <- 0;
-  s.par_branches <- 0;
-  s.inv_opens <- 0;
-  s.interference_havocs <- 0
+(** Every counter, once: [sum], [pp], the report JSON and the daemon's
+    [stats] op are derived from this list. *)
+let fields : t Stdx.Counters.field list =
+  Stdx.Counters.
+    [
+      Int ("obligations", (fun s -> s.obligations),
+           fun s v -> s.obligations <- v);
+      Int ("chunk_matches", (fun s -> s.chunk_matches),
+           fun s v -> s.chunk_matches <- v);
+      Int ("resolutions", (fun s -> s.resolutions),
+           fun s v -> s.resolutions <- v);
+      Int ("stab_checks", (fun s -> s.stab_checks),
+           fun s v -> s.stab_checks <- v);
+      Int ("unstable_facts", (fun s -> s.unstable_facts),
+           fun s v -> s.unstable_facts <- v);
+      Int ("branches", (fun s -> s.branches), fun s v -> s.branches <- v);
+      Int ("loops", (fun s -> s.loops), fun s v -> s.loops <- v);
+      Int ("calls", (fun s -> s.calls), fun s v -> s.calls <- v);
+      Int ("absint_discharged", (fun s -> s.absint_discharged),
+           fun s v -> s.absint_discharged <- v);
+      Int ("absint_abstained", (fun s -> s.absint_abstained),
+           fun s v -> s.absint_abstained <- v);
+      Int ("par_branches", (fun s -> s.par_branches),
+           fun s v -> s.par_branches <- v);
+      Int ("inv_opens", (fun s -> s.inv_opens), fun s v -> s.inv_opens <- v);
+      Int ("interference_havocs", (fun s -> s.interference_havocs),
+           fun s v -> s.interference_havocs <- v);
+    ]
 
 let copy s = { s with obligations = s.obligations }
 
 (** Pointwise sum; used by the engine to merge per-job instances. *)
 let sum a b =
-  {
-    obligations = a.obligations + b.obligations;
-    chunk_matches = a.chunk_matches + b.chunk_matches;
-    resolutions = a.resolutions + b.resolutions;
-    stab_checks = a.stab_checks + b.stab_checks;
-    unstable_facts = a.unstable_facts + b.unstable_facts;
-    branches = a.branches + b.branches;
-    loops = a.loops + b.loops;
-    calls = a.calls + b.calls;
-    absint_discharged = a.absint_discharged + b.absint_discharged;
-    absint_abstained = a.absint_abstained + b.absint_abstained;
-    par_branches = a.par_branches + b.par_branches;
-    inv_opens = a.inv_opens + b.inv_opens;
-    interference_havocs = a.interference_havocs + b.interference_havocs;
-  }
+  Stdx.Counters.combine fields ~int:( + ) ~float:( +. ) a b (create ())
 
-let pp ppf s =
-  Fmt.pf ppf
-    "obligations=%d chunks=%d resolutions=%d stab=%d unstable-dropped=%d \
-     branches=%d loops=%d calls=%d absint=%d/%d par=%d inv-opens=%d \
-     havocs=%d"
-    s.obligations s.chunk_matches s.resolutions s.stab_checks
-    s.unstable_facts s.branches s.loops s.calls s.absint_discharged
-    s.absint_abstained s.par_branches s.inv_opens s.interference_havocs
+let pp = Stdx.Counters.pp fields

@@ -67,7 +67,88 @@ let test_engine_stats () =
     s.E.smt.Smt.Stats.queries;
   Alcotest.(check bool) "all verified" true (List.for_all E.group_ok report.E.groups)
 
-(* 3. qcheck: hammer one shared verdict cache from four domains racing
+(* 3. One group per input program, in input order — including a
+   program without procedures (a group with no outcomes) and a repeated
+   name — with and without the lint gate. *)
+let test_one_group_per_program () =
+  let empty = { V.procs = []; preds = Stdx.Smap.empty; invs = [] } in
+  let progs =
+    match Pr.positive with
+    | a :: b :: _ ->
+        [
+          (a.name, a.prog); ("empty", empty); (b.name, b.prog); (a.name, a.prog);
+        ]
+    | _ -> Alcotest.fail "suite has fewer than two positive entries"
+  in
+  List.iter
+    (fun (what, config) ->
+      let report = E.verify_programs ~config progs in
+      Alcotest.(check (list string))
+        (what ^ ": group names in input order") (List.map fst progs)
+        (List.map (fun (g : E.group_result) -> g.E.group) report.E.groups);
+      List.iter2
+        (fun (name, prog) (g : E.group_result) ->
+          Alcotest.check proc_results (what ^ ": " ^ name) (V.verify prog)
+            g.E.outcomes)
+        progs report.E.groups)
+    [
+      ("default", E.default_config);
+      ( "lint, 2 domains",
+        {
+          E.default_config with
+          E.domains = 2;
+          options = E.Options.make ~lint:true ();
+        } );
+    ]
+
+(* 4. Every counter of [Smt.Stats] and [Vstats] is in its [fields]
+   list, once, with accessors that address its own record field; and
+   [sum]/[diff] are pointwise over that list. *)
+
+module C = Stdx.Counters
+
+(** A record whose [i]-th counter is [vals.(i)] (floats in quarters, so
+    sums and differences are exact). *)
+let record_of ~create fields vals =
+  let r = create () in
+  List.iter2
+    (fun f v ->
+      match f with
+      | C.Int (_, _, set) -> set r v
+      | C.Float (_, _, set) -> set r (float_of_int v /. 4.0))
+    fields vals;
+  r
+
+let test_fields_complete ~create fields () =
+  let n = List.length fields in
+  Alcotest.(check int)
+    "every record field is in fields" (Obj.size (Obj.repr (create ()))) n;
+  let names = List.map C.name fields in
+  Alcotest.(check int)
+    "names distinct" n (List.length (List.sort_uniq compare names));
+  List.iteri
+    (fun i name ->
+      let one_hot = List.init n (fun j -> Bool.to_int (i = j)) in
+      let r = record_of ~create fields one_hot in
+      Alcotest.(check (list string))
+        (name ^ " addresses its own field") [ name ]
+        (List.filter_map
+           (fun (k, v) -> if v = `Int 0 || v = `Float 0.0 then None else Some k)
+           (C.to_list fields r)))
+    names
+
+let sum_props ~name ~create ~sum ?diff fields =
+  let vals =
+    QCheck.(list_of_size (Gen.return (List.length fields)) small_signed_int)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:200 (QCheck.pair vals vals) (fun (xs, ys) ->
+         let a = record_of ~create fields xs in
+         let b = record_of ~create fields ys in
+         sum a (create ()) = a
+         && match diff with None -> true | Some diff -> diff (sum a b) b = a))
+
+(* 5. qcheck: hammer one shared verdict cache from four domains racing
    stores and lookups on the same keys; every hit must be exactly the
    stored verdicts, and every lookup counts as a hit or a miss. *)
 
@@ -114,6 +195,20 @@ let () =
           Alcotest.test_case "parallel-matches-sequential" `Quick
             test_parallel_matches_sequential;
           Alcotest.test_case "engine-stats" `Quick test_engine_stats;
+          Alcotest.test_case "one-group-per-program" `Quick
+            test_one_group_per_program;
           cache_hammer;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "smt-stats-fields-complete" `Quick
+            (test_fields_complete ~create:Smt.Stats.create Smt.Stats.fields);
+          Alcotest.test_case "vstats-fields-complete" `Quick
+            (test_fields_complete ~create:Verifier.Vstats.create
+               Verifier.Vstats.fields);
+          sum_props ~name:"smt-stats-sum-diff" ~create:Smt.Stats.create
+            ~sum:Smt.Stats.sum ~diff:Smt.Stats.diff Smt.Stats.fields;
+          sum_props ~name:"vstats-sum-zero" ~create:Verifier.Vstats.create
+            ~sum:Verifier.Vstats.sum Verifier.Vstats.fields;
         ] );
     ]

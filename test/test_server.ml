@@ -60,8 +60,12 @@ let test_json_roundtrip () =
       J.Num 0.0;
       J.Num (-42.0);
       J.Num 3.5;
+      J.Num 123456789012345.0;
+      J.Num 9007199254740992.0;
+      J.Num 1e300;
       J.Str "";
       J.Str "plain";
+      J.Str "ends in an escape \\";
       J.Str "esc \" \\ \n \t \r quote";
       J.List [ J.Num 1.0; J.Str "two"; J.Null ];
       J.Obj
@@ -86,7 +90,7 @@ let test_json_errors () =
       match J.parse s with
       | Ok _ -> Alcotest.failf "expected parse error on %S" s
       | Error _ -> ())
-    [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "\"unterminated"; "{\"a\":1}x" ]
+    [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "\"unterminated"; "{\"a\":1}x"; "12-3"; "+" ]
 
 let test_json_unicode () =
   match J.parse "\"a\\u00e9b\"" with
@@ -926,6 +930,124 @@ let stat resp path key =
   | Some o -> Option.value ~default:(-1) (J.int_member key o)
   | None -> -1
 
+(** The keys the report's [stats] object and the [stats] op carried
+    before every counter was derived from a field list, by path. Keys
+    may be added, never moved or dropped: clients and dev/check.sh read
+    these. *)
+let legacy_report_keys =
+  [ "jobs"; "wall_ms"; "queries"; "cache_hits"; "cache_disk_hits";
+    "cache_misses"; "timeouts"; "resource_outs"; "crashes"; "retries";
+    "session_fallbacks"; "par_branches"; "inv_opens"; "interference_havocs" ]
+
+let legacy_stats_op_keys =
+  [
+    ( [],
+      [ "uptime_ms"; "workers"; "pending"; "submitted"; "rejected";
+        "completed"; "task_failures"; "parse_errors"; "socket_faults";
+        "slow_consumers"; "absint_discharged"; "absint_abstained";
+        "par_branches"; "inv_opens"; "interference_havocs"; "supervisor";
+        "solver"; "cache" ] );
+    ( [ "supervisor" ],
+      [ "worker_crashes"; "worker_crash_counts"; "respawns"; "abandoned";
+        "crashes"; "preempted"; "stalls"; "breaker_trips"; "breaker_rejects";
+        "breaker_open"; "shed"; "degraded_served"; "watchdog" ] );
+    ([ "supervisor"; "watchdog" ], [ "active"; "watched"; "cancels"; "abandons" ]);
+    ( [ "solver" ],
+      [ "term_pool_size"; "term_pool_hits"; "term_pool_misses";
+        "term_pool_hit_rate" ] );
+    ( [ "cache" ],
+      [ "mem_hits"; "disk_hits"; "misses"; "corrupt"; "mem_entries";
+        "disk_entries"; "disk_bytes"; "recovered_tmp"; "recovered_torn";
+        "journal_replayed"; "fingerprint" ] );
+  ]
+
+let keys_at resp path =
+  match
+    List.fold_left (fun v k -> Option.bind v (J.member k)) (Some resp) path
+  with
+  | Some (J.Obj fields) -> List.map fst fields
+  | _ -> []
+
+let check_keys what ~present expected =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (Printf.sprintf "%s has %S" what k) true
+        (List.mem k present))
+    expected
+
+let counter_names fields = List.map Stdx.Counters.name fields
+
+let test_e2e_stats_keys_preserved () =
+  let sock, cache_dir = fresh_paths () in
+  let cfg =
+    {
+      Server.Daemon.default_config with
+      socket_path = sock;
+      cache_dir = Some cache_dir;
+    }
+  in
+  with_daemon cfg (fun () ->
+      let c = connect sock in
+      Fun.protect
+        ~finally:(fun () -> Server.Client.close c)
+        (fun () ->
+          let r = rpc c (P.verify_request (P.Entry "count")) in
+          Alcotest.(check bool) "cold" false (get_bool r "cached");
+          let report = keys_at r [ "report"; "stats" ] in
+          check_keys "report.stats" ~present:report legacy_report_keys;
+          check_keys "report.stats" ~present:report
+            (counter_names Smt.Stats.fields
+            @ counter_names Verifier.Vstats.fields);
+          let st = rpc c (P.stats_request ()) in
+          List.iter
+            (fun (path, keys) ->
+              check_keys
+                (String.concat "." ("stats" :: path))
+                ~present:(keys_at st ("stats" :: path))
+                keys)
+            legacy_stats_op_keys;
+          check_keys "stats" ~present:(keys_at st [ "stats" ])
+            (counter_names Verifier.Vstats.fields);
+          check_keys "stats.supervisor.watchdog"
+            ~present:(keys_at st [ "stats"; "supervisor"; "watchdog" ])
+            [ "errors" ]))
+
+(* A program without procedures has nothing to verify: the daemon
+   answers a vacuous VERIFIED with no procedure outcomes, and no worker
+   dies on it (it used to, and client retries then tripped the
+   breaker). *)
+let test_e2e_zero_procedures () =
+  let sock, _ = fresh_paths () in
+  let cfg = { Server.Daemon.default_config with socket_path = sock } in
+  with_daemon cfg (fun () ->
+      let c = connect sock in
+      Fun.protect
+        ~finally:(fun () -> Server.Client.close c)
+        (fun () ->
+          List.iter
+            (fun (file, source, lint) ->
+              let what = Printf.sprintf "%s (lint %b)" file lint in
+              let r = rpc c (P.verify_request ~lint (P.Source { file; source })) in
+              Alcotest.(check bool) (what ^ " ok") true (get_bool r "ok");
+              Alcotest.(check string) (what ^ " vacuously verified") "ok"
+                (get_str r "status");
+              match Option.bind (J.member "report" r) (J.member "entries") with
+              | Some (J.List [ e ]) ->
+                  Alcotest.(check bool) (what ^ " has no procedures") true
+                    (J.member "procs" e = Some (J.List []))
+              | _ -> Alcotest.failf "%s: expected one report entry" what)
+            [
+              ("empty.hl", "", false);
+              ("empty.hl", "", true);
+              ( "inv_only.hl",
+                "invariant lock { (lck |-> 0 * (exists v. x |-> v)) || lck |-> 1 }\n",
+                false );
+            ];
+          let st = rpc c (P.stats_request ()) in
+          let sup k = stat st [ "stats"; "supervisor" ] k in
+          Alcotest.(check int) "no supervised crash" 0 (sup "crashes");
+          Alcotest.(check int) "no worker crash" 0 (sup "worker_crashes")))
+
 let test_e2e_worker_crashes_isolated_and_breaker () =
   let sock, _ = fresh_paths () in
   let cfg =
@@ -1324,6 +1446,9 @@ let () =
             test_e2e_shutdown_drains_in_flight;
           Alcotest.test_case "inline source" `Quick test_e2e_inline_source;
           Alcotest.test_case "lint" `Quick test_e2e_lint;
+          Alcotest.test_case "stats keys preserved" `Quick
+            test_e2e_stats_keys_preserved;
+          Alcotest.test_case "zero procedures" `Quick test_e2e_zero_procedures;
         ] );
       ( "supervision",
         [

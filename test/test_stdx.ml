@@ -91,6 +91,8 @@ let test_gensym () =
   let a = Gensym.fresh g and b = Gensym.fresh g in
   Alcotest.(check bool) "fresh distinct" true (a <> b)
 
+let watchdog_counter wd k = List.assoc k (Watchdog.counters wd)
+
 (* A passive watchdog ([monitor:false]) whose clock the test owns:
    [scan ~now] replaces the monitor domain, so every escalation step
    is deterministic. *)
@@ -112,16 +114,15 @@ let test_watchdog_escalation () =
   Alcotest.(check bool) "soft stage cancelled" true !cancelled;
   Alcotest.(check bool) "hard stage not yet" false !abandoned;
   Watchdog.scan ~now:(t0 +. 1.6) wd;
-  Alcotest.(check int) "soft fires once" 1 (Watchdog.stats wd).Watchdog.cancels;
+  Alcotest.(check int) "soft fires once" 1 (watchdog_counter wd "cancels");
   (* Past twice that: the hard stage writes the activity off. *)
   Watchdog.scan ~now:(t0 +. 2.5) wd;
   Alcotest.(check bool) "hard stage abandoned" true !abandoned;
   (match Watchdog.unwatch wd w with
   | `Was_abandoned -> ()
   | `Clean | `Was_cancelled -> Alcotest.fail "unwatch must report abandonment");
-  let st = Watchdog.stats wd in
-  Alcotest.(check int) "no active watches left" 0 st.Watchdog.active;
-  Alcotest.(check int) "abandons counted" 1 st.Watchdog.abandons;
+  Alcotest.(check int) "no active watches left" 0 (watchdog_counter wd "active");
+  Alcotest.(check int) "abandons counted" 1 (watchdog_counter wd "abandons");
   Watchdog.stop wd
 
 let test_watchdog_clean_completion () =
@@ -167,9 +168,8 @@ let test_watchdog_callback_errors_swallowed () =
        ());
   (* The scan must survive both raising callbacks and count them. *)
   Watchdog.scan ~now:(t0 +. 60.0) wd;
-  let st = Watchdog.stats wd in
-  Alcotest.(check int) "errors counted" 2 st.Watchdog.errors;
-  Alcotest.(check int) "stages still advanced" 1 st.Watchdog.abandons;
+  Alcotest.(check int) "errors counted" 2 (watchdog_counter wd "errors");
+  Alcotest.(check int) "stages still advanced" 1 (watchdog_counter wd "abandons");
   Watchdog.stop wd
 
 let () =
