@@ -251,6 +251,39 @@ if [ "$crashes" != 0 ]; then
 fi
 echo "zero procedures: vacuously verified by the CLI and the daemon, no crash"
 
+# The verdict cache keys an inline program on its file name as well as
+# its text, and a hit replays the cold reply: one source with lint
+# findings sent as two paths, twice each, must name only its own path,
+# and each warm reply must equal its cold one apart from the ms column.
+mkdir -p "$TMPD/a" "$TMPD/b"
+cp examples/da018_div_zero.hl "$TMPD/a/w.hl"
+cp examples/da018_div_zero.hl "$TMPD/b/w.hl"
+lint_client() {
+  st=0
+  reply=$("$DAE" client --socket "$SOCK" --lint "$1") || st=$?
+  [ "$st" -eq 1 ] || {
+    echo "FAIL: client --lint $1 exited $st, expected 1 (FAILED)" >&2; exit 1; }
+  echo "$reply" | sed 's/  *[0-9][0-9.]*ms$//'
+}
+for p in a b; do
+  own="$TMPD/$p/w.hl"
+  other="$TMPD/$( [ "$p" = a ] && echo b || echo a )/w.hl"
+  first=$(lint_client "$own")
+  again=$(lint_client "$own")
+  for reply in "$first" "$again"; do
+    case "$reply" in *"$own"*) ;; *)
+      echo "FAIL: reply for $own does not name it" >&2; echo "$reply" >&2; exit 1 ;;
+    esac
+    case "$reply" in *"$other"*)
+      echo "FAIL: reply for $own names $other" >&2; echo "$reply" >&2; exit 1 ;;
+    esac
+  done
+  [ "$first" = "$again" ] || {
+    echo "FAIL: warm reply for $own differs from its cold reply" >&2
+    echo "$first" >&2; echo "$again" >&2; exit 1; }
+done
+echo "file names: one source under two paths, each reply names only its own path, warm = cold"
+
 stop_daemon
 start_daemon  # same cache dir: the disk tier must survive the restart
 restart=$("$DAE" client --socket "$SOCK" --suite --json)

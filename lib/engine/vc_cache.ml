@@ -1,11 +1,14 @@
 (** A two-tier content-addressed cache of whole-group verdicts.
 
-    Entries are the per-procedure outcomes of one verification group,
+    An entry is everything a warm reply needs: the per-procedure
+    outcomes of one verification group and the rendered lint-findings
+    text that preceded them (empty when lint is off). Entries are
     keyed on {e request content} (a suite entry's name, a surface
-    program's source text); we address them by the MD5 digest of that
-    key. This is the daemon's warm path: a repeat request for an
-    unchanged program is answered here — no symbolic execution, no
-    session, no solver work at all.
+    program's file name and source text); we address them by the MD5
+    digest of that key. This is the daemon's warm path: a repeat
+    request for an unchanged program is answered here before any of
+    the front end runs — no parse, elaboration, lint or abstract
+    interpretation, no symbolic execution, no solver work at all.
 
     {b Tier 1} is an in-memory table: a mutex-guarded hashtable shared
     by every worker domain. {b Tier 2} is an optional persistent
@@ -483,12 +486,15 @@ let disk_load (d : disk) key =
 
 (* --- the two-tier lookup/store -------------------------------- *)
 
-(** Per-procedure outcomes of one whole verification group. Only {e
+(** One whole verification group, as a reply replays it. Only {e
     decided} groups (every outcome [Verified] or [Failed]) are stored:
     abstentions — timeout, fuel exhaustion, crash — are
     budget-dependent, and replaying them would deny a later request
     the retry its escalated budget exists to buy. *)
-type verdicts = (string * Verifier.Exec.outcome) list
+type verdicts = {
+  outcomes : (string * Verifier.Exec.outcome) list;  (** per procedure *)
+  findings : string;  (** rendered lint findings; [""] when lint is off *)
+}
 
 let decided (v : verdicts) =
   List.for_all
@@ -498,11 +504,10 @@ let decided (v : verdicts) =
       | Verifier.Exec.Timeout _ | Verifier.Exec.Resource_out _
       | Verifier.Exec.Crashed _ ->
           false)
-    v
+    v.outcomes
 
 (** Two-tier probe: memory, then disk (promoting a disk hit into
-    memory). Returns the validated verdicts and the tier that
-    answered. *)
+    memory). Returns the validated entry and the tier that answered. *)
 let lookup_verdicts t key : (verdicts * [ `Memory | `Disk ]) option =
   let key = Digest.string key in
   let mem = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl key) in
@@ -541,8 +546,8 @@ let lookup_verdicts t key : (verdicts * [ `Memory | `Disk ]) option =
       | v -> Some (v, tier)
       | exception _ -> None)
 
-(** Store a group's verdicts under [key] in both tiers; silently
-    skipped when the group contains an abstention. *)
+(** Store a group's entry under [key] in both tiers; silently skipped
+    when the group contains an abstention. *)
 let store_verdicts t key (v : verdicts) =
   if decided v then begin
     let key = Digest.string key in

@@ -8,16 +8,20 @@
     fair FIFO-per-client queues and bounded-queue backpressure — under
     the {!Supervisor}'s guard.
 
-    Every request runs through the ordinary engine pipeline
+    Every verdict comes from the ordinary engine pipeline
     ([Engine.verify_programs] with [domains = 1] on the worker's own
     domain), so daemon verdicts are the CLI's verdicts by
     construction; the per-request deadline/retry budgets of PR 5 apply
     unchanged ([timeout_ms]/[retries] per request, with daemon-level
     defaults). All requests share one two-tier verdict cache
     ({!Engine.Vc_cache}): the in-memory tier serves repeats within this
-    daemon's lifetime, the on-disk tier survives restarts — a repeat
-    request for an unchanged program does no solver work at all, in
-    this daemon generation or the next.
+    daemon's lifetime, the on-disk tier survives restarts. A verify
+    request probes it first, keyed on its options and its target (an
+    inline program by file name {e and} source text); an entry holds
+    the group's outcomes and its rendered lint findings, so a hit is
+    answered from the entry alone — no parse, elaboration, lint,
+    abstract interpretation or solver work, in this daemon generation
+    or the next.
 
     Failure behavior, in one line: anything that goes wrong with a
     request (unknown entry, parse error, injected socket fault, full
@@ -110,12 +114,13 @@ type resolved = {
   r_source : string option;  (** for caret snippets in lint output *)
 }
 
+let find_entry n =
+  List.find_opt (fun (e : Pr.entry) -> String.equal e.name n) Pr.all
+
 let resolve (t : Protocol.target) : (resolved, string) result =
   match t with
   | Protocol.Entry n -> (
-      match
-        List.find_opt (fun (e : Pr.entry) -> String.equal e.name n) Pr.all
-      with
+      match find_entry n with
       | Some e ->
           Ok
             {
@@ -256,8 +261,10 @@ let lint_findings_text ?source results =
     target. A suite entry is keyed by name (its program is a static
     constant of this build — the build fingerprint on the disk tier
     keeps entries from outliving the code that produced them), a
-    surface program by its full source text (so an edited file misses,
-    an unchanged one hits even under a different path). Every option
+    surface program by its file name and full source text (so an
+    edited file misses). The file name is part of the key because it
+    is part of the reply: lint findings and located [Failed] messages
+    name it, and a hit must replay a cold reply exactly. Every option
     participates: [lint] because gating changes outcomes, [absint]
     because lint findings differ (keying on it keeps the cached
     response an exact replay of a cold run), [seed] so a changed seed
@@ -270,7 +277,10 @@ let verdict_key (options : E.Options.t) (target : Protocol.target) =
   ^
   match target with
   | Protocol.Entry n -> "entry\x00" ^ n
-  | Protocol.Source { source; _ } -> "source\x00" ^ source
+  | Protocol.Source { file; source } ->
+      (* Length-prefixed, so no (file, source) split is ambiguous. *)
+      String.concat "\x00"
+        [ "source"; string_of_int (String.length file); file ^ source ]
 
 (** The engine configuration a verify request runs under: its options,
     and its deadline/retry overrides resolved against the daemon's
@@ -284,67 +294,76 @@ let engine_config (d : t) (v : Protocol.verify) : E.config =
     retries = Option.value ~default:d.cfg.retries v.retries;
   }
 
-let handle_verify (d : t) (config : E.config) (v : Protocol.verify) : Json.t =
-  let options = config.E.options in
-  match resolve v.target with
-  | Error m -> Protocol.error_response ~id:v.id m
-  | Ok r ->
-      let key = verdict_key options v.target in
+(** A verify reply, cold or replayed: the same rendering either way,
+    so a hit's [output] and [report.entries] are a cold reply's. *)
+let verify_response ~id ~cached ~name ~expect_fail ~findings
+    (report : E.report) =
+  let g = List.hd report.E.groups in
+  let status = Render.entry_status ~expect_fail g in
+  let output = findings ^ Render.group_text ~name ~expect_fail status g in
+  Protocol.response ~id
+    [
+      ("ok", Json.Bool true);
+      ("exit", Json.Num (float_of_int (Render.exit_of_status status)));
+      ("status", Json.Str (Render.status_string status));
+      ("cached", Json.Bool cached);
+      ( "report",
+        Json.Raw (Render.json_of_report report [ (name, expect_fail, status) ])
+      );
+      ("output", Json.Str output);
+    ]
+
+(** Answer [v] from the verdict cache alone, or [None] on a miss: one
+    probe, then the entry's outcomes and findings text are the whole
+    reply — no parse, elaboration, lint or absint, no solver work. The
+    name and expectation come from the target itself. *)
+let replay (d : t) (v : Protocol.verify) : Json.t option =
+  let label =
+    match v.target with
+    | Protocol.Source { file; _ } -> Some (file, false)
+    | Protocol.Entry n ->
+        Option.map
+          (fun (e : Pr.entry) -> (e.name, e.expect_fail))
+          (find_entry n)
+  in
+  Option.bind label (fun (name, expect_fail) ->
       let t0 = Unix.gettimeofday () in
-      let report, cached =
-        match E.Vc_cache.lookup_verdicts d.cache key with
-        | Some (outcomes, tier) ->
-            (* Warm path: the whole group is answered from the cache —
-               no symbolic execution, no solver work. Lint findings are
-               recomputed (no solver there either) so the response text
-               matches a cold run's. *)
-            let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-            let rep =
-              E.cached_report ~group:r.r_name ~outcomes ~tier ~wall_ms
-            in
-            if options.lint then
-              let results, _ =
-                E.run_analysis ~srcmaps:r.r_srcmaps ~absint:options.absint
-                  ~domains:1
-                  [ (r.r_name, r.r_prog) ]
-              in
-              ({ rep with E.lint = results }, true)
-            else (rep, true)
-        | None ->
-            let report =
-              E.verify_programs ~config ~srcmaps:r.r_srcmaps
-                [ (r.r_name, r.r_prog) ]
-            in
-            let g = List.hd report.E.groups in
-            E.Vc_cache.store_verdicts d.cache key g.E.outcomes;
-            (* Daemon-lifetime gauges for the [stats] op: how much work
-               the abstract pre-discharge saved across cold runs. *)
-            let vs = report.E.stats.E.vstats in
-            Mutex.protect d.vlock (fun () ->
-                d.vstats <- Verifier.Vstats.sum d.vstats vs);
-            (report, false)
-      in
-      let g = List.hd report.E.groups in
-      let status = Render.entry_status ~expect_fail:r.r_expect_fail g in
-      let output =
-        (if options.lint then
-           lint_findings_text ?source:r.r_source report.E.lint
-         else "")
-        ^ Render.group_text ~name:r.r_name ~expect_fail:r.r_expect_fail status
-            g
-      in
-      Protocol.response ~id:v.id
-        [
-          ("ok", Json.Bool true);
-          ("exit", Json.Num (float_of_int (Render.exit_of_status status)));
-          ("status", Json.Str (Render.status_string status));
-          ("cached", Json.Bool cached);
-          ( "report",
-            Json.Raw
-              (Render.json_of_report report
-                 [ (r.r_name, r.r_expect_fail, status) ]) );
-          ("output", Json.Str output);
-        ]
+      Option.map
+        (fun ((hit : E.Vc_cache.verdicts), tier) ->
+          let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+          verify_response ~id:v.id ~cached:true ~name ~expect_fail
+            ~findings:hit.findings
+            (E.cached_report ~group:name ~outcomes:hit.outcomes ~tier ~wall_ms))
+        (E.Vc_cache.lookup_verdicts d.cache (verdict_key v.options v.target)))
+
+let handle_verify (d : t) (config : E.config) (v : Protocol.verify) : Json.t =
+  match replay d v with
+  | Some resp -> resp
+  | None -> (
+      (* A miss: resolve, verify, store (decided groups only). *)
+      match resolve v.target with
+      | Error m -> Protocol.error_response ~id:v.id m
+      | Ok r ->
+          let report =
+            E.verify_programs ~config ~srcmaps:r.r_srcmaps
+              [ (r.r_name, r.r_prog) ]
+          in
+          let g = List.hd report.E.groups in
+          let findings =
+            if config.E.options.lint then
+              lint_findings_text ?source:r.r_source report.E.lint
+            else ""
+          in
+          E.Vc_cache.store_verdicts d.cache
+            (verdict_key v.options v.target)
+            { outcomes = g.E.outcomes; findings };
+          (* Daemon-lifetime gauges for the [stats] op: how much work
+             the abstract pre-discharge saved across cold runs. *)
+          let vs = report.E.stats.E.vstats in
+          Mutex.protect d.vlock (fun () ->
+              d.vstats <- Verifier.Vstats.sum d.vstats vs);
+          verify_response ~id:v.id ~cached:false ~name:r.r_name
+            ~expect_fail:r.r_expect_fail ~findings report)
 
 let handle_lint (l : Protocol.lint) : Json.t =
   let id = l.id in
@@ -524,12 +543,11 @@ let submit_guarded (d : t) (c : conn) ~id ~digest ~budget_ms handle =
       Mutex.protect c.clock (fun () -> c.pending <- c.pending - 1);
       respond c (Protocol.error_response ~id "daemon is shutting down")
 
-(** Admission control for a verify/lint request. [inline_ok] says
-    whether it can be served without the solver — lint, a
-    verdict-cache hit — and so inline from the main loop when solve
-    capacity is saturated (degraded mode), keeping the service
-    reachable under overload. *)
-let admit (d : t) (c : conn) req ~budget_ms ~inline_ok handle =
+(** Admission control for a verify/lint request. [inline] answers it
+    without the solver when it can — lint, a verdict-cache hit — and
+    is tried only when solve capacity is saturated (degraded mode), so
+    the service stays reachable under overload. *)
+let admit (d : t) (c : conn) req ~budget_ms ~inline handle =
   let id = Protocol.request_id req in
   let digest = request_digest req in
   let pending = (Scheduler.stats d.sched).Scheduler.pending in
@@ -541,13 +559,15 @@ let admit (d : t) (c : conn) req ~budget_ms ~inline_ok handle =
               "quarantined: this request crashed %d consecutive workers; \
                circuit open, retry after cooldown"
               crashes))
-  | Supervisor.Shed _ when inline_ok () ->
-      Supervisor.note_degraded d.sup;
-      respond c (handle ())
-  | Supervisor.Shed { retry_after_ms } ->
-      respond c
-        (Protocol.error_response ~id ~busy:true ~retry_after_ms
-           "overloaded — global in-flight budget exhausted, retry later")
+  | Supervisor.Shed { retry_after_ms } -> (
+      match inline () with
+      | Some resp ->
+          Supervisor.note_degraded d.sup;
+          respond c resp
+      | None ->
+          respond c
+            (Protocol.error_response ~id ~busy:true ~retry_after_ms
+               "overloaded — global in-flight budget exhausted, retry later"))
   | Supervisor.Admit -> submit_guarded d c ~id ~digest ~budget_ms handle
 
 (** Dispatch one request line from [c]. Cheap requests (stats, errors,
@@ -577,14 +597,12 @@ let dispatch (d : t) (c : conn) line =
     | Ok (Protocol.Shutdown { id }) -> raise (Shutdown_requested (c, id))
     | Ok (Protocol.Lint l as req) ->
         admit d c req ~budget_ms:None
-          ~inline_ok:(fun () -> true)
+          ~inline:(fun () -> Some (handle_lint l))
           (fun () -> handle_lint l)
     | Ok (Protocol.Verify v as req) ->
         let config = engine_config d v in
         admit d c req ~budget_ms:(request_budget_ms config)
-          ~inline_ok:(fun () ->
-            E.Vc_cache.lookup_verdicts d.cache (verdict_key v.options v.target)
-            <> None)
+          ~inline:(fun () -> replay d v)
           (fun () -> handle_verify d config v)
 
 (** Consume complete lines from [c]'s read buffer. *)

@@ -153,11 +153,15 @@ let sum_props ~name ~create ~sum ?diff fields =
    stored verdicts, and every lookup counts as a hit or a miss. *)
 
 let verdicts_of i : E.Vc_cache.verdicts =
-  [
-    (Printf.sprintf "p%d" i, V.Verified);
-    ( Printf.sprintf "q%d" i,
-      if i mod 2 = 0 then V.Verified else V.Failed (string_of_int i) );
-  ]
+  {
+    outcomes =
+      [
+        (Printf.sprintf "p%d" i, V.Verified);
+        ( Printf.sprintf "q%d" i,
+          if i mod 2 = 0 then V.Verified else V.Failed (string_of_int i) );
+      ];
+    findings = (if i mod 3 = 0 then "" else Printf.sprintf "warning %d\n" i);
+  }
 
 let cache_hammer =
   QCheck_alcotest.to_alcotest

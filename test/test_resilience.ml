@@ -239,7 +239,10 @@ let test_engine_timeout_isolates_siblings () =
 let test_cache_corruption_is_a_miss () =
   let key = "prog" in
   let verdicts : E.Vc_cache.verdicts =
-    [ ("p", V.Verified); ("q", V.Failed "bad") ]
+    {
+      outcomes = [ ("p", V.Verified); ("q", V.Failed "bad") ];
+      findings = "warning[DA024] f.hl:1:1: unused\n";
+    }
   in
   let check_corruption mode =
     let cache = E.Vc_cache.create () in
@@ -306,13 +309,14 @@ let test_cache_faults_keep_verdicts () =
             (fun (name, prog) ->
               let got =
                 match E.Vc_cache.lookup_verdicts cache name with
-                | Some (v, _) -> v
+                | Some (v, _) -> v.E.Vc_cache.outcomes
                 | None ->
                     let groups, _ =
                       engine_outcomes E.default_config [ (name, prog) ]
                     in
                     let outs = List.assoc name groups in
-                    E.Vc_cache.store_verdicts cache name outs;
+                    E.Vc_cache.store_verdicts cache name
+                      { outcomes = outs; findings = "" };
                     outs
               in
               Alcotest.check proc_results

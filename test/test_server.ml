@@ -217,6 +217,30 @@ let qcheck_options_distinct =
          && Server.Daemon.request_digest (verify_of o1 target)
             <> Server.Daemon.request_digest (verify_of o2 target)))
 
+(* The target half of the key: a reply names its file, so two targets
+   — even one source under two file names, or the same characters
+   split differently between file and source — never share an entry. *)
+let qcheck_targets_distinct =
+  (* A three-letter alphabet (NUL included) makes shared sources and
+     shifted file/source splits common. *)
+  let tiny =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '\x00' ]) (int_range 0 3))
+  in
+  let target =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> P.Entry n) tiny;
+          map2 (fun file source -> P.Source { file; source }) tiny tiny;
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"targets-keys-distinct" ~count:1000
+       (QCheck.make QCheck.Gen.(triple gen_options target target))
+       (fun (o, t1, t2) ->
+         QCheck.assume (t1 <> t2);
+         Server.Daemon.verdict_key o t1 <> Server.Daemon.verdict_key o t2))
+
 let qcheck_options_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"options-wire-roundtrip" ~count:500
@@ -347,7 +371,12 @@ let test_scheduler_drain () =
 (* ------------------------------------------------------------------ *)
 (* The two-tier cache *)
 
-let good : VC.verdicts = [ ("p", V.Verified); ("q", V.Failed "bad") ]
+let good : VC.verdicts =
+  {
+    outcomes = [ ("p", V.Verified); ("q", V.Failed "bad") ];
+    findings = "warning[DA024] f.hl:1:1: unused\n";
+  }
+
 let lookup c key = Option.map fst (VC.lookup_verdicts c key)
 
 let test_cache_disk_tier () =
@@ -516,7 +545,8 @@ let test_verdict_tier () =
       Alcotest.(check bool) "verdicts round-trip" true (v = good)
   | _ -> Alcotest.fail "verdict lookup");
   (* Abstentions are budget-dependent; they must never be replayed. *)
-  VC.store_verdicts c "prog-2" [ ("p", V.Timeout "deadline") ];
+  VC.store_verdicts c "prog-2"
+    { outcomes = [ ("p", V.Timeout "deadline") ]; findings = "" };
   Alcotest.(check bool)
     "abstentions not cached" true
     (VC.lookup_verdicts c "prog-2" = None)
@@ -1048,6 +1078,182 @@ let test_e2e_zero_procedures () =
           Alcotest.(check int) "no supervised crash" 0 (sup "crashes");
           Alcotest.(check int) "no worker crash" 0 (sup "worker_crashes")))
 
+(* The verdict cache keys an inline program on its file name as well
+   as its text: lint findings and located failures name the file, so
+   one source sent under two names must never reply with the other
+   name — cold or cached, lint on or off. *)
+let test_e2e_file_names_not_shared () =
+  let sock, _ = fresh_paths () in
+  let cfg = { Server.Daemon.default_config with socket_path = sock } in
+  let source = read_file (Filename.concat examples_dir "da018_div_zero.hl") in
+  with_daemon cfg (fun () ->
+      let c = connect sock in
+      Fun.protect
+        ~finally:(fun () -> Server.Client.close c)
+        (fun () ->
+          List.iter
+            (fun lint ->
+              List.iter
+                (fun (file, other, cached) ->
+                  let what =
+                    Printf.sprintf "%s (lint %b, cached %b)" file lint cached
+                  in
+                  let r =
+                    rpc c (P.verify_request ~lint (P.Source { file; source }))
+                  in
+                  Alcotest.(check bool) (what ^ " ok") true (get_bool r "ok");
+                  Alcotest.(check bool) (what ^ " cached") cached
+                    (get_bool r "cached");
+                  Alcotest.(check bool) (what ^ " names its file") true
+                    (contains (get_str r "output") file);
+                  Alcotest.(check bool)
+                    (what ^ " never names " ^ other)
+                    false
+                    (contains (J.to_string r) other))
+                [
+                  ("a/w.hl", "b/w.hl", false);
+                  ("b/w.hl", "a/w.hl", false);
+                  ("a/w.hl", "b/w.hl", true);
+                  ("b/w.hl", "a/w.hl", true);
+                ])
+            [ true; false ]))
+
+(* A hit is answered from its cache entry alone. Plant an entry for a
+   source the parser rejects: the daemon replays it, which it could not
+   if anything of the front end ran first. *)
+let test_e2e_hit_skips_front_end () =
+  let sock, cache_dir = fresh_paths () in
+  let source = "procedure oops(" in
+  let target = P.Source { file = "ghost.hl"; source } in
+  VC.store_verdicts
+    (VC.create ~disk_dir:cache_dir ~fingerprint:"fp" ())
+    (Server.Daemon.verdict_key E.Options.default target)
+    { outcomes = [ ("oops", V.Verified) ]; findings = "planted findings\n" };
+  let cfg =
+    {
+      Server.Daemon.default_config with
+      socket_path = sock;
+      cache_dir = Some cache_dir;
+      cache_fingerprint = Some "fp";
+    }
+  in
+  with_daemon cfg (fun () ->
+      let c = connect sock in
+      Fun.protect
+        ~finally:(fun () -> Server.Client.close c)
+        (fun () ->
+          let r = rpc c (P.verify_request target) in
+          Alcotest.(check bool) "planted entry served" true (get_bool r "ok");
+          Alcotest.(check bool) "from the cache" true (get_bool r "cached");
+          Alcotest.(check string) "its verdict" "ok" (get_str r "status");
+          Alcotest.(check bool) "its findings text" true
+            (String.starts_with ~prefix:"planted findings\n  proc oops"
+               (get_str r "output"));
+          (* Under another name it is a miss: the parser runs and
+             rejects it. *)
+          let miss =
+            rpc c (P.verify_request (P.Source { file = "ghost2.hl"; source }))
+          in
+          Alcotest.(check bool) "a miss reaches the parser" false
+            (get_bool miss "ok")))
+
+(** [s] without the timing column a report line ends in (["   12.3ms"],
+    its padding included); every other line is kept as is. *)
+let strip_ms s =
+  let strip line =
+    let n = String.length line in
+    let rec back ok i =
+      if i > 0 && ok line.[i - 1] then back ok (i - 1) else i
+    in
+    let digits = back (function '0' .. '9' | '.' -> true | _ -> false) in
+    if String.ends_with ~suffix:"ms" line then
+      let i = digits (n - 2) in
+      let j = back (( = ) ' ') i in
+      if i < n - 2 && j < i then String.sub line 0 j else line
+    else line
+  in
+  String.concat "\n" (List.map strip (String.split_on_char '\n' s))
+
+(** What a warm reply must share with the cold one: every top-level
+    field but [cached] and [report], [output] up to the ms column, and
+    each report entry but its [ms]. *)
+let replay_view resp =
+  let fields = match resp with J.Obj fs -> fs | _ -> [] in
+  let entries =
+    match Option.bind (J.member "report" resp) (J.member "entries") with
+    | Some (J.List es) ->
+        List.map
+          (function
+            | J.Obj fs -> J.Obj (List.remove_assoc "ms" fs) | e -> e)
+          es
+    | _ -> []
+  in
+  J.to_string
+    (J.Obj
+       (List.filter
+          (fun (k, _) -> not (List.mem k [ "cached"; "report"; "output" ]))
+          fields
+       @ [
+           ("output", J.Str (strip_ms (get_str resp "output")));
+           ("entries", J.List entries);
+         ]))
+
+(* Every example, inline, lint on and off: the cold reply, the memory
+   hit and — after a restart — the disk hit are the same reply, apart
+   from [cached], timings and the report's counters. *)
+let test_e2e_replay_equivalence () =
+  let sock, cache_dir = fresh_paths () in
+  let cfg =
+    {
+      Server.Daemon.default_config with
+      socket_path = sock;
+      cache_dir = Some cache_dir;
+    }
+  in
+  let files =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".hl")
+    |> List.sort compare
+  in
+  let requests =
+    List.concat_map
+      (fun f ->
+        let source = read_file (Filename.concat examples_dir f) in
+        List.map
+          (fun lint ->
+            ( Printf.sprintf "%s (lint %b)" f lint,
+              P.verify_request ~lint (P.Source { file = f; source }) ))
+          [ true; false ])
+      files
+  in
+  let send_all () =
+    let c = connect sock in
+    Fun.protect
+      ~finally:(fun () -> Server.Client.close c)
+      (fun () -> List.map (fun (what, req) -> (what, rpc c req)) requests)
+  in
+  let cold, mem =
+    with_daemon cfg (fun () ->
+        let cold = send_all () in
+        (cold, send_all ()))
+  in
+  let disk = with_daemon cfg send_all in
+  Alcotest.(check bool) "every example sent" true (List.length files >= 20);
+  List.iter2
+    (fun (what, c) ((_, m), (_, d)) ->
+      Alcotest.(check bool) (what ^ " cold") false (get_bool c "cached");
+      Alcotest.(check bool) (what ^ " memory hit") true (get_bool m "cached");
+      Alcotest.(check int) (what ^ " memory tier") 1
+        (report_stat m "cache_hits");
+      Alcotest.(check bool) (what ^ " disk hit") true (get_bool d "cached");
+      Alcotest.(check int) (what ^ " disk tier") 1
+        (report_stat d "cache_disk_hits");
+      Alcotest.(check string) (what ^ ": memory hit = cold") (replay_view c)
+        (replay_view m);
+      Alcotest.(check string) (what ^ ": disk hit = cold") (replay_view c)
+        (replay_view d))
+    cold (List.combine mem disk)
+
 let test_e2e_worker_crashes_isolated_and_breaker () =
   let sock, _ = fresh_paths () in
   let cfg =
@@ -1219,11 +1425,18 @@ let test_e2e_overload_sheds_and_degrades () =
           let l = rpc c2 (P.lint_request (P.Entry "swap")) in
           Alcotest.(check bool) "lint served under overload" true
             (get_bool l "ok");
+          let mem_hits () =
+            stat (rpc c2 (P.stats_request ())) [ "stats"; "cache" ] "mem_hits"
+          in
+          let hits0 = mem_hits () in
           let hit = rpc c2 (P.verify_request (P.Entry "swap")) in
           Alcotest.(check bool) "verdict-cache hit served under overload"
             true (get_bool hit "ok");
           Alcotest.(check bool) "served from cache" true
             (get_bool hit "cached");
+          (* One probe answers a degraded hit: it counts once. *)
+          Alcotest.(check int) "degraded hit counted once" (hits0 + 1)
+            (mem_hits ());
           (* The watchdog reclaims the wedged worker and answers c1. *)
           (match Server.Client.recv c1 with
           | Ok r ->
@@ -1408,6 +1621,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "errors" `Quick test_protocol_errors;
           qcheck_options_distinct;
+          qcheck_targets_distinct;
           qcheck_options_roundtrip;
         ] );
       ( "scheduler",
@@ -1449,6 +1663,12 @@ let () =
           Alcotest.test_case "stats keys preserved" `Quick
             test_e2e_stats_keys_preserved;
           Alcotest.test_case "zero procedures" `Quick test_e2e_zero_procedures;
+          Alcotest.test_case "file names not shared" `Quick
+            test_e2e_file_names_not_shared;
+          Alcotest.test_case "hit skips the front end" `Quick
+            test_e2e_hit_skips_front_end;
+          Alcotest.test_case "replay equivalence" `Quick
+            test_e2e_replay_equivalence;
         ] );
       ( "supervision",
         [
