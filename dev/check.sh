@@ -4,10 +4,11 @@
 # Runs the build, the full test suite, the static analyzer (suite +
 # examples must lint clean; the ill-formed suite must produce its
 # annotated codes), a smoke run of the parallel engine (2 worker
-# domains, lint gate on) over the benchmark suite, the
-# daemon gates (warm cache, restart, kill -9 crash recovery), and the
-# chaos gates (seeded faults at every injection site must never move
-# a verdict or kill the daemon).
+# domains, lint gate on) over the benchmark suite, the session
+# fallback gate (reasons sum, lemma store live), the daemon gates
+# (warm cache, restart, kill -9 crash recovery), and the chaos gates
+# (seeded faults at every injection site must never move a verdict or
+# kill the daemon).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,6 +27,33 @@ dune exec bin/daenerys.exe -- lint --ill-formed
 
 echo "== daenerys suite --lint -j 2 (smoke) =="
 dune exec bin/daenerys.exe -- suite --lint -j 2 --stats
+
+echo "== fallback gate: suite --json on one domain, reasons + lemma store =="
+# Every session fallback counts under exactly one fallback_* reason, so
+# the reasons sum to session_fallbacks; and the session lemma store is
+# live in the shipped binary: later fallbacks are seeded with conflict
+# cores that earlier fallbacks of the same procedure learned.
+suite_json=$(dune exec bin/daenerys.exe -- suite -j 1 --json)
+stat_of() {
+  echo "$suite_json" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2
+}
+fallbacks=$(stat_of session_fallbacks)
+reasons=0
+for r in fault nonlit_goal untrusted_ctx held_back ctx_neq goal_neqs inconclusive; do
+  v=$(stat_of "fallback_$r")
+  [ -n "$v" ] || { echo "FAIL: suite --json has no fallback_$r" >&2; exit 1; }
+  reasons=$((reasons + v))
+done
+if [ -z "$fallbacks" ] || [ "$reasons" -ne "$fallbacks" ]; then
+  echo "FAIL: fallback reasons sum to $reasons, session_fallbacks=${fallbacks:-missing}" >&2
+  exit 1
+fi
+seeded=$(stat_of lemmas_seeded)
+if [ -z "$seeded" ] || [ "$seeded" -eq 0 ]; then
+  echo "FAIL: lemmas_seeded is '${seeded:-missing}': the lemma store is not live" >&2
+  exit 1
+fi
+echo "fallbacks: $fallbacks, all attributed to a reason; lemmas_seeded=$seeded"
 
 echo "== surface (.hl) gate: parse + lint + verify every examples/*.hl =="
 for f in examples/*.hl; do

@@ -25,7 +25,19 @@
       back to the full one-shot pipeline ({!Solver.entails}).
 
     Verdicts therefore coincide with the one-shot API on every query;
-    the differential tests in [test/test_smt.ml] pin this. *)
+    the differential tests in [test/test_smt.ml] pin this.
+
+    Lemma store. Every fallback of a session hands {!Solver.entails}
+    the theory-conflict cores the session's earlier fallbacks learned,
+    and keeps the ones it learns itself. A core is a set of literals
+    the theory refuted (minimization trusts only [Unsat]), so its
+    negation is valid whatever its variables mean: seeding it never
+    changes a verdict, it only skips the lazy-loop rounds and the core
+    minimization that would find the same conflict again. The store is
+    independent of the context, so {!push}/{!pop} leave it alone; it
+    dies with the session, i.e. with the procedure. An injected
+    session fault stands for lost state, so that fallback neither
+    reads nor writes the store. *)
 
 open Stdx
 
@@ -57,6 +69,9 @@ type t = {
       (** term id -> defs-resolved linear normal form, valid for
           [poly_gen] only (term ids are stable, contexts are not) *)
   mutable poly_gen : int;
+  mutable lemmas : Theory.atom list list;
+      (** theory-conflict cores learned by this session's fallbacks,
+          newest-first; see the header *)
 }
 
 let create () =
@@ -73,6 +88,7 @@ let create () =
     ctx_vars = None;
     poly_tbl = Hashtbl.create 256;
     poly_gen = -1;
+    lemmas = [];
   }
 
 let push s =
@@ -271,6 +287,27 @@ let refute_neq s (m : int Smap.t) (a : Term.t) (b : Term.t) =
   | _, Term.Var (y, Sort.Int) -> try_fresh y a
   | _ -> None
 
+(** Why a check left the session for the one-shot pipeline, in the
+    order {!check_goal} tests the reasons; each has its [fallback_*]
+    counter in {!Stats}. *)
+type reason =
+  | Fault
+  | Nonlit_goal
+  | Untrusted_ctx
+  | Held_back
+  | Ctx_neq
+  | Goal_neqs
+  | Inconclusive
+
+let count_fallback (st : Stats.t) = function
+  | Fault -> st.fallback_fault <- st.fallback_fault + 1
+  | Nonlit_goal -> st.fallback_nonlit_goal <- st.fallback_nonlit_goal + 1
+  | Untrusted_ctx -> st.fallback_untrusted_ctx <- st.fallback_untrusted_ctx + 1
+  | Held_back -> st.fallback_held_back <- st.fallback_held_back + 1
+  | Ctx_neq -> st.fallback_ctx_neq <- st.fallback_ctx_neq + 1
+  | Goal_neqs -> st.fallback_goal_neqs <- st.fallback_goal_neqs + 1
+  | Inconclusive -> st.fallback_inconclusive <- st.fallback_inconclusive + 1
+
 (** Escape hatch for benchmarks and differential tests: when set, every
     {!check_goal} routes through the one-shot pipeline exactly
     like the pre-session verifier, so session-based and one-shot runs
@@ -288,7 +325,7 @@ let oneshot = ref false
     Past two disequalities the 2^m blowup stops paying; fall back. *)
 let probe s natoms fallback invalid =
   let neqs_g, convex = List.partition is_neq natoms in
-  if List.length neqs_g > 2 then fallback ()
+  if List.length neqs_g > 2 then fallback Goal_neqs
   else begin
     let rec branches acc = function
       | [] -> [ acc ]
@@ -315,19 +352,21 @@ let probe s natoms fallback invalid =
       Theory.pop_scoped s.th;
       r
     in
-    let trusted = s.nonlit = 0 && s.neqs = 0 in
     let rec eval = function
-      | [] -> Some None (* every branch refuted: goal entailed *)
+      | [] -> Ok None (* every branch refuted: goal entailed *)
       | atoms :: rest -> (
           match check_branch atoms with
           | Some Theory.Unsat -> eval rest
-          | Some (Theory.Sat m) when trusted -> Some (Some m)
-          | _ -> None (* inconclusive branch: cannot decide here *))
+          | Some (Theory.Sat m) ->
+              if s.nonlit > 0 then Error Held_back
+              else if s.neqs > 0 then Error Ctx_neq
+              else Ok (Some m)
+          | _ -> Error Inconclusive)
     in
     match eval (branches convex neqs_g) with
-    | Some None -> Solver.Valid
-    | Some (Some m) -> invalid m
-    | None -> fallback ()
+    | Ok None -> Solver.Valid
+    | Ok (Some m) -> invalid m
+    | Error reason -> fallback reason
   end
 
 (* --------------------------------------------------------------- *)
@@ -446,18 +485,25 @@ let check_goal s (goal : Term.t) : Solver.verdict =
   else begin
   let stats = Stats.current () in
   stats.Stats.session_checks <- stats.Stats.session_checks + 1;
-  let fallback () =
+  let fallback reason =
     stats.Stats.session_fallbacks <- stats.Stats.session_fallbacks + 1;
-    Solver.entails ~hyps:(List.rev s.hyps) goal
+    count_fallback stats reason;
+    let hyps = List.rev s.hyps in
+    if reason = Fault then Solver.entails ~hyps goal
+    else
+      Solver.entails ~lemmas:s.lemmas
+        ~learn:(fun core -> s.lemmas <- core :: s.lemmas)
+        ~hyps goal
   in
   (* Chaos-testing hook: an injected session fault stands for a lost or
-     corrupted incremental state. Degrading to the one-shot pipeline is
-     exactly the recovery the fallback path exists for, so verdicts are
-     unchanged — only [session_fallbacks] moves. *)
-  if Fault.fires Fault.Session then fallback ()
+     corrupted incremental state. Degrading to the bare one-shot
+     pipeline (no lemma store either) is exactly the recovery the
+     fallback path exists for, so verdicts are unchanged — only
+     [session_fallbacks] moves. *)
+  if Fault.fires Fault.Session then fallback Fault
   else
   match neg_atoms [] goal with
-  | None -> fallback ()
+  | None -> fallback Nonlit_goal
   | Some natoms when natoms <> [] && poly_entails s natoms ->
       (* Linear fast path: a negated-goal atom is identically false
          under the context's defining equalities, so the goal holds in
@@ -489,7 +535,7 @@ let check_goal s (goal : Term.t) : Solver.verdict =
           match refuted with
           | Some v -> v
           | None ->
-              if natoms = [] then fallback ()
+              if natoms = [] then fallback Untrusted_ctx
               else probe s natoms fallback invalid))
   end
 

@@ -295,6 +295,23 @@ let assert_atom t (e : Linexp.t) (op : op) (k : Q.t) =
     if not holds then set_trivially_unsat t
   end
   else begin
+    (* GCD normalization: an expression with integer coefficients
+       sharing a factor [g] takes only multiples of [g], so [e ⋈ k] is
+       [e/g ⋈ k/g], whose constant the integer tightening below then
+       rounds. Branch-and-bound cannot do that rounding itself: on
+       [2z - 2y = 1] over unbounded [z], [y] every branch moves the
+       other variable to a fresh half-integer, and it diverges. *)
+    let e, k =
+      let g =
+        Smap.fold
+          (fun _ c g -> if Q.is_int c then Q.gcd (abs (Q.num c)) g else 1)
+          e 0
+      in
+      if g > 1 then
+        let g = Q.of_int g in
+        (Smap.map (fun c -> Q.div c g) e, Q.div k g)
+      else (e, k)
+    in
     let x, unit_coeff =
       match Smap.bindings e with
       | [ (x, c) ] -> (Some (var_of_name t x), c)
@@ -543,35 +560,59 @@ let check_int ?(fuel = 10_000) t : int_result =
       | Unsat -> IUnsat
       | Sat -> (
           let model = concrete_model t in
-          let frac = ref None in
-          Hashtbl.iter
-            (fun name id ->
-              if !frac = None && not (Q.is_int model.(id)) then
-                frac := Some (name, id, model.(id)))
-            t.names;
-          match !frac with
-          | None ->
+          (* The fractional variables, least id first. Not hash order:
+             that order can keep picking variables the relaxation then
+             moves to fresh half-integers, while the one fractional
+             value that blocks integrality is never branched on and
+             the search runs down an infinite chain. *)
+          let fracs =
+            Hashtbl.fold
+              (fun _ id acc -> if Q.is_int model.(id) then acc else id :: acc)
+              t.names []
+            |> List.sort compare
+          in
+          let down id () =
+            tighten_upper t id (Dq.of_q (Q.of_int (Q.floor model.(id))))
+          and up id () =
+            tighten_lower t id (Dq.of_q (Q.of_int (Q.ceil model.(id))))
+          in
+          let under bound k =
+            push t;
+            bound ();
+            let r = k () in
+            pop t;
+            r
+          in
+          let refuted bound = under bound (fun () -> check_rational t = Unsat) in
+          match fracs with
+          | [] ->
               let m = ref Smap.empty in
               Hashtbl.iter
                 (fun name id -> m := Smap.add name (Q.floor model.(id)) !m)
                 t.names;
               IModel !m
-          | Some (_, id, q) -> (
-              let branch bound =
-                push t;
-                bound ();
-                let r = go () in
-                pop t;
-                r
+          | _
+            when List.exists
+                   (fun id -> refuted (down id) && refuted (up id))
+                   fracs ->
+              (* A variable with no integer value between its bounds
+                 refutes the node. Left to branching it would be found
+                 only under every branch on the variables before it,
+                 and those may have no end ([2z = -3] next to
+                 unbounded [y]). *)
+              IUnsat
+          | id :: _ -> (
+              (* Round toward zero first: relaxations of unbounded
+                 problems drift away from the origin branch after
+                 branch, while small integer models are the common
+                 case. *)
+              let first, second =
+                if Q.lt model.(id) Q.zero then (up id, down id)
+                else (down id, up id)
               in
-              match
-                branch (fun () ->
-                    tighten_upper t id (Dq.of_q (Q.of_int (Q.floor q))))
-              with
+              match under first go with
               | IModel m -> IModel m
-              | IUnsat ->
-                  branch (fun () ->
-                      tighten_lower t id (Dq.of_q (Q.of_int (Q.ceil q))))
+              | IUnsat -> under second go
               | IResource_out -> IResource_out))
     end
   in

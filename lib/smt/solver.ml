@@ -5,7 +5,19 @@
     conflicts come back as blocking clauses over a greedily minimized
     core. Equality atoms over integers get eager splitting lemmas
     [a = b ∨ a < b ∨ b < a] so that negated equalities reach the
-    arithmetic solver as strict inequalities. *)
+    arithmetic solver as strict inequalities.
+
+    Lemma store. A caller that asks many related queries (a
+    {!Session}'s fallbacks) can hand in the minimized cores earlier
+    queries learned ([?lemmas]) and collect the new ones ([?learn]).
+    A core is a set of literals the theory refuted, and minimization
+    trusts only [Unsat], so its negation is theory-valid under every
+    meaning of its variables — including the per-query [%ite] names.
+    Adding it as a clause therefore never changes satisfiability; it
+    only spares the lazy loop the theory checks and the minimization
+    that would rediscover it. A core is seeded only when every atom of
+    it occurs in the query: one mentioning anything else cannot block
+    any model the query has. *)
 
 open Stdx
 
@@ -273,7 +285,16 @@ let minimize_core ts (lits : Theory.atom list) : Theory.atom list =
 (* ------------------------------------------------------------------ *)
 (* Main loop *)
 
-let solve ~max_rounds ~minimize (assertions : Term.t list) : result =
+(** The blocking clause of a theory conflict [core]; [false] when it
+    makes the clause set unsatisfiable. *)
+let block enc (core : Theory.atom list) =
+  Sat.add_clause enc.sat
+    (List.map
+       (fun { Theory.term; pos } -> Sat.lit_of_var ~neg:pos (atom_var enc term))
+       core)
+
+let solve ?(lemmas = []) ?(learn = ignore) ~max_rounds ~minimize
+    (assertions : Term.t list) : result =
   (* Chaos-testing hook: a solver fault crashes the query (caught and
      reported as [Crashed] by the engine), it never alters a verdict. *)
   Fault.inject Fault.Solver;
@@ -298,6 +319,21 @@ let solve ~max_rounds ~minimize (assertions : Term.t list) : result =
           Term.equal t Term.tru
           || Sat.add_clause enc.sat [ encode enc t ])
         assertions
+    in
+    let relevant =
+      List.for_all (fun (a : Theory.atom) ->
+          Hashtbl.mem enc.atom_vars (Term.id a.Theory.term))
+    in
+    let ok =
+      ok
+      && List.for_all
+           (fun core ->
+             (not (relevant core))
+             || begin
+                  stats.Stats.lemmas_seeded <- stats.Stats.lemmas_seeded + 1;
+                  block enc core
+                end)
+           lemmas
     in
     if not ok then Unsat
     else begin
@@ -357,15 +393,8 @@ let solve ~max_rounds ~minimize (assertions : Term.t list) : result =
                        core);
                   stats.Stats.blocking_clauses <-
                     stats.Stats.blocking_clauses + 1;
-                  let clause =
-                    List.map
-                      (fun { Theory.term; pos } ->
-                        let v = atom_var enc term in
-                        Sat.lit_of_var ~neg:pos v)
-                      core
-                  in
-                  if not (Sat.add_clause enc.sat clause) then
-                    result := Some Unsat)
+                  learn core;
+                  if not (block enc core) then result := Some Unsat)
         end
       done;
       stats.Stats.sat_conflicts <-
@@ -384,12 +413,12 @@ let solve ~max_rounds ~minimize (assertions : Term.t list) : result =
 
 (** Public entry: count the query and account wall-clock solving time
     to the calling domain's {!Stats} instance. *)
-let check_sat ?(max_rounds = 5_000) ?(minimize = true)
+let check_sat ?lemmas ?learn ?(max_rounds = 5_000) ?(minimize = true)
     (assertions : Term.t list) : result =
   let stats = Stats.current () in
   stats.Stats.queries <- stats.Stats.queries + 1;
   let t0 = Unix.gettimeofday () in
-  let r = solve ~max_rounds ~minimize assertions in
+  let r = solve ?lemmas ?learn ~max_rounds ~minimize assertions in
   stats.Stats.solve_ms <-
     stats.Stats.solve_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0);
   r
@@ -406,12 +435,13 @@ type verdict =
           goal either way, but unlike [Undecided] a retry can help *)
 
 (** Is [goal] entailed by [hyps]? Checks unsatisfiability of
-    [hyps ∧ ¬goal]. *)
-let entails ?(hyps = []) (goal : Term.t) : verdict =
+    [hyps ∧ ¬goal]. [?lemmas]/[?learn] are the lemma store (see the
+    header); without them the query is lemma-free. *)
+let entails ?lemmas ?learn ?(hyps = []) (goal : Term.t) : verdict =
   let t = Term.and_ (hyps @ [ Term.not_ goal ]) in
   if Term.equal t Term.fls then Valid
   else (
-      match check_sat [ t ] with
+      match check_sat ?lemmas ?learn [ t ] with
       | Unsat -> Valid
       | Sat m -> Invalid m
       | Unknown -> Undecided

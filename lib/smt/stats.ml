@@ -31,7 +31,27 @@ type t = {
   mutable session_fallbacks : int;
       (** session checks outside the convex-literal fragment (or hit by
           an injected session fault), re-solved through the full
-          one-shot pipeline *)
+          one-shot pipeline; the seven [fallback_*] counters below split
+          it by reason and sum to it *)
+  mutable fallback_fault : int;  (** an injected session fault fired *)
+  mutable fallback_nonlit_goal : int;
+      (** the goal is not a disjunction of literals *)
+  mutable fallback_untrusted_ctx : int;
+      (** a feasibility check (goal [False]) on a context whose model
+          the session cannot trust *)
+  mutable fallback_held_back : int;
+      (** a theory probe said [Sat], untrusted because a non-literal
+          hypothesis (a disjunction, iff or [ite]) is held back *)
+  mutable fallback_ctx_neq : int;
+      (** a theory probe said [Sat], untrusted because an integer
+          disequality is in the context *)
+  mutable fallback_goal_neqs : int;
+      (** the negated goal has more than two disequalities to split *)
+  mutable fallback_inconclusive : int;
+      (** a probe branch was unpurifiable or ran out of theory fuel *)
+  mutable lemmas_seeded : int;
+      (** stored theory-conflict cores a fallback added as clauses
+          before its first SAT call (the session's lemma store) *)
   mutable learnts_deleted : int;
       (** learnt clauses dropped by the SAT core's database reduction *)
   mutable heap_decisions : int;
@@ -68,6 +88,14 @@ let create () =
     combination_timeouts = 0;
     session_checks = 0;
     session_fallbacks = 0;
+    fallback_fault = 0;
+    fallback_nonlit_goal = 0;
+    fallback_untrusted_ctx = 0;
+    fallback_held_back = 0;
+    fallback_ctx_neq = 0;
+    fallback_goal_neqs = 0;
+    fallback_inconclusive = 0;
+    lemmas_seeded = 0;
     learnts_deleted = 0;
     heap_decisions = 0;
     fuel_sat_conflicts = 0;
@@ -79,10 +107,32 @@ let create () =
     solve_ms = 0.0;
   }
 
+(** The fallback-reason counters, in the order the session tests the
+    reasons. Each fallback counts under exactly one, so they sum to
+    [session_fallbacks]. *)
+let fallback_reasons : t Stdx.Counters.field list =
+  Stdx.Counters.
+    [
+      Int ("fallback_fault", (fun s -> s.fallback_fault),
+           fun s v -> s.fallback_fault <- v);
+      Int ("fallback_nonlit_goal", (fun s -> s.fallback_nonlit_goal),
+           fun s v -> s.fallback_nonlit_goal <- v);
+      Int ("fallback_untrusted_ctx", (fun s -> s.fallback_untrusted_ctx),
+           fun s v -> s.fallback_untrusted_ctx <- v);
+      Int ("fallback_held_back", (fun s -> s.fallback_held_back),
+           fun s v -> s.fallback_held_back <- v);
+      Int ("fallback_ctx_neq", (fun s -> s.fallback_ctx_neq),
+           fun s v -> s.fallback_ctx_neq <- v);
+      Int ("fallback_goal_neqs", (fun s -> s.fallback_goal_neqs),
+           fun s v -> s.fallback_goal_neqs <- v);
+      Int ("fallback_inconclusive", (fun s -> s.fallback_inconclusive),
+           fun s v -> s.fallback_inconclusive <- v);
+    ]
+
 (** Every counter, once: reset, [diff], [sum], [pp] and the report
     JSON are derived from this list. *)
 let fields : t Stdx.Counters.field list =
-  Stdx.Counters.
+  Stdx.Counters.(
     [
       Int ("queries", (fun s -> s.queries), fun s v -> s.queries <- v);
       Int ("sat_conflicts", (fun s -> s.sat_conflicts),
@@ -105,6 +155,11 @@ let fields : t Stdx.Counters.field list =
            fun s v -> s.session_checks <- v);
       Int ("session_fallbacks", (fun s -> s.session_fallbacks),
            fun s v -> s.session_fallbacks <- v);
+    ]
+    @ fallback_reasons
+    @ [
+      Int ("lemmas_seeded", (fun s -> s.lemmas_seeded),
+           fun s v -> s.lemmas_seeded <- v);
       Int ("learnts_deleted", (fun s -> s.learnts_deleted),
            fun s v -> s.learnts_deleted <- v);
       Int ("heap_decisions", (fun s -> s.heap_decisions),
@@ -122,7 +177,7 @@ let fields : t Stdx.Counters.field list =
       Int ("deadline_stops", (fun s -> s.deadline_stops),
            fun s v -> s.deadline_stops <- v);
       Float ("solve_ms", (fun s -> s.solve_ms), fun s v -> s.solve_ms <- v);
-    ]
+    ])
 
 let key : t Domain.DLS.key = Domain.DLS.new_key create
 

@@ -469,10 +469,11 @@ let decided = function
     ([entails], [feasible]) is discharged against the live context,
     instead of shipping the full hypothesis list to a fresh solver per
     query. Sessions are per-procedure (never shared across jobs), so
-    the parallel engine's workers stay isolated. *)
+    the parallel engine's workers stay isolated. A caller may pass a
+    fresh [session] to inspect it afterwards (its lemma store). *)
 let verify_proc ?(heap_dep = true) ?(absint = true) ?(seed = 0)
-    ?(srcmap : Diag.srcmap = []) ?stats (prog : program) (proc : proc) :
-    outcome =
+    ?(srcmap : Diag.srcmap = []) ?stats ?session (prog : program)
+    (proc : proc) : outcome =
   match
     (* Deadline check on entry: a procedure whose budget is already
        spent (e.g. late in a tight per-job deadline) stops here rather
@@ -480,9 +481,8 @@ let verify_proc ?(heap_dep = true) ?(absint = true) ?(seed = 0)
     Budget.poll_now ();
     (* [create] is inside the guarded region: it enforces the
        declaration-time stability of every predicate body (DA012). *)
-    let session = Smt.Session.create () in
     let st =
-      create ~heap_dep ~absint ~seed ~session ?stats ~penv:prog.preds
+      create ~heap_dep ~absint ~seed ?session ?stats ~penv:prog.preds
         ~invs:prog.invs ()
     in
     inhale_cases st proc.requires

@@ -67,6 +67,28 @@ let test_engine_stats () =
     s.E.smt.Smt.Stats.queries;
   Alcotest.(check bool) "all verified" true (List.for_all E.group_ok report.E.groups)
 
+(* 2b. Every session fallback over the suite is attributed to exactly
+   one reason, and the fallbacks draw on their sessions' lemma
+   stores. *)
+let test_fallback_reasons () =
+  let report =
+    E.verify_programs
+      ~config:{ E.default_config with E.domains = 1 }
+      (List.map (fun (e : Pr.entry) -> (e.name, e.prog)) Pr.all)
+  in
+  let s = report.E.stats.E.smt in
+  let reasons =
+    List.fold_left
+      (fun n -> function _, `Int v -> n + v | _, `Float _ -> n)
+      0
+      (Stdx.Counters.to_list Smt.Stats.fallback_reasons s)
+  in
+  Alcotest.(check bool) "the suite falls back" true
+    (s.Smt.Stats.session_fallbacks > 0);
+  Alcotest.(check int) "reasons sum to session_fallbacks"
+    s.Smt.Stats.session_fallbacks reasons;
+  Alcotest.(check bool) "lemmas seeded" true (s.Smt.Stats.lemmas_seeded > 0)
+
 (* 3. One group per input program, in input order — including a
    program without procedures (a group with no outcomes) and a repeated
    name — with and without the lint gate. *)
@@ -199,6 +221,7 @@ let () =
           Alcotest.test_case "parallel-matches-sequential" `Quick
             test_parallel_matches_sequential;
           Alcotest.test_case "engine-stats" `Quick test_engine_stats;
+          Alcotest.test_case "fallback-reasons" `Quick test_fallback_reasons;
           Alcotest.test_case "one-group-per-program" `Quick
             test_one_group_per_program;
           cache_hammer;

@@ -292,7 +292,12 @@ let test_session_faults_fall_back () =
     clean;
   Alcotest.(check bool)
     "fallbacks actually exercised" true
-    (stats.E.smt.Smt.Stats.session_fallbacks > 0)
+    (stats.E.smt.Smt.Stats.session_fallbacks > 0);
+  (* A fault stands for lost session state: its fallback runs the bare
+     one-shot pipeline, without the session's lemma store. *)
+  Alcotest.(check int)
+    "no lemmas seeded under session faults" 0
+    stats.E.smt.Smt.Stats.lemmas_seeded
 
 let test_cache_faults_keep_verdicts () =
   (* Drive the verdict cache the way the daemon does — answer from the

@@ -58,6 +58,25 @@ let solver_units =
     ( "nonlinear-abstraction",
       "unsat",
       [ neq (mul x y) (mul x y) ] );
+    (* Branch-and-bound over unbounded integers: each of these used to
+       run out of simplex fuel down an infinite chain of relaxations. *)
+    ("bb-gcd", "unsat", [ eq (add z z) (add (add y y) (int 1)) ]);
+    ( "bb-least-id",
+      "sat",
+      [ le (int 2) (app "f" [ x ]); lt (app "f" [ int 2 ]) (add x x);
+        neq (app "f" [ int 3 ]) (add y x) ] );
+    ( "bb-toward-zero",
+      "sat",
+      [ or_ [ not_ (lt (app "f" [ z ]) (app "f" [ int 2 ]));
+              lt (add (int (-2)) z) (app "f" [ x ]); lt (add z (int (-2))) z ];
+        lt (add (int (-2)) z) (app "f" [ x ]);
+        neq (add x z) (add y y) ] );
+    ( "bb-no-integer-between",
+      "sat",
+      [ eq (add z z) (app "f" [ x ]); eq (int 4) (add (int 2) x);
+        or_ [ eq (add z z) (app "f" [ x ]); neq (int (-3)) (app "f" [ x ]) ];
+        lt (app "f" [ int (-3) ]) (int (-2));
+        lt (add z y) (app "f" [ int (-1) ]); neq y (app "f" [ int 0 ]) ] );
   ]
   |> List.map (fun (n, e, a) -> Alcotest.test_case n `Quick (check_result n e a))
 
@@ -452,10 +471,73 @@ let test_session_poly_no_wrap () =
   | _ -> ());
   Session.pop s
 
+(* Lemma store: a fallback query asked twice on one session gets the
+   same verdict, and the second time every conflict comes from the
+   store — no new blocking clause, and seeded lemmas instead. The
+   disjunctive hypothesis is held back, so the check falls back. *)
+let test_session_lemma_reuse () =
+  let s = Session.create () in
+  Session.push s;
+  Session.assert_hyp s (or_ [ eq x (int 1); eq x (int 2) ]);
+  let goal = lt x (int 3) in
+  let run () =
+    let before = Stats.snapshot () in
+    let v = Session.check_goal s goal in
+    (v, Stats.diff (Stats.snapshot ()) before)
+  in
+  let v1, d1 = run () in
+  let v2, d2 = run () in
+  Alcotest.(check string) "first verdict" "valid" (verdict_kind v1);
+  Alcotest.(check string) "same verdict" (verdict_kind v1) (verdict_kind v2);
+  Alcotest.(check int) "both fell back" 2
+    (d1.Stats.session_fallbacks + d2.Stats.session_fallbacks);
+  Alcotest.(check bool) "first run learned" true
+    (d1.Stats.blocking_clauses > 0 && s.Session.lemmas <> []);
+  Alcotest.(check int) "no blocking clause the second time" 0
+    d2.Stats.blocking_clauses;
+  Alcotest.(check bool) "second run seeded" true (d2.Stats.lemmas_seeded > 0);
+  Session.pop s
+
+(* Every core a session stores is a theory conflict on its own: Unsat
+   on a fresh theory state, whatever the query it came from. Checked
+   over the sessions of every suite procedure. *)
+let test_session_lemmas_unsat () =
+  let cores =
+    List.concat_map
+      (fun (e : Suite.Programs.entry) ->
+        let prog = e.Suite.Programs.prog in
+        List.concat_map
+          (fun p ->
+            let session = Session.create () in
+            ignore (Verifier.Exec.verify_proc ~session prog p);
+            session.Session.lemmas)
+          prog.Verifier.Exec.procs)
+      Suite.Programs.all
+  in
+  Alcotest.(check bool) "the suite stores lemmas" true (cores <> []);
+  List.iter
+    (fun core ->
+      let th = Theory.create () in
+      List.iter (Theory.assert_literal th) core;
+      match Theory.check th with
+      | Theory.Unsat -> ()
+      | _ ->
+          Alcotest.failf "stored core is not a theory conflict: %s"
+            (String.concat ", "
+               (List.map
+                  (fun (a : Theory.atom) ->
+                    (if a.Theory.pos then "" else "not ")
+                    ^ Term.to_string a.Theory.term)
+                  core)))
+    cores
+
 (* Differential: a session driven through a random push/pop/assert
-   interleaving must agree with the one-shot [Solver.entails] on every
-   check, with the hypotheses in scope at that point. Asserts landing
-   after pops exercise pop-then-reassert on shared solver state. *)
+   interleaving must agree with the lemma-free one-shot
+   [Solver.entails] on every check, with the hypotheses in scope at
+   that point. Asserts landing after pops exercise pop-then-reassert on
+   shared solver state. Most comparisons draw from a small per-case
+   pool, so disjunctive hypotheses over shared atoms make many
+   fallbacks of one session that reuse each other's lemmas. *)
 type sess_op = SPush | SPop | SAssert of Term.t | SCheck of Term.t
 
 let pp_sess_op = function
@@ -476,9 +558,11 @@ let gen_sess_ops : sess_op list QCheck.Gen.t =
   let atom =
     oneof [ base; map (fun t -> Term.app "f" [ t ]) base; map2 Term.add base base ]
   in
-  let cmp =
+  let fresh_cmp =
     oneof [ map2 Term.eq atom atom; map2 Term.le atom atom; map2 Term.lt atom atom ]
   in
+  let* pool = list_repeat 5 fresh_cmp in
+  let cmp = frequency [ (3, oneofl pool); (1, fresh_cmp) ] in
   let lit = oneof [ cmp; map Term.not_ cmp ] in
   let form =
     (* conjunctions assert cleanly; disjunctions in goals exercise
@@ -488,6 +572,7 @@ let gen_sess_ops : sess_op list QCheck.Gen.t =
         lit;
         map2 (fun a b -> Term.and_ [ a; b ]) lit lit;
         map2 (fun a b -> Term.or_ [ a; b ]) lit lit;
+        map3 (fun a b c -> Term.or_ [ a; b; c ]) lit lit lit;
         map2 (fun a b -> Term.or_ [ a; Term.and_ [ a; b ] ]) lit lit;
       ]
   in
@@ -504,7 +589,7 @@ let gen_sess_ops : sess_op list QCheck.Gen.t =
 
 let session_differential =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"session-vs-oneshot" ~count:120
+    (QCheck.Test.make ~name:"session-vs-oneshot" ~count:300
        (QCheck.make
           ~print:(fun ops -> String.concat "; " (List.map pp_sess_op ops))
           gen_sess_ops)
@@ -842,6 +927,8 @@ let session_cases =
     Alcotest.test_case "session-euf-chain" `Quick test_session_euf_chain;
     Alcotest.test_case "session-pop-reassert" `Quick test_session_pop_reassert;
     Alcotest.test_case "session-poly-no-wrap" `Quick test_session_poly_no_wrap;
+    Alcotest.test_case "session-lemma-reuse" `Quick test_session_lemma_reuse;
+    Alcotest.test_case "session-lemmas-unsat" `Quick test_session_lemmas_unsat;
     session_differential;
   ]
 

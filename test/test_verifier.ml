@@ -37,25 +37,56 @@ let stable_variant_cases =
         e.stable_variant)
     Suite.Programs.all
 
-(* Session vs one-shot: routing every obligation through the cached
+(* The example files: tests run in [_build/default/test], the dune
+   deps put the sources next door in [../examples]. Every file that
+   parses and elaborates, with its name. *)
+let example_programs () =
+  let rec find d fuel =
+    let cand = Filename.concat d "examples" in
+    if Sys.file_exists (Filename.concat cand "swap.hl") then cand
+    else if fuel = 0 then Alcotest.fail "examples/ directory not found"
+    else find (Filename.concat d Filename.parent_dir_name) (fuel - 1)
+  in
+  let dir = find (Sys.getcwd ()) 5 in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".hl")
+  |> List.sort compare
+  |> List.filter_map (fun f ->
+         let src =
+           In_channel.with_open_bin (Filename.concat dir f)
+             In_channel.input_all
+         in
+         match Verifier.Elab.program_of_string ~file:f src with
+         | prog, _ -> Some (f, prog)
+         | exception
+             ( Heaplang.Parser.Parse_error _ | Heaplang.Lexer.Lex_error _
+             | Baselogic.Elab.Elab_error _ ) ->
+             None)
+
+(* Session vs one-shot: routing every obligation through the lemma-free
    one-shot pipeline (the pre-session verifier) must produce verdicts
-   bit-identical to the incremental sessions, on positive and
-   expect_fail entries alike — including the failure messages. *)
+   bit-identical to the incremental sessions, with their lemma stores,
+   on positive and expect_fail entries alike — including the failure
+   messages — over the suite and every example file. *)
 let test_session_oneshot_identical () =
+  let examples = example_programs () in
+  Alcotest.(check bool) "examples found" true (List.length examples >= 10);
   List.iter
-    (fun (e : Suite.Programs.entry) ->
-      let incremental = V.verify e.prog in
+    (fun (name, prog) ->
+      let incremental = V.verify prog in
       Smt.Session.oneshot := true;
       let oneshot =
         Fun.protect
           ~finally:(fun () -> Smt.Session.oneshot := false)
-          (fun () -> V.verify e.prog)
+          (fun () -> V.verify prog)
       in
       Alcotest.(check bool)
-        (e.name ^ ": session ≡ one-shot")
+        (name ^ ": session ≡ one-shot")
         true
         (incremental = oneshot))
-    Suite.Programs.all
+    (List.map (fun (e : Suite.Programs.entry) -> (e.name, e.prog))
+       Suite.Programs.all
+    @ examples)
 
 let test_heap_dep_toggle () =
   (* The hd spec must be rejected with heap_dep:false, and the stable
