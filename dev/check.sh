@@ -28,7 +28,7 @@ dune exec bin/daenerys.exe -- lint --ill-formed
 echo "== daenerys suite --lint -j 2 (smoke) =="
 dune exec bin/daenerys.exe -- suite --lint -j 2 --stats
 
-echo "== fallback gate: suite --json on one domain, reasons + lemma store =="
+echo "== fallback gate: suite --json on one domain, reasons + lemma store + simplex =="
 # Every session fallback counts under exactly one fallback_* reason, so
 # the reasons sum to session_fallbacks; and the session lemma store is
 # live in the shipped binary: later fallbacks are seeded with conflict
@@ -53,7 +53,24 @@ if [ -z "$seeded" ] || [ "$seeded" -eq 0 ]; then
   echo "FAIL: lemmas_seeded is '${seeded:-missing}': the lemma store is not live" >&2
   exit 1
 fi
+# The warm-started simplex must not send branch-and-bound or the
+# combination loop drifting into their fuel limits, and the equality
+# probe shortcut (a live feasible assignment refuting a pair) must be
+# live in the shipped binary.
+for f in fuel_simplex fuel_combination; do
+  v=$(stat_of "$f")
+  if [ -z "$v" ] || [ "$v" -ne 0 ]; then
+    echo "FAIL: $f is '${v:-missing}' on the suite, expected 0" >&2
+    exit 1
+  fi
+done
+witnessed=$(stat_of lia_eq_witnessed)
+if [ -z "$witnessed" ] || [ "$witnessed" -eq 0 ]; then
+  echo "FAIL: lia_eq_witnessed is '${witnessed:-missing}': the probe shortcut is not live" >&2
+  exit 1
+fi
 echo "fallbacks: $fallbacks, all attributed to a reason; lemmas_seeded=$seeded"
+echo "simplex: fuel_simplex=0 fuel_combination=0 lia_eq_witnessed=$witnessed"
 
 echo "== surface (.hl) gate: parse + lint + verify every examples/*.hl =="
 for f in examples/*.hl; do

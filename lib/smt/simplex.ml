@@ -7,11 +7,31 @@
     infinitesimal δ). Integrality is recovered by branch-and-bound on
     the rational relaxation.
 
+    The assignment β is {e incremental}. One invariant holds between
+    all operations: every basic variable's β equals its row evaluated
+    at the current β. {!slack_for} computes β for each new row, a pivot
+    adds [a·θ] to every basic variable whose row mentions the entering
+    variable, and a snapshot carries β together with the rows it
+    matches. A check therefore starts from the last assignment instead
+    of a cold one: it moves only the nonbasic variables that violate a
+    bound (recomputing the basics only if one moved) and pivots from
+    there, so a check close to the previous one costs a few pivots.
+
+    The [feasible] flag records that β satisfies every current bound.
+    A [Sat] from {!check_rational} sets it. It is cleared by an
+    [Unsat], by a tightened bound that the current β violates, by
+    {!set_trivially_unsat}, and by {!restore}, whose β need not fit
+    the restored bounds. {!pop} keeps it: popping only loosens bounds.
+    While the flag is set, β is a rational witness for the current
+    constraints, which {!apart} reads to settle equality probes
+    without a check.
+
     The solver is {e backtrackable}: {!push} records a mark and {!pop}
     undoes every bound change (and the trivially-unsat flag) since the
     matching mark. Only bounds need undoing — pivoting is a
     solution-space-preserving change of basis, so accumulated pivots
-    survive backtracking, and tableau rows / variables allocated inside
+    survive backtracking (and so does β, which satisfies every row
+    under any basis), and tableau rows / variables allocated inside
     a popped scope simply linger unconstrained (a slack with no bounds
     restricts nothing; identical expressions reuse their slack through
     a memo table, so sessions do not grow rows per re-assertion).
@@ -27,9 +47,19 @@ module Dq = struct
   let of_q v = { v; d = Q.zero }
   let zero = of_q Q.zero
   let make v d = { v; d }
-  let add a b = { v = Q.add a.v b.v; d = Q.add a.d b.d }
-  let sub a b = { v = Q.sub a.v b.v; d = Q.sub a.d b.d }
-  let scale c a = { v = Q.mul c a.v; d = Q.mul c a.d }
+  let is_real a = Q.equal a.d Q.zero
+
+  (* Most values carry no δ part; skip its arithmetic for them. *)
+  let add a b =
+    if is_real a && is_real b then of_q (Q.add a.v b.v)
+    else { v = Q.add a.v b.v; d = Q.add a.d b.d }
+
+  let sub a b =
+    if is_real a && is_real b then of_q (Q.sub a.v b.v)
+    else { v = Q.sub a.v b.v; d = Q.sub a.d b.d }
+
+  let scale c a =
+    if is_real a then of_q (Q.mul c a.v) else { v = Q.mul c a.v; d = Q.mul c a.d }
 
   let compare a b =
     let c = Q.compare a.v b.v in
@@ -38,7 +68,7 @@ module Dq = struct
   let leq a b = compare a b <= 0
   let lt a b = compare a b < 0
   let pp ppf a =
-    if Q.equal a.d Q.zero then Q.pp ppf a.v
+    if is_real a then Q.pp ppf a.v
     else Fmt.pf ppf "%a+(%a)δ" Q.pp a.v Q.pp a.d
 end
 
@@ -80,6 +110,9 @@ type t = {
   mutable lower : Dq.t option array;
   mutable upper : Dq.t option array;
   mutable beta : Dq.t array;
+      (* the assignment; a basic variable's β is always its row's value *)
+  mutable feasible : bool;
+      (* β satisfies every current bound (see the module comment) *)
   mutable trivially_unsat : bool;
   mutable trail : undo list;
 }
@@ -94,6 +127,7 @@ let create () =
     lower = Array.make 16 None;
     upper = Array.make 16 None;
     beta = Array.make 16 Dq.zero;
+    feasible = false;
     trivially_unsat = false;
     trail = [];
   }
@@ -132,16 +166,19 @@ let tighten_lower t x b =
   | Some l when Dq.leq b l -> ()
   | old ->
       t.trail <- Lower (x, old) :: t.trail;
-      t.lower.(x) <- Some b
+      t.lower.(x) <- Some b;
+      if Dq.lt t.beta.(x) b then t.feasible <- false
 
 let tighten_upper t x b =
   match t.upper.(x) with
   | Some u when Dq.leq u b -> ()
   | old ->
       t.trail <- Upper (x, old) :: t.trail;
-      t.upper.(x) <- Some b
+      t.upper.(x) <- Some b;
+      if Dq.lt b t.beta.(x) then t.feasible <- false
 
 let set_trivially_unsat t =
+  t.feasible <- false;
   if not t.trivially_unsat then begin
     t.trail <- Triv :: t.trail;
     t.trivially_unsat <- true
@@ -153,7 +190,8 @@ let set_trivially_unsat t =
 let push t = t.trail <- Mark :: t.trail
 
 (** Undo every bound change back to the latest {!push} mark. Rows,
-    variables, and pivots persist — see the module comment. *)
+    variables, pivots and β persist, and so does [feasible]: every
+    undo loosens a bound — see the module comment. *)
 let rec pop t =
   match t.trail with
   | [] -> invalid_arg "Simplex.pop: no matching push"
@@ -235,7 +273,14 @@ let restore t (s : snapshot) =
   Hashtbl.reset t.slack_memo;
   Hashtbl.iter (Hashtbl.add t.slack_memo) s.s_memo;
   t.trivially_unsat <- s.s_triv;
+  t.feasible <- false;
   t.trail <- s.s_trail
+
+(** The value of a row (a linear combination of variables) at β. *)
+let eval_row t row =
+  List.fold_left
+    (fun acc (y, c) -> Dq.add acc (Dq.scale c t.beta.(y)))
+    Dq.zero row
 
 let row_coeff row y =
   match List.assoc_opt y row with Some c -> c | None -> Q.zero
@@ -259,7 +304,8 @@ let add_scaled base c extra =
     constraint arrives, so variables of [e] can be {e basic}; they are
     expanded through their defining rows to keep every row expressed
     over nonbasics — the invariant pivoting relies on. (The one-shot
-    solver never hit this: all asserts preceded the first pivot.) *)
+    solver never hit this: all asserts preceded the first pivot.) The
+    slack's β is its row's value, which keeps the β invariant. *)
 let slack_for t (e : Linexp.t) =
   let key = Smap.bindings e in
   match Hashtbl.find_opt t.slack_memo key with
@@ -276,6 +322,7 @@ let slack_for t (e : Linexp.t) =
       in
       t.is_basic.(s) <- true;
       t.rows.(s) <- row;
+      t.beta.(s) <- eval_row t row;
       Hashtbl.add t.slack_memo key s;
       s
 
@@ -373,33 +420,35 @@ let assert_atom t (e : Linexp.t) (op : op) (k : Q.t) =
 (* ------------------------------------------------------------------ *)
 (* The simplex core *)
 
-(** Recompute β for basic variables from nonbasic assignments. *)
-let recompute_basics t =
-  for x = 0 to t.n - 1 do
-    if t.is_basic.(x) then
-      t.beta.(x) <-
-        List.fold_left
-          (fun acc (y, c) -> Dq.add acc (Dq.scale c t.beta.(y)))
-          Dq.zero t.rows.(x)
-  done
-
+(** Warm start: move each nonbasic variable that violates a bound onto
+    that bound and keep every other value, then restore the β
+    invariant, which only a move can have broken. *)
 let init_assignment t =
+  let moved = ref false in
   for x = 0 to t.n - 1 do
     if not t.is_basic.(x) then
-      t.beta.(x) <-
-        (match (t.lower.(x), t.upper.(x)) with
-        | Some l, _ -> l
-        | None, Some u -> u
-        | None, None -> Dq.zero)
+      match (t.lower.(x), t.upper.(x)) with
+      | Some l, _ when Dq.lt t.beta.(x) l ->
+          t.beta.(x) <- l;
+          moved := true
+      | _, Some u when Dq.lt u t.beta.(x) ->
+          t.beta.(x) <- u;
+          moved := true
+      | _ -> ()
   done;
-  recompute_basics t
+  if !moved then
+    for x = 0 to t.n - 1 do
+      if t.is_basic.(x) then t.beta.(x) <- eval_row t t.rows.(x)
+    done
 
 let out_of_bounds t x =
   (match t.lower.(x) with Some l -> Dq.lt t.beta.(x) l | None -> false)
   || match t.upper.(x) with Some u -> Dq.lt u t.beta.(x) | None -> false
 
 (** Pivot basic [x] with nonbasic [y] (occurring in x's row) and move
-    β(x) to [v], adjusting β(y) so all rows stay satisfied. *)
+    β(x) to [v]: β(y) moves by [θ = (v - β(x))/a_xy], and every other
+    basic [b] by [a_by·θ] in the loop that substitutes y's new row into
+    b's, so the β invariant holds without re-evaluating any row. *)
 let pivot_and_update t x y v =
   let row_x = t.rows.(x) in
   let a_xy = row_coeff row_x y in
@@ -425,12 +474,12 @@ let pivot_and_update t x y v =
       let row = t.rows.(b) in
       let c_y = row_coeff row y in
       if not (Q.equal c_y Q.zero) then begin
+        t.beta.(b) <- Dq.add t.beta.(b) (Dq.scale c_y theta);
         let base = List.filter (fun (z, _) -> z <> y) row in
         t.rows.(b) <- add_scaled base c_y row_y
       end
     end
-  done;
-  recompute_basics t
+  done
 
 type check_result = Sat | Unsat
 
@@ -443,10 +492,16 @@ let bounds_consistent t =
   done;
   !ok
 
-(** Rational feasibility check (Bland's rule for termination). *)
+(** Rational feasibility check (Bland's rule for termination), warm
+    started from the current β. Sets [feasible] on [Sat] and clears it
+    on [Unsat]. *)
 let check_rational t =
-  if t.trivially_unsat || not (bounds_consistent t) then Unsat
+  if t.trivially_unsat || not (bounds_consistent t) then begin
+    t.feasible <- false;
+    Unsat
+  end
   else begin
+    let stats = Stats.current () in
     init_assignment t;
     let result = ref None in
     let steps = ref 0 in
@@ -503,12 +558,40 @@ let check_rational t =
           in
           match List.find_opt suitable row with
           | None -> result := Some Unsat
-          | Some (y, _) -> pivot_and_update t x y target
+          | Some (y, _) ->
+              stats.simplex_pivots <- stats.simplex_pivots + 1;
+              pivot_and_update t x y target
         end
       end
     done;
-    Option.get !result
+    let r = Option.get !result in
+    t.feasible <- r = Sat;
+    r
   end
+
+(** [apart t x y]: [feasible] is set and β puts the problem variables
+    [x] and [y] at least 1 apart. β then satisfies one of the integer
+    separations [x - y ≤ -1] and [x - y ≥ 1] together with every
+    current bound, so a {!check_rational} under either would say [Sat]. *)
+let apart t x y =
+  t.feasible
+  &&
+  match (Hashtbl.find_opt t.names x, Hashtbl.find_opt t.names y) with
+  | Some i, Some j ->
+      let d = Dq.sub t.beta.(i) t.beta.(j) in
+      Dq.leq (Dq.of_q Q.one) d || Dq.leq d (Dq.of_q Q.minus_one)
+  | _ -> false
+
+(** For tests: the β invariant holds (every basic β equals its row's
+    value), and β satisfies every bound while [feasible] is set. *)
+let invariant_ok t =
+  let ok = ref true in
+  for x = 0 to t.n - 1 do
+    if t.is_basic.(x) && Dq.compare t.beta.(x) (eval_row t t.rows.(x)) <> 0
+    then ok := false;
+    if t.feasible && out_of_bounds t x then ok := false
+  done;
+  !ok
 
 (* ------------------------------------------------------------------ *)
 (* Concrete models and integrality *)

@@ -19,7 +19,14 @@ type t = {
   mutable sat_decisions : int;
   mutable sat_propagations : int;
   mutable theory_checks : int;  (** candidate models checked *)
-  mutable lia_checks : int;  (** simplex invocations *)
+  mutable lia_checks : int;
+      (** integer feasibility checks ([Simplex.check_int] calls) plus
+          cross-theory equality probes; the [check_rational] calls
+          inside branch-and-bound are not counted *)
+  mutable simplex_pivots : int;  (** pivots in [Simplex.check_rational] *)
+  mutable lia_eq_witnessed : int;
+      (** equality probes settled by the simplex's live feasible
+          assignment instead of a check *)
   mutable euf_checks : int;  (** congruence-closure invocations *)
   mutable blocking_clauses : int;
   mutable eq_propagations : int;  (** cross-theory equalities *)
@@ -82,6 +89,8 @@ let create () =
     sat_propagations = 0;
     theory_checks = 0;
     lia_checks = 0;
+    simplex_pivots = 0;
+    lia_eq_witnessed = 0;
     euf_checks = 0;
     blocking_clauses = 0;
     eq_propagations = 0;
@@ -144,6 +153,8 @@ let fields : t Stdx.Counters.field list =
       Int ("theory_checks", (fun s -> s.theory_checks),
            fun s v -> s.theory_checks <- v);
       Int ("lia_checks", (fun s -> s.lia_checks), fun s v -> s.lia_checks <- v);
+      Int ("simplex_pivots", (fun s -> s.simplex_pivots), fun s v -> s.simplex_pivots <- v);
+      Int ("lia_eq_witnessed", (fun s -> s.lia_eq_witnessed), fun s v -> s.lia_eq_witnessed <- v);
       Int ("euf_checks", (fun s -> s.euf_checks), fun s v -> s.euf_checks <- v);
       Int ("blocking_clauses", (fun s -> s.blocking_clauses),
            fun s v -> s.blocking_clauses <- v);

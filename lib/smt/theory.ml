@@ -275,7 +275,14 @@ let assert_literal st ({ term; pos } : atom) =
 
 (** LIA entailment of [x = y] under the current constraints: UNSAT of
     both strict separations, each probed under a push/pop instead of
-    copying the tableau. *)
+    copying the tableau.
+
+    A feasible live assignment that puts [x] and [y] at least 1 apart
+    refutes the pair without a probe ({!Simplex.apart}). The bound is
+    1, not 0: the probes are integer-tightened to [x - y ≤ -1] and
+    [x - y ≥ 1], and such an assignment satisfies one of the two with
+    every other bound, so that probe would answer [Sat] — the shortcut
+    returns exactly what the probes would. *)
 let lia_entails_eq stats st x y =
   let test op =
     Simplex.push st.lia;
@@ -289,7 +296,11 @@ let lia_entails_eq stats st x y =
     Simplex.pop st.lia;
     match r with Simplex.Unsat -> true | Simplex.Sat -> false
   in
-  test Simplex.Lt && test Simplex.Gt
+  if Simplex.apart st.lia x y then begin
+    stats.Stats.lia_eq_witnessed <- stats.Stats.lia_eq_witnessed + 1;
+    false
+  end
+  else test Simplex.Lt && test Simplex.Gt
 
 (** Run the combined check on the literals already asserted.
 

@@ -44,14 +44,22 @@ let half = mk 1 2
 let num t = t.num
 let den t = t.den
 
+(* [add], [mul] and [compare] take an integer fast path when both
+   denominators are 1: the solver's coefficients, bounds and most
+   assignments are integers, and the general path's cross products and
+   [gcd] would change nothing. The overflow checks stay. *)
 let add a b =
-  mk
-    (add_checked (mul_checked a.num b.den) (mul_checked b.num a.den))
-    (mul_checked a.den b.den)
+  if a.den = 1 && b.den = 1 then { num = add_checked a.num b.num; den = 1 }
+  else
+    mk
+      (add_checked (mul_checked a.num b.den) (mul_checked b.num a.den))
+      (mul_checked a.den b.den)
 
 let neg a = { a with num = -a.num }
 let sub a b = add a (neg b)
-let mul a b = mk (mul_checked a.num b.num) (mul_checked a.den b.den)
+let mul a b =
+  if a.den = 1 && b.den = 1 then { num = mul_checked a.num b.num; den = 1 }
+  else mk (mul_checked a.num b.num) (mul_checked a.den b.den)
 
 let inv a =
   if a.num = 0 then invalid_arg "Q.inv: division by zero";
@@ -60,8 +68,10 @@ let inv a =
 let div a b = mul a (inv b)
 
 let compare a b =
-  (* Cross-multiplication; denominators are positive. *)
-  compare (mul_checked a.num b.den) (mul_checked b.num a.den)
+  if a.den = 1 && b.den = 1 then Int.compare a.num b.num
+  else
+    (* Cross-multiplication; denominators are positive. *)
+    Int.compare (mul_checked a.num b.den) (mul_checked b.num a.den)
 
 let equal a b = a.num = b.num && a.den = b.den
 let sign a = compare a zero

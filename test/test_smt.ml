@@ -274,27 +274,36 @@ let gen_lia_system :
   in
   list_size (int_range 1 6) atom
 
+let lia_holds (x, y, z) ((a, b, c), op, k) =
+  let v = (a * x) + (b * y) + (c * z) in
+  match op with
+  | Simplex.Le -> v <= k
+  | Simplex.Lt -> v < k
+  | Simplex.Ge -> v >= k
+  | Simplex.Gt -> v > k
+  | Simplex.Eq -> v = k
+
 let lia_brute_sat (atoms : ((int * int * int) * Simplex.op * int) list) =
   let dom = Stdx.Listx.range (-7) 8 in
   List.exists
     (fun x ->
       List.exists
         (fun y ->
-          List.exists
-            (fun z ->
-              List.for_all
-                (fun ((a, b, c), op, k) ->
-                  let v = (a * x) + (b * y) + (c * z) in
-                  match op with
-                  | Simplex.Le -> v <= k
-                  | Simplex.Lt -> v < k
-                  | Simplex.Ge -> v >= k
-                  | Simplex.Gt -> v > k
-                  | Simplex.Eq -> v = k)
-                atoms)
-            dom)
+          List.exists (fun z -> List.for_all (lia_holds (x, y, z)) atoms) dom)
         dom)
     dom
+
+let lia_assert s ((a, b, c), op, k) =
+  let open Stdx in
+  Simplex.assert_atom s
+    (Simplex.Linexp.of_list
+       [ ("x", Q.of_int a); ("y", Q.of_int b); ("z", Q.of_int c) ])
+    op (Q.of_int k)
+
+(* Whether an integer model of [x], [y], [z] satisfies every atom. *)
+let lia_model_holds m atoms =
+  let get v = Option.value ~default:0 (Stdx.Smap.find_opt v m) in
+  List.for_all (lia_holds (get "x", get "y", get "z")) atoms
 
 let simplex_differential =
   QCheck_alcotest.to_alcotest
@@ -302,30 +311,9 @@ let simplex_differential =
        (QCheck.make gen_lia_system)
        (fun atoms ->
          let s = Simplex.create () in
-         let open Stdx in
-         List.iter
-           (fun ((a, b, c), op, k) ->
-             let e =
-               Simplex.Linexp.of_list
-                 [ ("x", Q.of_int a); ("y", Q.of_int b); ("z", Q.of_int c) ]
-             in
-             Simplex.assert_atom s e op (Q.of_int k))
-           atoms;
+         List.iter (lia_assert s) atoms;
          match Simplex.check_int s with
-         | Simplex.IModel m ->
-             (* model must satisfy every atom *)
-             let get v = Option.value ~default:0 (Stdx.Smap.find_opt v m) in
-             let x = get "x" and y = get "y" and z = get "z" in
-             List.for_all
-               (fun ((a, b, c), op, k) ->
-                 let v = (a * x) + (b * y) + (c * z) in
-                 match op with
-                 | Simplex.Le -> v <= k
-                 | Simplex.Lt -> v < k
-                 | Simplex.Ge -> v >= k
-                 | Simplex.Gt -> v > k
-                 | Simplex.Eq -> v = k)
-               atoms
+         | Simplex.IModel m -> lia_model_holds m atoms
          | Simplex.IUnsat ->
              (* brute force over the box must find nothing (the box is
                 wide enough for coefficients/constants of this size to
@@ -333,6 +321,227 @@ let simplex_differential =
                 empirically; a false negative here would fail) *)
              not (lia_brute_sat atoms)
          | Simplex.IResource_out -> true))
+
+(* The simplex keeps its assignment across checks (warm start). One
+   long-lived state runs a random sequence of scopes, asserts, checks
+   and equality probes; every check must agree with a fresh state
+   holding the same constraints and with brute force, every equality
+   probe the live assignment refutes must really be refuted, and the
+   kernel invariant must hold after every operation. *)
+type sx_op =
+  | XPush
+  | XCheckpoint
+  | XClose  (** close the innermost frame with the matching pop/restore *)
+  | XAssert of ((int * int * int) * Simplex.op * int)
+  | XCheck
+  | XProbe of string * string
+
+let pp_sx_op = function
+  | XPush -> "push"
+  | XCheckpoint -> "checkpoint"
+  | XClose -> "close"
+  | XAssert ((a, b, c), op, k) ->
+      Printf.sprintf "assert %dx%+dy%+dz %s %d" a b c
+        (match op with
+        | Simplex.Le -> "<="
+        | Lt -> "<"
+        | Ge -> ">="
+        | Gt -> ">"
+        | Eq -> "=")
+        k
+  | XCheck -> "check"
+  | XProbe (a, b) -> Printf.sprintf "probe %s=%s" a b
+
+let gen_sx_ops : sx_op list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let atom =
+    map2
+      (fun (a, b, c) (op, k) -> XAssert ((a, b, c), op, k))
+      (triple (int_range (-3) 3) (int_range (-3) 3) (int_range (-3) 3))
+      (pair
+         (oneofl [ Simplex.Le; Simplex.Lt; Simplex.Ge; Simplex.Gt; Simplex.Eq ])
+         (int_range (-6) 6))
+  in
+  let probe =
+    oneofl [ XProbe ("x", "y"); XProbe ("x", "z"); XProbe ("y", "z") ]
+  in
+  list_size (int_range 5 30)
+    (frequency
+       [
+         (2, return XPush);
+         (2, return XCheckpoint);
+         (3, return XClose);
+         (5, atom);
+         (3, return XCheck);
+         (2, probe);
+       ])
+
+let sx_kind = function
+  | Simplex.IModel _ -> "sat"
+  | Simplex.IUnsat -> "unsat"
+  | Simplex.IResource_out -> "resource-out"
+
+(* The two probes of [Theory.lia_entails_eq], run on [s] itself. *)
+let sx_entails_eq s a b =
+  let open Stdx in
+  let test op =
+    Simplex.push s;
+    Simplex.assert_atom s
+      (Simplex.Linexp.of_list [ (a, Q.one); (b, Q.minus_one) ])
+      op Q.zero;
+    let r = Simplex.check_rational s in
+    Simplex.pop s;
+    r = Simplex.Unsat
+  in
+  test Simplex.Lt && test Simplex.Gt
+
+let simplex_incremental =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"simplex-incremental-vs-fresh" ~count:300
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map pp_sx_op ops))
+          gen_sx_ops)
+       (fun ops ->
+         let s = Simplex.create () in
+         (* mirror: innermost frame first, each with its atoms newest
+            first and how it was opened *)
+         let frames = ref [ (`Base, []) ] in
+         let atoms () = List.rev (List.concat_map snd !frames) in
+         let fail fmt = QCheck.Test.fail_reportf fmt in
+         List.iter
+           (fun op ->
+             (match op with
+             | XPush ->
+                 Simplex.push s;
+                 frames := (`Trail, []) :: !frames
+             | XCheckpoint ->
+                 frames := (`Snap (Simplex.checkpoint s), []) :: !frames
+             | XClose -> (
+                 match !frames with
+                 | (`Trail, _) :: rest ->
+                     Simplex.pop s;
+                     frames := rest
+                 | (`Snap snap, _) :: rest ->
+                     Simplex.restore s snap;
+                     frames := rest
+                 | _ -> ())
+             | XAssert a -> (
+                 lia_assert s a;
+                 match !frames with
+                 | (kind, f) :: rest -> frames := (kind, a :: f) :: rest
+                 | [] -> assert false)
+             | XCheck -> (
+                 let atoms = atoms () in
+                 let fresh = Simplex.create () in
+                 List.iter (lia_assert fresh) atoms;
+                 let r = Simplex.check_int s
+                 and expect = Simplex.check_int fresh in
+                 (* Branch-and-bound over unbounded integers may run out
+                    of fuel on either side, as cold starts could: only
+                    two decided answers must agree. *)
+                 if r <> Simplex.IResource_out
+                    && expect <> Simplex.IResource_out
+                    && sx_kind r <> sx_kind expect
+                 then fail "warm %s, fresh %s" (sx_kind r) (sx_kind expect);
+                 match r with
+                 | Simplex.IModel m ->
+                     if not (lia_model_holds m atoms) then
+                       fail "model violates an atom"
+                 | Simplex.IUnsat ->
+                     if lia_brute_sat atoms then fail "unsat, brute force sat"
+                 | Simplex.IResource_out -> ())
+             | XProbe (a, b) ->
+                 let apart = Simplex.apart s a b in
+                 if apart && sx_entails_eq s a b then
+                   fail "%s=%s is entailed, but the live assignment \
+                         refuted it" a b);
+             if not (Simplex.invariant_ok s) then
+               fail "invariant broken after %s" (pp_sx_op op))
+           ops;
+         true))
+
+(* An integer comparison over [x], [y], [z], small literals, [f] and
+   [+]: EUF and LIA sharing variables. *)
+let gen_int_cmp : Term.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let base =
+    oneof
+      [
+        map Term.int (int_range (-3) 3);
+        map Term.var (oneofl [ "x"; "y"; "z" ]);
+      ]
+  in
+  let atom =
+    oneof [ base; map (fun t -> Term.app "f" [ t ]) base; map2 Term.add base base ]
+  in
+  oneof [ map2 Term.eq atom atom; map2 Term.le atom atom; map2 Term.lt atom atom ]
+
+let gen_theory_lits : Theory.atom list QCheck.Gen.t =
+  let open QCheck.Gen in
+  (* The smart constructors fold comparisons of literals to constants,
+     which are not theory atoms. *)
+  let is_atom t =
+    match Term.view t with Term.Eq _ | Term.Le _ | Term.Lt _ -> true | _ -> false
+  in
+  list_size (int_range 1 6)
+    (map2 (fun term pos -> { Theory.term; pos }) gen_int_cmp bool)
+  |> map (List.filter (fun a -> is_atom a.Theory.term))
+
+let theory_kind = function
+  | Theory.Sat _ -> "sat"
+  | Theory.Unsat -> "unsat"
+  | Theory.Resource_out _ -> "resource-out"
+
+let pp_lits lits =
+  String.concat ", "
+    (List.map
+       (fun { Theory.term; pos } ->
+         (if pos then "" else "¬") ^ Term.to_string term)
+       lits)
+
+(* A theory state that has already answered unrelated scoped checks
+   must give the same verdict as a fresh state: the warm simplex
+   assignment (and whatever else survives a scope) may speed a check
+   up, never change its answer. *)
+let theory_warm_vs_fresh =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"theory-warm-vs-fresh" ~count:300
+       (QCheck.make
+          ~print:(fun (warmups, lits) ->
+            String.concat " | "
+              (List.map
+                 (fun (scoped, l) ->
+                   (if scoped then "scoped " else "") ^ pp_lits l)
+                 warmups
+              @ [ pp_lits lits ]))
+          QCheck.Gen.(
+            pair
+              (list_size (int_range 1 4) (pair bool gen_theory_lits))
+              gen_theory_lits))
+       (fun (warmups, lits) ->
+         let check_in st ~scoped lits =
+           if scoped then begin
+             Theory.push_scoped st;
+             List.iter (Theory.assert_literal st) lits;
+             let r = Theory.check st in
+             Theory.pop_scoped st;
+             r
+           end
+           else begin
+             Theory.push st;
+             List.iter (Theory.assert_literal st) lits;
+             let r = Theory.check_scoped st in
+             Theory.pop st;
+             r
+           end
+         in
+         let st = Theory.create () in
+         List.iter
+           (fun (scoped, l) -> ignore (check_in st ~scoped l))
+           warmups;
+         let warm = check_in st ~scoped:true lits
+         and fresh = check_in (Theory.create ()) ~scoped:true lits in
+         theory_kind warm = theory_kind fresh))
 
 (* Random congruence-closure instances vs a naive fixpoint oracle. *)
 let cc_random =
@@ -548,21 +757,8 @@ let pp_sess_op = function
 
 let gen_sess_ops : sess_op list QCheck.Gen.t =
   let open QCheck.Gen in
-  let base =
-    oneof
-      [
-        map Term.int (int_range (-3) 3);
-        map Term.var (oneofl [ "x"; "y"; "z" ]);
-      ]
-  in
-  let atom =
-    oneof [ base; map (fun t -> Term.app "f" [ t ]) base; map2 Term.add base base ]
-  in
-  let fresh_cmp =
-    oneof [ map2 Term.eq atom atom; map2 Term.le atom atom; map2 Term.lt atom atom ]
-  in
-  let* pool = list_repeat 5 fresh_cmp in
-  let cmp = frequency [ (3, oneofl pool); (1, fresh_cmp) ] in
+  let* pool = list_repeat 5 gen_int_cmp in
+  let cmp = frequency [ (3, oneofl pool); (1, gen_int_cmp) ] in
   let lit = oneof [ cmp; map Term.not_ cmp ] in
   let form =
     (* conjunctions assert cleanly; disjunctions in goals exercise
@@ -946,7 +1142,14 @@ let () =
         ] );
       ("sat", [ Alcotest.test_case "units" `Quick test_sat; sat_reduce_differential ]);
       ("hashcons", hashcons_cases);
-      ("differential", [ differential; simplex_differential; cc_random ]);
+      ( "differential",
+        [
+          differential;
+          simplex_differential;
+          simplex_incremental;
+          theory_warm_vs_fresh;
+          cc_random;
+        ] );
       ("entails", entails_cases);
       ("session", session_cases);
     ]

@@ -13,6 +13,18 @@ let qgen =
 
 let arb_q = QCheck.make ~print:Q.to_string qgen
 
+(* Mostly integers, some of them large, so both the integer fast paths
+   and the general path run. *)
+let arb_qi =
+  QCheck.make ~print:Q.to_string
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map Q.of_int (int_range (-1_000_000) 1_000_000));
+          (1, map Q.of_int (int_range (-3) 3));
+          (1, qgen);
+        ])
+
 let prop name count arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb law)
 
@@ -44,6 +56,15 @@ let q_props =
     prop "inv-mul" 500 arb_q (fun a ->
         QCheck.assume (not (Q.equal a Q.zero));
         Q.equal (Q.mul a (Q.inv a)) Q.one);
+    (* [add], [mul] and [compare] short-cut integer operands; they must
+       agree with the general cross-multiplying path through [Q.mk]. *)
+    prop "int-fast-paths" 1000
+      (QCheck.pair arb_qi arb_qi)
+      (fun (a, b) ->
+        let na = Q.num a and da = Q.den a and nb = Q.num b and db = Q.den b in
+        Q.equal (Q.add a b) (Q.mk ((na * db) + (nb * da)) (da * db))
+        && Q.equal (Q.mul a b) (Q.mk (na * nb) (da * db))
+        && Q.compare a b = compare (na * db) (nb * da));
   ]
 
 let test_q_units () =
@@ -52,6 +73,16 @@ let test_q_units () =
   Alcotest.(check int) "floor -3/2" (-2) (Q.floor (Q.mk (-3) 2));
   Alcotest.(check int) "ceil -3/2" (-1) (Q.ceil (Q.mk (-3) 2));
   Alcotest.(check string) "pp" "5/3" (Q.to_string (Q.mk 10 6))
+
+let test_q_overflow () =
+  Alcotest.check_raises "max_int + 1" Q.Overflow (fun () ->
+      ignore (Q.add (Q.of_int max_int) Q.one));
+  Alcotest.check_raises "min_int - 1" Q.Overflow (fun () ->
+      ignore (Q.sub (Q.of_int min_int) Q.one));
+  Alcotest.check_raises "max_int * 2" Q.Overflow (fun () ->
+      ignore (Q.mul (Q.of_int max_int) (Q.of_int 2)));
+  Alcotest.check_raises "(max_int/2) * (1/3 + 1)" Q.Overflow (fun () ->
+      ignore (Q.mul (Q.of_int (max_int / 2)) (Q.mk 4 3)))
 
 let test_union_find () =
   let uf = Union_find.create () in
@@ -175,7 +206,11 @@ let test_watchdog_callback_errors_swallowed () =
 let () =
   Alcotest.run "stdx"
     [
-      ("Q-units", [ Alcotest.test_case "units" `Quick test_q_units ]);
+      ( "Q-units",
+        [
+          Alcotest.test_case "units" `Quick test_q_units;
+          Alcotest.test_case "overflow" `Quick test_q_overflow;
+        ] );
       ("Q-props", q_props);
       ( "union-find",
         [ Alcotest.test_case "basic" `Quick test_union_find; uf_prop ] );
