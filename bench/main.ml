@@ -4,7 +4,9 @@
 
     Run all:         dune exec bench/main.exe
     One experiment:  dune exec bench/main.exe -- table1 fig3
-    Bechamel micro:  dune exec bench/main.exe -- micro *)
+    List targets:    dune exec bench/main.exe -- --help
+
+    Throughput is measured by perfbench/, not here. *)
 
 module A = Baselogic.Assertion
 module K = Baselogic.Kernel
@@ -24,9 +26,20 @@ let time f =
 
 let ms t = t *. 1000.0
 
+(** Run [f] [reps] times: its last result and its best wall time. *)
+let best_of reps f =
+  let best = ref (time f) in
+  for _ = 2 to reps do
+    let r, t = time f in
+    best := (r, Float.min t (snd !best))
+  done;
+  !best
+
 (* Flush per line so partial results survive interrupts. *)
 let printf fmt = Printf.(kfprintf (fun oc -> flush oc) stdout fmt)
-let _ = ignore printf
+
+(** --quick trims sizes so a target doubles as a CI smoke test. *)
+let quick = ref false
 
 (** Verify a suite entry, collecting timing + stats. *)
 let run_verifier ?heap_dep ?absint (prog : V.program) =
@@ -271,31 +284,6 @@ let engine_scaling () =
 (* ------------------------------------------------------------------ *)
 (* E2: incremental sessions vs one-shot solving *)
 
-(* Machine-readable results for --json: target -> (field, value). *)
-let json_entries : (string * (string * float) list) list ref = ref []
-let record_json name fields = json_entries := (name, fields) :: !json_entries
-
-let write_json_list path entries =
-  let oc = open_out path in
-  let entry (name, fields) =
-    Printf.sprintf "  %S: {%s}" name
-      (String.concat ", "
-         (List.map (fun (k, v) -> Printf.sprintf "%S: %g" k v) fields))
-  in
-  Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" (List.map entry entries));
-  close_out oc;
-  printf "wrote %s\n" path
-
-let write_json path = write_json_list path (List.rev !json_entries)
-
-(** --quick trims sizes so the target doubles as a CI smoke test. *)
-let quick = ref false
-
-(** --no-absint disables the abstract-interpretation pass (diagnostics
-    + VC pre-discharge) — the A/B switch behind the corpus manifest
-    invariance gate in dev/check.sh. *)
-let no_absint = ref false
-
 (** One-shot vs session latency on the F3 (euf-chain entailment) and
     F2 (multicell verification) workloads. The euf-chain rows compare
     [check_sat] on the full instance against a session asserting the
@@ -332,14 +320,6 @@ let smt_incremental () =
         | Smt.Solver.Sat _, Smt.Solver.Invalid _ -> true
         | _ -> false
       in
-      record_json
-        (Printf.sprintf "euf_chain_%d" n)
-        [
-          ("oneshot_ms", ms t1);
-          ("session_ms", ms t2);
-          ("theory_checks", float_of_int ss.Smt.Stats.theory_checks);
-          ("session_fallbacks", float_of_int ss.Smt.Stats.session_fallbacks);
-        ];
       printf "%-12s %6d | %12.1f %12.2f %7.1fx | theory=%d fallbacks=%d%s\n"
         "euf-chain" n (ms t1) (ms t2) (t1 /. t2) ss.Smt.Stats.theory_checks
         ss.Smt.Stats.session_fallbacks
@@ -353,29 +333,14 @@ let smt_incremental () =
          that scheduler noise would dominate a one-shot-vs-session
          comparison. *)
       let reps = if !quick then 1 else 3 in
-      let best mode_oneshot =
-        Smt.Session.oneshot := mode_oneshot;
-        let r = ref None in
-        for _ = 1 to reps do
-          let ok, t, _, ss = run_verifier prog in
-          match !r with
-          | Some (_, t', _) when t' <= t -> ()
-          | _ -> r := Some (ok, t, ss)
-        done;
+      let best oneshot =
+        Smt.Session.oneshot := oneshot;
+        let (ok, _, _, ss), t = best_of reps (fun () -> run_verifier prog) in
         Smt.Session.oneshot := false;
-        Option.get !r
+        (ok, t, ss)
       in
-      let ok1, t1, ss1 = best true in
+      let ok1, t1, _ = best true in
       let ok2, t2, ss2 = best false in
-      record_json
-        (Printf.sprintf "multicell_%d" k)
-        [
-          ("oneshot_ms", ms t1);
-          ("session_ms", ms t2);
-          ("oneshot_queries", float_of_int ss1.Smt.Stats.queries);
-          ("session_checks", float_of_int ss2.Smt.Stats.session_checks);
-          ("session_fallbacks", float_of_int ss2.Smt.Stats.session_fallbacks);
-        ];
       printf "%-12s %6d | %12.1f %12.1f %7.1fx | checks=%d fallbacks=%d%s\n"
         "multicell" k (ms t1) (ms t2) (t1 /. t2) ss2.Smt.Stats.session_checks
         ss2.Smt.Stats.session_fallbacks
@@ -395,20 +360,17 @@ let lint_overhead () =
     (fun (e : Pr.entry) ->
       (* Best of 5: a single lint pass is microseconds and scheduler
          noise would swamp the ratio. *)
-      let tl = ref infinity and ds = ref [] in
-      for _ = 1 to 5 do
-        let d, t = time (fun () -> Analysis.analyze_program ~name:e.name e.prog) in
-        if t < !tl then tl := t;
-        ds := d
-      done;
+      let ds, tl =
+        best_of 5 (fun () -> Analysis.analyze_program ~name:e.name e.prog)
+      in
       let _, tv, _, _ = run_verifier e.prog in
-      total_lint := !total_lint +. !tl;
+      total_lint := !total_lint +. tl;
       total_verify := !total_verify +. tv;
-      printf "%-14s | %9.3f %9.1f %7.4f%% | %6d %6d\n" e.name (ms !tl)
+      printf "%-14s | %9.3f %9.1f %7.4f%% | %6d %6d\n" e.name (ms tl)
         (ms tv)
-        (100.0 *. !tl /. tv)
-        (List.length !ds)
-        (List.length (Diag.errors !ds)))
+        (100.0 *. tl /. tv)
+        (List.length ds)
+        (List.length (Diag.errors ds)))
     Pr.positive;
   printf "%s\n" (String.make 62 '-');
   printf "%-14s | %9.3f %9.1f %7.4f%%\n" "total" (ms !total_lint)
@@ -432,14 +394,7 @@ let budget_overhead () =
   in
   (* Best-of-reps per mode: single sweeps are short enough that
      scheduler noise would swamp a ≤2% comparison. *)
-  let best f =
-    let t = ref infinity in
-    for _ = 1 to reps do
-      let _, dt = time f in
-      if dt < !t then t := dt
-    done;
-    !t
-  in
+  let best f = snd (best_of reps f) in
   ignore (best sweep) (* warm up: allocators, caches, code paths *);
   let t_bare = best sweep in
   let t_budget =
@@ -451,12 +406,6 @@ let budget_overhead () =
           sweep)
   in
   let overhead = 100.0 *. ((t_budget /. t_bare) -. 1.0) in
-  record_json "budget_overhead"
-    [
-      ("bare_ms", ms t_bare);
-      ("budget_ms", ms t_budget);
-      ("overhead_pct", overhead);
-    ];
   printf "%-18s %10s %12s %10s\n" "workload" "bare(ms)" "budget(ms)" "overhead";
   printf "%s\n" (String.make 54 '-');
   printf "%-18s %10.1f %12.1f %+9.2f%%%s\n" "positive suite" (ms t_bare)
@@ -484,9 +433,8 @@ let absint_overhead () =
         if not ok then failwith ("absint_overhead: " ^ e.name ^ " failed"))
       Pr.positive
   in
-  (* Interleaved A/B, best-of-reps (same methodology as the corpus
-     bench): alternating off/on pairs cancel clock/GC drift that a
-     block design would book as overhead. *)
+  (* Interleaved A/B, best-of-reps: alternating off/on pairs cancel
+     clock/GC drift that a block design would book as overhead. *)
   ignore (time (sweep false)) (* warm up: allocators, caches, code paths *);
   ignore (time (sweep true));
   let t_off = ref infinity and t_on = ref infinity in
@@ -503,16 +451,6 @@ let absint_overhead () =
     (fun (e : Pr.entry) -> ignore (V.verify ~stats:vstats e.prog))
     Pr.positive;
   let overhead = 100.0 *. ((t_on /. t_off) -. 1.0) in
-  record_json "absint_overhead"
-    [
-      ("off_ms", ms t_off);
-      ("on_ms", ms t_on);
-      ("overhead_pct", overhead);
-      ( "absint_discharged",
-        float_of_int vstats.Verifier.Vstats.absint_discharged );
-      ( "absint_abstained",
-        float_of_int vstats.Verifier.Vstats.absint_abstained );
-    ];
   printf "%-18s %10s %12s %10s %16s\n" "workload" "off(ms)" "on(ms)"
     "overhead" "discharged";
   printf "%s\n" (String.make 72 '-');
@@ -555,14 +493,8 @@ let conc_suite () =
       in
       if not agree then
         failwith ("conc_suite: " ^ e.name ^ " verdicts depend on the seed");
-      let t = ref infinity in
-      for _ = 1 to reps do
-        let _, d = time (fun () -> ignore (V.verify e.prog)) in
-        if d < !t then t := d
-      done;
-      record_json ("conc_" ^ e.name)
-        [ ("best_ms", ms !t); ("verified", if ok then 1.0 else 0.0) ];
-      printf "%-14s %10.2f %10s %10s %12s\n" e.name (ms !t)
+      let _, t = best_of reps (fun () -> V.verify e.prog) in
+      printf "%-14s %10.2f %10s %10s %12s\n" e.name (ms t)
         (if ok then "verified" else "failed")
         (if e.expect_fail then "fail" else "verify")
         (Printf.sprintf "%d/%d" (List.length seeds) (List.length seeds)))
@@ -575,374 +507,6 @@ let conc_suite () =
   printf "counters: par=%d inv-opens=%d havocs=%d\n"
     vstats.Verifier.Vstats.par_branches vstats.Verifier.Vstats.inv_opens
     vstats.Verifier.Vstats.interference_havocs
-
-(* ------------------------------------------------------------------ *)
-(* S1: daemon throughput — cold vs warm cache at several worker counts *)
-
-let percentile p lats =
-  match lats with
-  | [] -> nan
-  | lats ->
-      let a = Array.of_list lats in
-      Array.sort compare a;
-      let n = Array.length a in
-      let i = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      a.(max 0 (min (n - 1) i))
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let serve_json : (string * (string * float) list) list ref = ref []
-
-(** One daemon per worker count, fresh socket + fresh disk-cache dir.
-    The cold pass is a single client walking the whole suite once —
-    every request misses the verdict cache and runs the verifier. The
-    warm pass is [workers] concurrent clients each repeating the
-    suite, so every request is a cache hit; its throughput is the
-    daemon's ceiling (scheduler + wire + cache lookup, no solver). *)
-let serve_throughput () =
-  printf "\n== S1: daemon throughput — cold vs warm cache ==\n";
-  let module SC = Server.Client in
-  let module SP = Server.Protocol in
-  let module SJ = Server.Json in
-  let entries = List.map (fun (e : Pr.entry) -> e.Pr.name) Pr.all in
-  let reps = if !quick then 2 else 15 in
-  printf "(suite of %d entries; warm pass = one suite x %d per client)\n"
-    (List.length entries) reps;
-  printf "%7s %6s | %9s %9s %9s\n" "workers" "pass" "req/s" "p50(ms)"
-    "p99(ms)";
-  printf "%s\n" (String.make 50 '-');
-  let run_config workers =
-    let tmp = Filename.get_temp_dir_name () in
-    let tag = Printf.sprintf "daenerys-bench-%d-j%d" (Unix.getpid ()) workers in
-    let socket = Filename.concat tmp (tag ^ ".sock") in
-    let cache_dir = Filename.concat tmp (tag ^ ".cache") in
-    rm_rf cache_dir;
-    rm_rf socket;
-    let cfg =
-      {
-        Server.Daemon.default_config with
-        Server.Daemon.socket_path = socket;
-        workers;
-        queue_bound = 256;
-        cache_dir = Some cache_dir;
-      }
-    in
-    let daemon = Domain.spawn (fun () -> Server.Daemon.run cfg) in
-    let connect () =
-      match SC.connect_retry ~attempts:200 ~delay:0.02 socket with
-      | Ok c -> c
-      | Error m -> failwith ("serve_throughput: connect: " ^ m)
-    in
-    let request c name =
-      let t0 = Unix.gettimeofday () in
-      let ok =
-        match SC.rpc c (SP.verify_request (SP.Entry name)) with
-        | Ok v -> Option.bind (SJ.member "ok" v) SJ.to_bool = Some true
-        | Error _ -> false
-      in
-      ((Unix.gettimeofday () -. t0) *. 1000.0, ok)
-    in
-    let sweep c = List.map (request c) entries in
-    (* Cold: single client, empty cache — every request verifies. *)
-    let c0 = connect () in
-    let cold, cold_wall = time (fun () -> sweep c0) in
-    SC.close c0;
-    (* Warm: [workers] concurrent clients, all requests cache hits. *)
-    let warm, warm_wall =
-      time (fun () ->
-          List.init workers (fun _ ->
-              Domain.spawn (fun () ->
-                  let c = connect () in
-                  let lats =
-                    List.concat (List.init reps (fun _ -> sweep c))
-                  in
-                  SC.close c;
-                  lats))
-          |> List.concat_map Domain.join)
-    in
-    (* Degraded: the same warm daemon under seeded worker-crash and
-       socket faults, driven by retrying session clients. Every
-       request must still converge to an [ok] response; the column
-       quantifies what supervision + retries cost against the warm
-       ceiling. *)
-    let degr, degr_wall =
-      Stdx.Fault.configure ~seed:17
-        [ (Stdx.Fault.Worker, 0.1); (Stdx.Fault.Socket, 0.05) ];
-      Fun.protect ~finally:Stdx.Fault.clear (fun () ->
-          time (fun () ->
-              List.init workers (fun _ ->
-                  Domain.spawn (fun () ->
-                      let s =
-                        SC.open_session
-                          ~retry:
-                            {
-                              SC.attempts = 50;
-                              base_delay_ms = 1.0;
-                              max_delay_ms = 50.0;
-                            }
-                          socket
-                      in
-                      let one name =
-                        let t0 = Unix.gettimeofday () in
-                        let ok =
-                          match
-                            SC.request s (SP.verify_request (SP.Entry name))
-                          with
-                          | Ok v ->
-                              Option.bind (SJ.member "ok" v) SJ.to_bool
-                              = Some true
-                          | Error _ -> false
-                        in
-                        ((Unix.gettimeofday () -. t0) *. 1000.0, ok)
-                      in
-                      let lats =
-                        List.concat
-                          (List.init reps (fun _ -> List.map one entries))
-                      in
-                      SC.close_session s;
-                      lats))
-              |> List.concat_map Domain.join))
-    in
-    let c = connect () in
-    ignore (SC.rpc c (SP.shutdown_request ()));
-    SC.close c;
-    (match Domain.join daemon with
-    | Ok () -> ()
-    | Error m -> printf "  << daemon exit: %s\n" m);
-    rm_rf cache_dir;
-    let row pass lats wall =
-      let ms_lats = List.map fst lats in
-      let rps = float_of_int (List.length lats) /. wall in
-      let p50 = percentile 50.0 ms_lats and p99 = percentile 99.0 ms_lats in
-      printf "%7d %6s | %9.1f %9.2f %9.2f%s\n" workers pass rps p50 p99
-        (if List.for_all snd lats then "" else "  << ERROR RESPONSES");
-      [
-        (pass ^ "_reqs_per_s", rps);
-        (pass ^ "_p50_ms", p50);
-        (pass ^ "_p99_ms", p99);
-      ]
-    in
-    let cold_fields = row "cold" cold cold_wall in
-    let warm_fields = row "warm" warm warm_wall in
-    let degr_fields = row "degr" degr degr_wall in
-    if not (List.for_all snd degr) then begin
-      printf
-        "FAIL: a request never converged under faults (the retrying \
-         session must absorb worker=0.1,socket=0.05)\n";
-      exit 1
-    end;
-    let ratio pass fields =
-      match List.assoc_opt (pass ^ "_reqs_per_s") fields with
-      | Some v when v > 0.0 -> v
-      | _ -> nan
-    in
-    printf "  (degraded retains %.0f%% of warm req/s under \
-            worker=0.1,socket=0.05,seed=17)\n"
-      (100.0 *. ratio "degr" degr_fields /. ratio "warm" warm_fields);
-    let fields = cold_fields @ warm_fields @ degr_fields in
-    serve_json :=
-      (Printf.sprintf "serve_j%d" workers, fields) :: !serve_json
-  in
-  List.iter run_config [ 1; 2; 4 ];
-  write_json_list "BENCH_serve.json" (List.rev !serve_json)
-
-(* ------------------------------------------------------------------ *)
-(* S2: corpus-scale end-to-end throughput — procedures/second through
-   the whole pipeline (elaborated spec -> VCs -> solver -> verdict) on
-   a synthetic corpus of distinct procedures, at several worker
-   counts, cold (first pass) and warm (second pass, terms interned). *)
-
-(** --check compares the quick pass against the committed
-    BENCH_corpus.json baseline (CI gate; fails loud on regression). *)
-let check_baseline = ref false
-
-let corpus_json : (string * (string * float) list) list ref = ref []
-
-(* The committed-baseline tolerance: CI hosts differ from the machine
-   that produced BENCH_corpus.json, so the gate only fails when quick
-   throughput drops below this fraction of the committed number. *)
-let corpus_tolerance = 0.30
-
-let corpus_throughput () =
-  printf "\n== S2: corpus throughput — procedures/second, cold vs warm ==\n";
-  let module C = Suite.Corpus in
-  let quick_size = 120 and full_size = 2000 in
-  let gen size = C.generate ~seed:42 ~size in
-  let failures = ref 0 in
-  (* Two passes per worker count: the first is cold (fresh term pool),
-     the second warm (every term already interned). Verdicts must match
-     the generator's expectations on every pass. *)
-  let run_pass ~domains specs =
-    let progs = List.map (fun (s : C.spec) -> (s.C.name, s.C.program)) specs in
-    let config =
-      {
-        E.default_config with
-        E.domains;
-        options = { E.Options.default with absint = not !no_absint };
-      }
-    in
-    let report = E.verify_programs ~config progs in
-    let verdicts =
-      List.map
-        (fun (g : E.group_result) -> (g.E.group, not (E.group_ok g)))
-        report.E.groups
-    in
-    List.iter2
-      (fun (s : C.spec) (name, failed) ->
-        if not (String.equal s.C.name name && Bool.equal s.C.expect_fail failed)
-        then begin
-          incr failures;
-          printf "  << VERDICT MISMATCH: %s expected %s\n" s.C.name
-            (if s.C.expect_fail then "failed" else "verified")
-        end)
-      specs verdicts;
-    let wall_s = report.E.stats.E.wall_ms /. 1000.0 in
-    (float_of_int report.E.stats.E.jobs /. wall_s, verdicts, report.E.stats)
-  in
-  printf "%6s %7s | %12s %12s | %s\n" "procs" "workers" "cold(p/s)"
-    "warm(p/s)" "manifest";
-  printf "%s\n" (String.make 64 '-');
-  let run_config ~tag ~size domains =
-    let specs = gen size in
-    let cold, verdicts, cold_stats = run_pass ~domains specs in
-    let warm, _, _ = run_pass ~domains specs in
-    let digest = C.manifest_digest verdicts in
-    (* A 16-bit digest prefix survives the %g float round-trip of the
-       JSON writer; combined with the in-process expectation check it
-       pins the golden manifest. *)
-    let manifest16 = int_of_string ("0x" ^ String.sub digest 0 4) in
-    let vs = cold_stats.E.vstats in
-    printf "%6d %7d | %12.1f %12.1f | %s (absint %d/%d)\n" size domains cold
-      warm digest vs.Verifier.Vstats.absint_discharged
-      (vs.Verifier.Vstats.absint_discharged
-      + vs.Verifier.Vstats.absint_abstained);
-    corpus_json :=
-      ( tag,
-        [
-          ("procs", float_of_int size);
-          ("cold_procs_per_s", cold);
-          ("warm_procs_per_s", warm);
-          ("manifest16", float_of_int manifest16);
-          ( "absint_discharged",
-            float_of_int vs.Verifier.Vstats.absint_discharged );
-          ( "absint_abstained",
-            float_of_int vs.Verifier.Vstats.absint_abstained );
-        ] )
-      :: !corpus_json;
-    (cold, manifest16)
-  in
-  if !quick then begin
-    let cold, manifest16 = run_config ~tag:"corpus_quick_j2" ~size:quick_size 2 in
-    if !check_baseline then begin
-      let baseline =
-        match
-          let ic = open_in "BENCH_corpus.json" in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          Server.Json.parse s
-        with
-        | Ok json -> (
-            match Server.Json.member "corpus_quick_j2" json with
-            | Some row ->
-                let field k =
-                  Option.bind (Server.Json.member k row) Server.Json.to_num
-                in
-                (field "cold_procs_per_s", field "manifest16")
-            | None -> (None, None))
-        | Error m ->
-            printf "  << cannot parse BENCH_corpus.json: %s\n" m;
-            (None, None)
-        | exception Sys_error m ->
-            printf "  << cannot read BENCH_corpus.json: %s\n" m;
-            (None, None)
-      in
-      match baseline with
-      | Some base_pps, Some base_manifest ->
-          if int_of_float base_manifest <> manifest16 then begin
-            printf
-              "FAIL: corpus verdict manifest drifted (committed %d, got %d)\n"
-              (int_of_float base_manifest) manifest16;
-            exit 1
-          end;
-          if cold < corpus_tolerance *. base_pps then begin
-            printf
-              "FAIL: corpus throughput regressed: %.1f p/s < %.0f%% of \
-               committed %.1f p/s\n"
-              cold (100.0 *. corpus_tolerance) base_pps;
-            exit 1
-          end;
-          printf "baseline ok: %.1f p/s vs committed %.1f p/s (tol %.0f%%)\n"
-            cold base_pps
-            (100.0 *. corpus_tolerance)
-      | _ ->
-          printf "FAIL: BENCH_corpus.json lacks corpus_quick_j2 baseline\n";
-          exit 1
-    end
-  end
-  else begin
-    ignore (run_config ~tag:"corpus_quick_j2" ~size:quick_size 2);
-    List.iter
-      (fun j ->
-        ignore (run_config ~tag:(Printf.sprintf "corpus_j%d" j) ~size:full_size j))
-      [ 1; 2; 4 ];
-    write_json_list "BENCH_corpus.json" (List.rev !corpus_json)
-  end;
-  if !failures > 0 then begin
-    printf "FAIL: %d corpus verdict mismatches\n" !failures;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks *)
-
-let micro () =
-  printf "\n== Bechamel microbenchmarks ==\n%!";
-  let open Bechamel in
-  let open Toolkit in
-  let swap_prog = Pr.swap.Pr.prog in
-  let straight8, base8 = G.straightline 8 in
-  let sprog = { V.procs = [ straight8 ]; preds = Stdx.Smap.empty; invs = [] } in
-  let tests =
-    [
-      Test.make ~name:"verify-swap"
-        (Staged.stage (fun () -> ignore (V.verify swap_prog)));
-      Test.make ~name:"verify-straight8"
-        (Staged.stage (fun () -> ignore (V.verify sprog)));
-      Test.make ~name:"baseline-straight8"
-        (Staged.stage (fun () -> ignore (run_baseline base8)));
-      Test.make ~name:"smt-euf-chain64"
-        (Staged.stage (fun () ->
-             ignore (Smt.Solver.check_sat (G.euf_chain 64))));
-    ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun t ->
-      let results = analyze (benchmark t) in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] -> printf "%-24s %12.1f ns/run\n%!" name est
-          | _ -> printf "%-24s (no estimate)\n%!" name)
-        results)
-    tests
 
 (* ------------------------------------------------------------------ *)
 
@@ -962,33 +526,36 @@ let experiments =
     ("budget_overhead", budget_overhead);
     ("absint_overhead", absint_overhead);
     ("conc_suite", conc_suite);
-    ("serve_throughput", serve_throughput);
-    ("corpus_throughput", corpus_throughput);
-    ("micro", micro);
   ]
+
+let usage oc =
+  Printf.fprintf oc "targets: %s
+flags: --quick (smaller sizes) --help
+%!"
+    (String.concat " " (List.map fst experiments))
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let json = List.mem "--json" args in
-  quick := List.mem "--quick" args;
-  check_baseline := List.mem "--check" args;
-  no_absint := List.mem "--no-absint" args;
-  let names =
-    List.filter (fun a -> not (String.starts_with ~prefix:"--" a)) args
+  let flags, names = List.partition (String.starts_with ~prefix:"--") args in
+  if List.mem "--help" flags then begin
+    usage stdout;
+    exit 0
+  end;
+  let unknown =
+    List.filter (fun f -> f <> "--quick") flags
+    @ List.filter (fun n -> not (List.mem_assoc n experiments)) names
   in
+  if unknown <> [] then begin
+    Printf.eprintf "unknown target or flag: %s\n" (String.concat " " unknown);
+    usage stderr;
+    exit 2
+  end;
+  quick := List.mem "--quick" flags;
   let selected =
     match names with
-    | [] -> List.filter (fun (n, _) -> n <> "micro") experiments
-    | names ->
-        if List.mem "--help" args then begin
-          printf
-            "experiments: %s\nflags: --json (write BENCH_smt.json) --quick\n"
-            (String.concat " " (List.map fst experiments));
-          exit 0
-        end;
-        List.filter (fun (n, _) -> List.mem n names) experiments
+    | [] -> experiments
+    | names -> List.filter (fun (n, _) -> List.mem n names) experiments
   in
   printf "Daenerys-style verifier — experiment harness\n";
   printf "(reconstructed experiments; see DESIGN.md / EXPERIMENTS.md)\n";
-  List.iter (fun (_, f) -> f ()) selected;
-  if json then write_json "BENCH_smt.json"
+  List.iter (fun (_, f) -> f ()) selected

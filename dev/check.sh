@@ -6,12 +6,25 @@
 # annotated codes), a smoke run of the parallel engine (2 worker
 # domains, lint gate on) over the benchmark suite, the session
 # fallback gate (reasons sum, lemma store live), the daemon gates
-# (warm cache, restart, kill -9 crash recovery), and the chaos gates
+# (warm cache, restart, kill -9 crash recovery), the chaos gates
 # (seeded faults at every injection site must never move a verdict or
-# kill the daemon).
+# kill the daemon), a smoke run of the paper's bench targets, and a
+# guard that no gate rewrote a tracked file. The corpus verdict
+# manifests are pinned by `dune runtest` (engine corpus-golden).
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# The tracked files' status plus a checksum of their diff, so that a
+# gate rewriting an already-modified file is caught as well.
+tracked_state() {
+  git status --porcelain --untracked-files=no
+  git diff HEAD | cksum
+}
+tree_before=""
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  tree_before=$(tracked_state)
+fi
 
 echo "== dune build =="
 dune build
@@ -73,67 +86,60 @@ echo "fallbacks: $fallbacks, all attributed to a reason; lemmas_seeded=$seeded"
 echo "simplex: fuel_simplex=0 fuel_combination=0 lia_eq_witnessed=$witnessed"
 
 echo "== surface (.hl) gate: parse + lint + verify every examples/*.hl =="
+# must_fail FILE [FLAG...]: verify must not accept FILE.
+must_fail() {
+  if dune exec bin/daenerys.exe -- verify "$@" >/dev/null 2>&1; then
+    echo "FAIL: $* verified but must fail" >&2; exit 1
+  fi
+}
+# lint_has FILE [--json] NEEDLE...: lint must exit non-zero (errors)
+# and print every needle.
+lint_has() {
+  file=$1; shift
+  json=""
+  [ "$1" = --json ] && { json=--json; shift; }
+  out=$(dune exec bin/daenerys.exe -- lint $json "$file" 2>&1) && {
+    echo "FAIL: lint $file exited 0 but must report errors" >&2; exit 1; }
+  for needle in "$@"; do
+    case "$out" in
+      *"$needle"*) ;;
+      *) echo "FAIL: lint $json $file missing $needle" >&2
+         echo "$out" >&2; exit 1 ;;
+    esac
+  done
+}
 for f in examples/*.hl; do
   case "$f" in
-    examples/bad_swap.hl)
-      # negative program: must parse, lint clean, and FAIL verification
+    examples/bad_swap.hl|examples/lock_noinv.hl)
+      # negative programs: must parse and lint clean but FAIL
+      # verification (lock_noinv is the spinlock without its
+      # invariant: the atomic has nothing to open)
       dune exec bin/daenerys.exe -- lint "$f"
-      if dune exec bin/daenerys.exe -- verify "$f" >/dev/null 2>&1; then
-        echo "FAIL: $f verified but must fail" >&2; exit 1
-      fi
+      must_fail "$f"
       echo "$f: failed verification (as expected)"
       ;;
     examples/broken.hl)
       # ill-formed program: lint must report DA001 anchored at 6:12
-      out=$(dune exec bin/daenerys.exe -- lint --json "$f" 2>&1) && {
-        echo "FAIL: lint $f exited 0 but must report errors" >&2; exit 1; }
-      for needle in '"DA001"' 'broken.hl' '"line": 6' '"col": 12'; do
-        case "$out" in
-          *"$needle"*) ;;
-          *) echo "FAIL: lint --json $f missing $needle" >&2
-             echo "$out" >&2; exit 1 ;;
-        esac
-      done
+      lint_has "$f" --json '"DA001"' 'broken.hl' '"line": 6' '"col": 12'
       echo "$f: DA001 at broken.hl:6:12 (as expected)"
-      ;;
-    examples/da018_div_zero.hl|examples/da021_false_ensures.hl)
-      # absint error twins: lint must report the code, verify must fail
-      code=$(case "$f" in *da018*) echo DA018;; *) echo DA021;; esac)
-      out=$(dune exec bin/daenerys.exe -- lint "$f" 2>&1) && {
-        echo "FAIL: lint $f exited 0 but must report errors" >&2; exit 1; }
-      case "$out" in
-        *"$code"*) ;;
-        *) echo "FAIL: lint $f missing $code" >&2; echo "$out" >&2; exit 1 ;;
-      esac
-      if dune exec bin/daenerys.exe -- verify "$f" >/dev/null 2>&1; then
-        echo "FAIL: $f verified but must fail" >&2; exit 1
-      fi
-      echo "$f: $code + failed verification (as expected)"
       ;;
     examples/da020_contradictory.hl)
       # contradictory requires: DA020 as an error, span-anchored at the
       # clause (the verifier "succeeds" vacuously — exactly the trap
       # the diagnostic is for)
-      out=$(dune exec bin/daenerys.exe -- lint --json "$f" 2>&1) && {
-        echo "FAIL: lint $f exited 0 but must report errors" >&2; exit 1; }
-      for needle in '"DA020"' 'da020_contradictory.hl' '"line": 8' '"col": 12'; do
-        case "$out" in
-          *"$needle"*) ;;
-          *) echo "FAIL: lint --json $f missing $needle" >&2
-             echo "$out" >&2; exit 1 ;;
-        esac
-      done
+      lint_has "$f" --json '"DA020"' 'da020_contradictory.hl' '"line": 8' \
+        '"col": 12'
       echo "$f: DA020 at da020_contradictory.hl:8:12 (as expected)"
       ;;
-    examples/lock_noinv.hl)
-      # concurrency negative: the spinlock without its invariant is
-      # well-formed (lints clean) but the atomic has nothing to open,
-      # so verification must fail
-      dune exec bin/daenerys.exe -- lint "$f"
-      if dune exec bin/daenerys.exe -- verify "$f" >/dev/null 2>&1; then
-        echo "FAIL: $f verified but must fail" >&2; exit 1
-      fi
-      echo "$f: failed verification (as expected)"
+    examples/da018_div_zero.hl|examples/da021_false_ensures.hl|\
+    examples/da026_nested_atomic.hl|examples/da028_unstable_inv.hl)
+      # error twins, absint (DA018/DA021) and concurrency (DA026/DA028,
+      # which the executor raises too): lint must report the code named
+      # by the file, verify must fail
+      code=$(basename "$f" | cut -c1-5 | tr '[:lower:]' '[:upper:]')
+      lint_has "$f" "$code"
+      must_fail "$f"
+      echo "$f: $code + failed verification (as expected)"
       ;;
     examples/da027_racy_par.hl)
       # racy par branch: DA027 is a warning (lint still exits 0), and
@@ -145,25 +151,8 @@ for f in examples/*.hl; do
         *DA027*) ;;
         *) echo "FAIL: lint $f missing DA027" >&2; echo "$out" >&2; exit 1 ;;
       esac
-      if dune exec bin/daenerys.exe -- verify "$f" >/dev/null 2>&1; then
-        echo "FAIL: $f verified but must fail" >&2; exit 1
-      fi
+      must_fail "$f"
       echo "$f: DA027 warning + failed verification (as expected)"
-      ;;
-    examples/da026_nested_atomic.hl|examples/da028_unstable_inv.hl)
-      # concurrency error twins: lint must report the code, verify
-      # must fail (the executor raises the same diagnostic)
-      code=$(case "$f" in *da026*) echo DA026;; *) echo DA028;; esac)
-      out=$(dune exec bin/daenerys.exe -- lint "$f" 2>&1) && {
-        echo "FAIL: lint $f exited 0 but must report errors" >&2; exit 1; }
-      case "$out" in
-        *"$code"*) ;;
-        *) echo "FAIL: lint $f missing $code" >&2; echo "$out" >&2; exit 1 ;;
-      esac
-      if dune exec bin/daenerys.exe -- verify "$f" >/dev/null 2>&1; then
-        echo "FAIL: $f verified but must fail" >&2; exit 1
-      fi
-      echo "$f: $code + failed verification (as expected)"
       ;;
     *)
       # positive twins: must lint clean and verify
@@ -186,9 +175,7 @@ for f in examples/spinlock.hl examples/ticket_lock.hl examples/treiber.hl; do
 done
 for f in examples/lock_noinv.hl examples/da027_racy_par.hl; do
   for s in 1 2 3; do
-    if dune exec bin/daenerys.exe -- verify "$f" --seed "$s" >/dev/null 2>&1; then
-      echo "FAIL: $f must fail under --seed $s" >&2; exit 1
-    fi
+    must_fail "$f" --seed "$s"
   done
   echo "$f: failed under seeds 1/2/3 (as expected)"
 done
@@ -217,14 +204,20 @@ fi
 
 echo "== daemon gate: serve + client, warm cache >=10x, restart reuses disk =="
 DAE=./_build/default/bin/daenerys.exe
-TMPD=$(mktemp -d)
-SOCK="$TMPD/daenerys.sock"
-CACHE="$TMPD/cache"
+# fresh_dir: a new scratch dir for one daemon gate's socket and cache;
+# the trap kills a daemon left running and removes the current dir.
+fresh_dir() {
+  TMPD=$(mktemp -d)
+  SOCK="$TMPD/daenerys.sock"
+  CACHE="$TMPD/cache"
+}
 SRV=""
-trap '[ -n "$SRV" ] && kill "$SRV" 2>/dev/null; rm -rf "$TMPD"' EXIT
+trap '[ -n "$SRV" ] && kill -9 "$SRV" 2>/dev/null; rm -rf "$TMPD"' EXIT
+fresh_dir
 
+# start_daemon [FLAG...]: serve on $SOCK over $CACHE, wait for the bind.
 start_daemon() {
-  "$DAE" serve --socket "$SOCK" -j 2 --cache-dir "$CACHE" &
+  "$DAE" serve --socket "$SOCK" -j 2 --cache-dir "$CACHE" "$@" &
   SRV=$!
   i=0
   while [ ! -S "$SOCK" ]; do
@@ -248,15 +241,19 @@ sum_wall_ms() {
 verdicts() {
   grep -o '"entry":"[^"]*","expect_fail":[a-z]*,"status":"[^"]*"'
 }
+# same_verdicts A B WHY: the --json reports A and B carry identical
+# verdicts; otherwise fail with WHY.
+same_verdicts() {
+  [ "$(echo "$1" | verdicts)" = "$(echo "$2" | verdicts)" ] || {
+    echo "FAIL: $3" >&2; exit 1; }
+}
 
 start_daemon
 cold=$("$DAE" client --socket "$SOCK" --suite --json)
 warm=$("$DAE" client --socket "$SOCK" --suite --json)
 cold_ms=$(echo "$cold" | sum_wall_ms)
 warm_ms=$(echo "$warm" | sum_wall_ms)
-if [ "$(echo "$cold" | verdicts)" != "$(echo "$warm" | verdicts)" ]; then
-  echo "FAIL: warm-cache verdicts differ from cold verdicts" >&2; exit 1
-fi
+same_verdicts "$cold" "$warm" "warm-cache verdicts differ from cold verdicts"
 awk -v c="$cold_ms" -v w="$warm_ms" 'BEGIN { exit !(c >= 10 * w) }' || {
   echo "FAIL: warm suite not >=10x faster (cold ${cold_ms}ms, warm ${warm_ms}ms)" >&2
   exit 1
@@ -266,9 +263,7 @@ echo "warm cache: ${cold_ms}ms cold -> ${warm_ms}ms warm, verdicts identical"
 # A seeded request is a distinct verdict-cache key (never served from
 # the seed-0 entries) but must produce the very same verdicts.
 seeded=$("$DAE" client --socket "$SOCK" --suite --seed 5 --json)
-if [ "$(echo "$cold" | verdicts)" != "$(echo "$seeded" | verdicts)" ]; then
-  echo "FAIL: --seed 5 verdicts differ from seed-0 verdicts" >&2; exit 1
-fi
+same_verdicts "$cold" "$seeded" "--seed 5 verdicts differ from seed-0 verdicts"
 echo "seeded suite (--seed 5): verdicts identical to seed 0"
 
 # suite, verify and client share one options term (--lint, --no-absint,
@@ -276,10 +271,8 @@ echo "seeded suite (--seed 5): verdicts identical to seed 0"
 # the daemon path.
 local_opts=$("$DAE" suite --lint --no-absint --seed 5 --json)
 daemon_opts=$("$DAE" client --socket "$SOCK" --suite --lint --no-absint --seed 5 --json)
-if [ "$(echo "$local_opts" | verdicts)" != "$(echo "$daemon_opts" | verdicts)" ]; then
-  echo "FAIL: client --lint --no-absint --seed 5 verdicts differ from local suite" >&2
-  exit 1
-fi
+same_verdicts "$local_opts" "$daemon_opts" \
+  "client --lint --no-absint --seed 5 verdicts differ from local suite"
 echo "options (--lint --no-absint --seed 5): daemon verdicts identical to local suite"
 
 # A program with no procedures (an empty file) is vacuously verified:
@@ -332,9 +325,7 @@ echo "file names: one source under two paths, each reply names only its own path
 stop_daemon
 start_daemon  # same cache dir: the disk tier must survive the restart
 restart=$("$DAE" client --socket "$SOCK" --suite --json)
-if [ "$(echo "$cold" | verdicts)" != "$(echo "$restart" | verdicts)" ]; then
-  echo "FAIL: post-restart verdicts differ from cold verdicts" >&2; exit 1
-fi
+same_verdicts "$cold" "$restart" "post-restart verdicts differ from cold verdicts"
 stats=$("$DAE" client --socket "$SOCK" --stats)
 disk_hits=$(echo "$stats" | grep -o '"disk_hits":[0-9]*' | head -1 | cut -d: -f2)
 if [ -z "$disk_hits" ] || [ "$disk_hits" -eq 0 ]; then
@@ -345,7 +336,6 @@ fi
 echo "restart: $disk_hits requests answered from the disk cache"
 stop_daemon
 rm -rf "$TMPD"
-trap - EXIT
 
 echo "== crash-recovery gate: kill -9, wreckage absorbed, verdicts intact =="
 # Populate the disk cache, kill the daemon without any chance to clean
@@ -353,11 +343,7 @@ echo "== crash-recovery gate: kill -9, wreckage absorbed, verdicts intact =="
 # and restart over the same directory: recovery must quarantine the
 # wreckage, the suite must answer from disk with identical verdicts,
 # and the recovery counters must be visible in stats.
-TMPD=$(mktemp -d)
-SOCK="$TMPD/daenerys.sock"
-CACHE="$TMPD/cache"
-SRV=""
-trap '[ -n "$SRV" ] && kill -9 "$SRV" 2>/dev/null; rm -rf "$TMPD"' EXIT
+fresh_dir
 
 start_daemon
 before=$("$DAE" client --socket "$SOCK" --suite --json)
@@ -373,9 +359,8 @@ printf 'DAEVC1\ngarbage' > "$CACHE/$(printf 'a%.0s' $(seq 32)).vc"
 printf 'half-written' > "$CACHE/.tmp.999999999.0"
 start_daemon
 after=$("$DAE" client --socket "$SOCK" --suite --json)
-if [ "$(echo "$before" | verdicts)" != "$(echo "$after" | verdicts)" ]; then
-  echo "FAIL: post-crash verdicts differ from pre-crash verdicts" >&2; exit 1
-fi
+same_verdicts "$before" "$after" \
+  "post-crash verdicts differ from pre-crash verdicts"
 stats=$("$DAE" client --socket "$SOCK" --stats)
 for key in disk_hits recovered_tmp recovered_torn; do
   val=$(echo "$stats" | grep -o "\"$key\":[0-9]*" | head -1 | cut -d: -f2)
@@ -388,7 +373,6 @@ done
 echo "crash recovery: wreckage absorbed, verdicts identical, disk cache reused"
 stop_daemon
 rm -rf "$TMPD"
-trap - EXIT
 
 echo "== chaos gate: supervised daemon under worker/stall/disk/cache/socket faults =="
 # Fixed-seed faults at every supervisor-facing site at once: workers
@@ -396,35 +380,18 @@ echo "== chaos gate: supervised daemon under worker/stall/disk/cache/socket faul
 # cache loads corrupt, sockets reset. The daemon must survive the whole
 # suite (no process death), retrying clients must converge, and the
 # verdict manifest must be byte-identical to a fault-free run.
-TMPD=$(mktemp -d)
-SOCK="$TMPD/daenerys.sock"
-CACHE="$TMPD/cache"
-SRV=""
-trap '[ -n "$SRV" ] && kill -9 "$SRV" 2>/dev/null; rm -rf "$TMPD"' EXIT
+fresh_dir
 
 start_daemon
 baseline=$("$DAE" client --socket "$SOCK" --suite --json)
 stop_daemon
 rm -rf "$CACHE"
 
-start_chaos_daemon() {
-  "$DAE" serve --socket "$SOCK" -j 2 --cache-dir "$CACHE" \
-    --watchdog-ms 150 --watchdog-grace 1.0 \
-    --faults "worker=0.05,stall=0.02,disk=0.2,cache=0.2,socket=0.1,seed=13" &
-  SRV=$!
-  i=0
-  while [ ! -S "$SOCK" ]; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "FAIL: chaos daemon did not bind" >&2; exit 1; }
-    sleep 0.05
-  done
-}
-start_chaos_daemon
+start_daemon --watchdog-ms 150 --watchdog-grace 1.0 \
+  --faults "worker=0.05,stall=0.02,disk=0.2,cache=0.2,socket=0.1,seed=13"
 for round in 1 2 3; do
   chaos=$("$DAE" client --socket "$SOCK" --retry 100 --suite --json)
-  if [ "$(echo "$baseline" | verdicts)" != "$(echo "$chaos" | verdicts)" ]; then
-    echo "FAIL: chaos round $round moved a verdict" >&2; exit 1
-  fi
+  same_verdicts "$baseline" "$chaos" "chaos round $round moved a verdict"
   kill -0 "$SRV" 2>/dev/null || {
     echo "FAIL: daemon died during chaos round $round" >&2; exit 1; }
 done
@@ -440,33 +407,23 @@ echo "chaos: 3 suite rounds byte-identical to fault-free (worker crashes=$crashe
 wait "$SRV" || { echo "FAIL: chaos daemon exited non-zero" >&2; exit 1; }
 SRV=""
 rm -rf "$TMPD"
-trap - EXIT
 
-echo "== bench smoke: smt_incremental + budget_overhead + absint_overhead + conc_suite + serve --quick =="
+echo "== bench smoke: smt_incremental + budget_overhead + absint_overhead + conc_suite =="
 dune exec bench/main.exe -- smt_incremental --quick
 dune exec bench/main.exe -- budget_overhead --quick
 dune exec bench/main.exe -- absint_overhead --quick
 dune exec bench/main.exe -- conc_suite --quick
-dune exec bench/main.exe -- serve_throughput --quick
 
-echo "== corpus gate: fixed-seed synthetic corpus, golden verdicts + throughput =="
-# Re-verifies the quick corpus (fixed seed) twice — with the abstract
-# pre-discharge on (default) and off (--no-absint). Both runs must
-# match the golden manifest and throughput tolerance, and their
-# verdict manifests must be byte-identical: the absint pass may only
-# short-circuit Valid verdicts, never move one.
-out_on=$(dune exec bench/main.exe -- corpus_throughput --quick --check) \
-  || { echo "$out_on"; exit 1; }
-echo "$out_on"
-out_off=$(dune exec bench/main.exe -- corpus_throughput --quick --check --no-absint) \
-  || { echo "$out_off"; exit 1; }
-echo "$out_off"
-m_on=$(echo "$out_on" | grep -o '[0-9a-f]\{32\}' | head -1)
-m_off=$(echo "$out_off" | grep -o '[0-9a-f]\{32\}' | head -1)
-if [ -z "$m_on" ] || [ "$m_on" != "$m_off" ]; then
-  echo "FAIL: corpus manifest moved under --no-absint ($m_on vs $m_off)" >&2
+echo "== clean-tree guard: no gate rewrote a tracked file =="
+if [ -z "$tree_before" ]; then
+  echo "(not a git checkout: skipped)"
+elif [ "$(tracked_state)" != "$tree_before" ]; then
+  echo "FAIL: a gate modified tracked files; git status before and after:" >&2
+  echo "$tree_before" >&2
+  tracked_state >&2
   exit 1
+else
+  echo "tracked files unchanged"
 fi
-echo "absint invariance: manifest $m_on identical with the pass on and off"
 
 echo "tier-1 gate: OK"

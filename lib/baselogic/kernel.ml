@@ -764,9 +764,14 @@ let pure_head_step (e : HL.expr) : HL.expr option =
   | HL.If (HL.Val (HL.Bool true), a, _) -> Some a
   | HL.If (HL.Val (HL.Bool false), _, b) -> Some b
   | HL.UnOp (op, HL.Val v) ->
-      Option.map (fun v -> HL.Val v) (Heaplang.Step.eval_un_op op v)
+      Heaplang.Step.eval_un_op op v
+      |> Result.to_option
+      |> Option.map (fun v -> HL.Val v)
   | HL.BinOp (op, HL.Val v1, HL.Val v2) ->
-      Option.map (fun v -> HL.Val v) (Heaplang.Step.eval_bin_op op v1 v2)
+      (* An overflowing operator takes no step, like an ill-typed one. *)
+      Heaplang.Step.eval_bin_op op v1 v2
+      |> Result.to_option
+      |> Option.map (fun v -> HL.Val v)
   | HL.PairE (HL.Val a, HL.Val b) -> Some (HL.Val (HL.Pair (a, b)))
   | HL.Fst (HL.Val (HL.Pair (a, _))) -> Some (HL.Val a)
   | HL.Snd (HL.Val (HL.Pair (_, b))) -> Some (HL.Val b)

@@ -72,14 +72,16 @@ let rec eval ?sched (st : state) (env : env) (e : expr) ~fuel : value =
   | UnOp (op, e1) -> (
       let v = ev env e1 in
       match Step.eval_un_op op v with
-      | Some v -> v
-      | None -> error "bad unary operand %a" pp_value v)
+      | Ok v -> v
+      | Error Step.Overflow -> error "%s" Step.overflow_msg
+      | Error Step.Bad_operands -> error "bad unary operand %a" pp_value v)
   | BinOp (op, e1, e2) -> (
       let v1 = ev env e1 in
       let v2 = ev env e2 in
       match Step.eval_bin_op op v1 v2 with
-      | Some v -> v
-      | None -> error "bad binary operands")
+      | Ok v -> v
+      | Error Step.Overflow -> error "%s" Step.overflow_msg
+      | Error Step.Bad_operands -> error "bad binary operands")
   | If (c, a, b) -> (
       match ev env c with
       | Bool true -> ev env a
@@ -174,9 +176,12 @@ let rec eval ?sched (st : state) (env : env) (e : expr) ~fuel : value =
             | v -> error "FAA delta %a" pp_value v
           in
           match Stdx.Smap.find_opt (key l) st.heap with
-          | Some (Int old) ->
-              st.heap <- Stdx.Smap.add (key l) (Int (old + d)) st.heap;
-              Int old
+          | Some (Int old) -> (
+              match Step.eval_bin_op Add (Int old) (Int d) with
+              | Ok sum ->
+                  st.heap <- Stdx.Smap.add (key l) sum st.heap;
+                  Int old
+              | Error _ -> error "%s" Step.overflow_msg)
           | Some v -> error "FAA on non-integer %a" pp_value v
           | None -> error "FAA on dangling #%d" l)
       | None -> error "FAA on non-location")

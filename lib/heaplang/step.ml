@@ -54,28 +54,44 @@ let is_val = function Val _ -> true | _ -> false
     than competing with the surrounding run's fuel. *)
 let atomic_fuel = 1_000_000
 
+(** Why an operator has no result: ill-typed operands or a zero
+    divisor, or an exact integer result that a native [int] cannot
+    hold. HeapLang's integers are unbounded, so the machine never
+    wraps; a step whose result is not representable fails instead. *)
+type op_error = Bad_operands | Overflow
+
+let overflow_msg = "integer overflow: result not representable"
+
+(* [Stdx.Q]'s checked primitives raise [Q.Overflow] rather than wrap. *)
+let exact f a b =
+  match f a b with
+  | n -> Ok (Int n)
+  | exception Stdx.Q.Overflow -> Error Overflow
+
 let eval_un_op op v =
   match (op, v) with
-  | Neg, Int n -> Some (Int (-n))
-  | Not, Bool b -> Some (Bool (not b))
-  | _ -> None
+  | Neg, Int n -> exact Stdx.Q.sub_checked 0 n
+  | Not, Bool b -> Ok (Bool (not b))
+  | _ -> Error Bad_operands
 
 let eval_bin_op op v1 v2 =
   match (op, v1, v2) with
-  | Add, Int a, Int b -> Some (Int (a + b))
-  | Sub, Int a, Int b -> Some (Int (a - b))
-  | Mul, Int a, Int b -> Some (Int (a * b))
-  | Div, Int a, Int b -> if b = 0 then None else Some (Int (a / b))
-  | Rem, Int a, Int b -> if b = 0 then None else Some (Int (a mod b))
-  | Eq, a, b -> Some (Bool (value_equal a b))
-  | Ne, a, b -> Some (Bool (not (value_equal a b)))
-  | Lt, Int a, Int b -> Some (Bool (a < b))
-  | Le, Int a, Int b -> Some (Bool (a <= b))
-  | Gt, Int a, Int b -> Some (Bool (a > b))
-  | Ge, Int a, Int b -> Some (Bool (a >= b))
-  | AndOp, Bool a, Bool b -> Some (Bool (a && b))
-  | OrOp, Bool a, Bool b -> Some (Bool (a || b))
-  | _ -> None
+  | Add, Int a, Int b -> exact Stdx.Q.add_checked a b
+  | Sub, Int a, Int b -> exact Stdx.Q.sub_checked a b
+  | Mul, Int a, Int b -> exact Stdx.Q.mul_checked a b
+  | (Div | Rem), Int _, Int 0 -> Error Bad_operands
+  | Div, Int a, Int b ->
+      if a = min_int && b = -1 then Error Overflow else Ok (Int (a / b))
+  | Rem, Int a, Int b -> Ok (Int (a mod b))
+  | Eq, a, b -> Ok (Bool (value_equal a b))
+  | Ne, a, b -> Ok (Bool (not (value_equal a b)))
+  | Lt, Int a, Int b -> Ok (Bool (a < b))
+  | Le, Int a, Int b -> Ok (Bool (a <= b))
+  | Gt, Int a, Int b -> Ok (Bool (a > b))
+  | Ge, Int a, Int b -> Ok (Bool (a >= b))
+  | AndOp, Bool a, Bool b -> Ok (Bool (a && b))
+  | OrOp, Bool a, Bool b -> Ok (Bool (a || b))
+  | _ -> Error Bad_operands
 
 (** One step. Structured as: try a head reduction; otherwise descend
     into the leftmost non-value subterm. [sched] interleaves [Par]
@@ -103,13 +119,15 @@ let rec step ?sched ({ expr; heap } as cfg : cfg) : outcome =
   | App (f, a) -> descend (fun f -> App (f, a)) f
   | UnOp (op, Val v) -> (
       match eval_un_op op v with
-      | Some v -> ret (Val v) heap
-      | None -> stuck "bad unary operand %a" pp_value v)
+      | Ok v -> ret (Val v) heap
+      | Error Overflow -> Stuck overflow_msg
+      | Error Bad_operands -> stuck "bad unary operand %a" pp_value v)
   | UnOp (op, e) -> descend (fun e -> UnOp (op, e)) e
   | BinOp (op, Val v1, Val v2) -> (
       match eval_bin_op op v1 v2 with
-      | Some v -> ret (Val v) heap
-      | None ->
+      | Ok v -> ret (Val v) heap
+      | Error Overflow -> Stuck overflow_msg
+      | Error Bad_operands ->
           stuck "bad binary operands %a %a %a" pp_value v1 pp_bin_op op
             pp_value v2)
   | BinOp (op, (Val _ as a), b) -> descend (fun b -> BinOp (op, a, b)) b
@@ -192,9 +210,12 @@ let rec step ?sched ({ expr; heap } as cfg : cfg) : outcome =
   | Faa (Val (Loc l), Val (Int d)) -> (
       match Heap.lookup heap l with
       | Some (Int old) -> (
-          match Heap.store heap l (Int (old + d)) with
-          | Some heap -> ret (Val (Int old)) heap
-          | None -> stuck "FAA store failed on #%d" l)
+          match eval_bin_op Add (Int old) (Int d) with
+          | Error _ -> Stuck overflow_msg
+          | Ok sum -> (
+              match Heap.store heap l sum with
+              | Some heap -> ret (Val (Int old)) heap
+              | None -> stuck "FAA store failed on #%d" l))
       | Some v -> stuck "FAA on non-integer %a" pp_value v
       | None -> stuck "FAA on dangling #%d" l)
   | Faa ((Val _ as l), e) -> descend (fun e -> Faa (l, e)) e

@@ -20,11 +20,19 @@ let add_checked a b =
     raise Overflow
   else s
 
+let sub_checked a b =
+  let d = a - b in
+  if (a >= 0 && b < 0 && d < 0) || (a < 0 && b >= 0 && d >= 0) then
+    raise Overflow
+  else d
+
+(* [min_int * -1] wraps to [min_int], and [min_int / -1] wraps back to
+   [min_int], so the division test alone misses that one product. *)
 let mul_checked a b =
   if a = 0 || b = 0 then 0
   else
     let p = a * b in
-    if p / b <> a then raise Overflow else p
+    if p / b <> a || (b = -1 && a = min_int) then raise Overflow else p
 
 let mk num den =
   if den = 0 then invalid_arg "Q.mk: zero denominator";

@@ -4,8 +4,8 @@
     *distinct* procedures: every procedure gets its own constants and
     variable names, so no two procedures share their VCs. A
     deterministic [seed] makes the corpus reproducible across processes
-    and machines — the CI gate in [dev/check.sh] relies on a fixed-seed
-    corpus having a fixed verdict manifest.
+    and machines — the [corpus-golden] engine test pins the verdict
+    manifests of the fixed-seed corpus.
 
     A slice of the corpus (roughly one in twelve procedures) carries a
     deliberately wrong postcondition ([expect_fail]); throughput
@@ -126,8 +126,8 @@ let generate ~seed ~size : spec list =
       })
 
 (** Canonical digest of a verdict manifest: MD5 over "name:verdict"
-    lines. The CI gate pins (a prefix of) this against the committed
-    benchmark baseline to catch verdict drift. *)
+    lines. The [corpus-golden] engine test pins the full digest to
+    catch verdict drift. *)
 let manifest_digest (verdicts : (string * bool) list) : string =
   verdicts
   |> List.map (fun (name, failed) ->

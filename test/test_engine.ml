@@ -123,6 +123,51 @@ let test_one_group_per_program () =
         } );
     ]
 
+(* 3b. The fixed-seed synthetic corpus: every verdict equals its
+   spec's [expect_fail], and the full verdict manifest is pinned — for
+   the quick corpus on two domains with the abstract pre-discharge on
+   and off (the pass may only short-circuit Valid verdicts, never move
+   one), and for the full corpus on one domain. *)
+let quick_corpus_manifest = "18472bf8521a62c8e134f399afd02c2a"
+let full_corpus_manifest = "2306f952fb687d93a1c3de805abaaf9b"
+
+let test_corpus_golden () =
+  let module C = Suite.Corpus in
+  List.iter
+    (fun (size, domains, absint, expected) ->
+      let what =
+        Printf.sprintf "corpus %d, %d domain(s), absint %b" size domains absint
+      in
+      let specs = C.generate ~seed:42 ~size in
+      let report =
+        E.verify_programs
+          ~config:
+            {
+              E.default_config with
+              E.domains;
+              options = { E.Options.default with absint };
+            }
+          (List.map (fun (s : C.spec) -> (s.C.name, s.C.program)) specs)
+      in
+      let verdicts =
+        List.map
+          (fun (g : E.group_result) -> (g.E.group, not (E.group_ok g)))
+          report.E.groups
+      in
+      Alcotest.(check (list string))
+        (what ^ ": verdicts that differ from expect_fail") []
+        (List.filter_map
+           (fun ((s : C.spec), v) ->
+             if v = (s.C.name, s.C.expect_fail) then None else Some s.C.name)
+           (List.combine specs verdicts));
+      Alcotest.(check string)
+        (what ^ ": manifest") expected (C.manifest_digest verdicts))
+    [
+      (120, 2, true, quick_corpus_manifest);
+      (120, 2, false, quick_corpus_manifest);
+      (2000, 1, true, full_corpus_manifest);
+    ]
+
 (* 4. Every counter of [Smt.Stats] and [Vstats] is in its [fields]
    list, once, with accessors that address its own record field; and
    [sum]/[diff] are pointwise over that list. *)
@@ -224,6 +269,7 @@ let () =
           Alcotest.test_case "fallback-reasons" `Quick test_fallback_reasons;
           Alcotest.test_case "one-group-per-program" `Quick
             test_one_group_per_program;
+          Alcotest.test_case "corpus-golden" `Quick test_corpus_golden;
           cache_hammer;
         ] );
       ( "counters",

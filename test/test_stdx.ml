@@ -82,7 +82,15 @@ let test_q_overflow () =
   Alcotest.check_raises "max_int * 2" Q.Overflow (fun () ->
       ignore (Q.mul (Q.of_int max_int) (Q.of_int 2)));
   Alcotest.check_raises "(max_int/2) * (1/3 + 1)" Q.Overflow (fun () ->
-      ignore (Q.mul (Q.of_int (max_int / 2)) (Q.mk 4 3)))
+      ignore (Q.mul (Q.of_int (max_int / 2)) (Q.mk 4 3)));
+  Alcotest.check_raises "min_int * -1" Q.Overflow (fun () ->
+      ignore (Q.mul_checked min_int (-1)));
+  Alcotest.check_raises "-1 * min_int" Q.Overflow (fun () ->
+      ignore (Q.mul_checked (-1) min_int));
+  Alcotest.check_raises "0 - min_int" Q.Overflow (fun () ->
+      ignore (Q.sub_checked 0 min_int));
+  Alcotest.(check int) "-1 - min_int" max_int (Q.sub_checked (-1) min_int);
+  Alcotest.(check int) "min_int - 0" min_int (Q.sub_checked min_int 0)
 
 let test_union_find () =
   let uf = Union_find.create () in
