@@ -378,79 +378,70 @@ let lint_overhead () =
     (100.0 *. !total_lint /. !total_verify)
 
 (* ------------------------------------------------------------------ *)
-(* R1: budget-polling overhead — the resilience acceptance target is
-   that running the whole positive suite under an ambient (generous)
-   deadline costs ≤2% over running it with no budget installed. *)
+(* Overhead targets: R1 (budget polling) and A4 (abstract
+   interpretation) each time the positive suite with a mechanism off
+   and on, against a ≤2% target. *)
 
+(** One sweep of the positive suite; a failing entry aborts [target]. *)
+let positive_sweep target ?absint () =
+  List.iter
+    (fun (e : Pr.entry) ->
+      let ok, _, _, _ = run_verifier ?absint e.prog in
+      if not ok then failwith (target ^ ": " ^ e.name ^ " failed"))
+    Pr.positive
+
+(** Interleaved A/B, best of [reps] per arm: alternating [off]/[on]
+    pairs cancel clock/GC drift that a block design would book as
+    overhead. The sweeps are tens of ms, so a single scheduler hiccup
+    landing in one arm reads as percents of fake overhead; the count
+    buys that noise down. Returns the percent overhead of [on]. *)
+let interleaved_overhead ~off ~on =
+  let reps = if !quick then 7 else 21 in
+  ignore (time off) (* warm up: allocators, caches, code paths *);
+  ignore (time on);
+  let t_off = ref infinity and t_on = ref infinity in
+  for _ = 1 to reps do
+    t_off := Float.min !t_off (snd (time off));
+    t_on := Float.min !t_on (snd (time on))
+  done;
+  (!t_off, !t_on, 100.0 *. ((!t_on /. !t_off) -. 1.0))
+
+let over_target overhead =
+  if overhead <= 2.0 then "" else "  << OVER TARGET (2%)"
+
+(* R1: running the suite under an ambient (generous) deadline, against
+   no budget installed. *)
 let budget_overhead () =
   printf "\n== R1: budget-polling overhead ==\n";
-  let reps = if !quick then 3 else 7 in
-  let sweep () =
-    List.iter
-      (fun (e : Pr.entry) ->
-        let ok, _, _, _ = run_verifier e.prog in
-        if not ok then failwith ("budget_overhead: " ^ e.name ^ " failed"))
-      Pr.positive
-  in
-  (* Best-of-reps per mode: single sweeps are short enough that
-     scheduler noise would swamp a ≤2% comparison. *)
-  let best f = snd (best_of reps f) in
-  ignore (best sweep) (* warm up: allocators, caches, code paths *);
-  let t_bare = best sweep in
-  let t_budget =
-    best (fun () ->
+  let sweep = positive_sweep "budget_overhead" in
+  let t_bare, t_budget, overhead =
+    interleaved_overhead ~off:sweep ~on:(fun () ->
         (* A deadline far beyond the sweep: every poll site pays the
            check, none ever fires. *)
         Stdx.Budget.with_budget
           (Stdx.Budget.create ~timeout_ms:600_000.0 ())
           sweep)
   in
-  let overhead = 100.0 *. ((t_budget /. t_bare) -. 1.0) in
   printf "%-18s %10s %12s %10s\n" "workload" "bare(ms)" "budget(ms)" "overhead";
   printf "%s\n" (String.make 54 '-');
   printf "%-18s %10.1f %12.1f %+9.2f%%%s\n" "positive suite" (ms t_bare)
-    (ms t_budget) overhead
-    (if overhead <= 2.0 then "" else "  << OVER TARGET (2%)")
+    (ms t_budget) overhead (over_target overhead)
 
-(* ------------------------------------------------------------------ *)
-(* A4: abstract-interpretation overhead — the acceptance target is
-   that the absint pass (the interval×parity environment threaded
+(* A4: the absint pass (the interval×parity environment threaded
    through every [add_pure], plus the Valid-only pre-discharge attempt
-   on every entailment) costs ≤2% wall clock over the positive suite
-   against a run with the pass disabled. The pass also *saves* solver
-   calls, so the net can come out negative. *)
-
+   on every entailment) against a run with the pass disabled. The
+   pass also *saves* solver calls, so the net can come out negative. *)
 let absint_overhead () =
   printf "\n== A4: abstract-interpretation overhead ==\n";
-  (* The sweeps are tens of ms, so reps are cheap — and at that scale
-     a single scheduler hiccup landing in one arm reads as percents of
-     fake overhead, so buy the noise down with count. *)
-  let reps = if !quick then 7 else 21 in
-  let sweep absint () =
-    List.iter
-      (fun (e : Pr.entry) ->
-        let ok, _, _, _ = run_verifier ~absint e.prog in
-        if not ok then failwith ("absint_overhead: " ^ e.name ^ " failed"))
-      Pr.positive
+  let sweep absint = positive_sweep "absint_overhead" ~absint in
+  let t_off, t_on, overhead =
+    interleaved_overhead ~off:(sweep false) ~on:(sweep true)
   in
-  (* Interleaved A/B, best-of-reps: alternating off/on pairs cancel
-     clock/GC drift that a block design would book as overhead. *)
-  ignore (time (sweep false)) (* warm up: allocators, caches, code paths *);
-  ignore (time (sweep true));
-  let t_off = ref infinity and t_on = ref infinity in
-  for _ = 1 to reps do
-    let _, d_off = time (sweep false) in
-    if d_off < !t_off then t_off := d_off;
-    let _, d_on = time (sweep true) in
-    if d_on < !t_on then t_on := d_on
-  done;
-  let t_off = !t_off and t_on = !t_on in
   (* How much the pass actually discharged on one instrumented sweep. *)
   let vstats = Verifier.Vstats.create () in
   List.iter
     (fun (e : Pr.entry) -> ignore (V.verify ~stats:vstats e.prog))
     Pr.positive;
-  let overhead = 100.0 *. ((t_on /. t_off) -. 1.0) in
   printf "%-18s %10s %12s %10s %16s\n" "workload" "off(ms)" "on(ms)"
     "overhead" "discharged";
   printf "%s\n" (String.make 72 '-');
@@ -459,7 +450,7 @@ let absint_overhead () =
     vstats.Verifier.Vstats.absint_discharged
     (vstats.Verifier.Vstats.absint_discharged
     + vstats.Verifier.Vstats.absint_abstained)
-    (if overhead <= 2.0 then "" else "  << OVER TARGET (2%)")
+    (over_target overhead)
 
 (* ------------------------------------------------------------------ *)
 (* C1: the concurrent suite — per-scenario verification time and

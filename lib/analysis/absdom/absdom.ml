@@ -29,24 +29,8 @@ type tv = Yes | No | Maybe
 
 let tv_not = function Yes -> No | No -> Yes | Maybe -> Maybe
 
-let pp_tv ppf tv =
-  Fmt.string ppf (match tv with Yes -> "yes" | No -> "no" | Maybe -> "maybe")
-
-(* ------------------------------------------------------------------ *)
-(* Overflow-checked machine arithmetic *)
-
-exception Overflow
-
-let add_exn a b =
-  let s = a + b in
-  if a >= 0 = (b >= 0) && s >= 0 <> (a >= 0) then raise Overflow else s
-
-let mul_exn a b =
-  if a = 0 || b = 0 then 0
-  else if a = min_int || b = min_int then raise Overflow
-  else
-    let p = a * b in
-    if p / b <> a then raise Overflow else p
+(* Coefficient arithmetic raises [C.Overflow] rather than wrapping. *)
+module C = Stdx.Checked
 
 (* ------------------------------------------------------------------ *)
 (* Intervals *)
@@ -91,7 +75,7 @@ module Itv = struct
     if c = 0 then of_int 0
     else
       let mul_b = function
-        | Fin n -> ( try Fin (mul_exn c n) with Overflow -> if (c > 0) = (n > 0) then Pinf else Ninf)
+        | Fin n -> ( try Fin (C.mul c n) with C.Overflow -> if (c > 0) = (n > 0) then Pinf else Ninf)
         | Ninf -> if c > 0 then Ninf else Pinf
         | Pinf -> if c > 0 then Pinf else Ninf
       in
@@ -265,17 +249,17 @@ let lin_add a b =
         if c < 0 then (x, cx) :: merge xs' ys
         else if c > 0 then (y, cy) :: merge xs ys'
         else
-          let s = add_exn cx cy in
+          let s = C.add cx cy in
           if s = 0 then merge xs' ys' else (x, s) :: merge xs' ys'
   in
-  { const = add_exn a.const b.const; coeffs = merge a.coeffs b.coeffs }
+  { const = C.add a.const b.const; coeffs = merge a.coeffs b.coeffs }
 
 let lin_scale c l =
   if c = 0 then lin_const 0
   else
     {
-      const = mul_exn c l.const;
-      coeffs = List.map (fun (t, k) -> (t, mul_exn c k)) l.coeffs;
+      const = C.mul c l.const;
+      coeffs = List.map (fun (t, k) -> (t, C.mul c k)) l.coeffs;
     }
 
 (** Normalize an int-sorted term to a linear form. Total: overflow
@@ -294,7 +278,7 @@ let lin_of (t : T.t) : lin =
         | _ -> lin_atom t)
     | _ -> lin_atom t
   in
-  try go t with Overflow -> lin_atom t
+  try go t with C.Overflow -> lin_atom t
 
 let lin_sub a b = lin_add a (lin_scale (-1) b)
 
@@ -403,7 +387,7 @@ let rec holds env (phi : T.t) : tv =
 
 (* The exception [holds] above creates: [lin_sub] can overflow when
    combining two already-normalized forms; treat as Maybe. *)
-let holds env phi = try holds env phi with Overflow -> (match env with Bot -> Yes | _ -> Maybe)
+let holds env phi = try holds env phi with C.Overflow -> (match env with Bot -> Yes | _ -> Maybe)
 
 (** Number of distinct atoms in the linear normal form of a
     comparison — the measure of how *relational* the formula is. A
@@ -415,12 +399,12 @@ let comparison_atoms phi =
   match T.view phi with
   | T.Eq (a, b) | T.Le (a, b) | T.Lt (a, b) -> (
       try Some (List.length (lin_sub (lin_of a) (lin_of b)).coeffs)
-      with Overflow -> None)
+      with C.Overflow -> None)
   | T.Not a -> (
       match T.view a with
       | T.Eq (x, y) | T.Le (x, y) | T.Lt (x, y) -> (
           try Some (List.length (lin_sub (lin_of x) (lin_of y)).coeffs)
-          with Overflow -> None)
+          with C.Overflow -> None)
       | _ -> None)
   | _ -> None
 
@@ -531,16 +515,16 @@ let rec assume (phi : T.t) (env : t) : t =
                 (assume_not a (assume_not b env))
           | T.Eq (a, b) -> (
               try refine_lin ~eq:true (lin_sub (lin_of a) (lin_of b)) m
-              with Overflow -> env)
+              with C.Overflow -> env)
           | T.Le (a, b) -> (
               try refine_lin ~eq:false (lin_sub (lin_of a) (lin_of b)) m
-              with Overflow -> env)
+              with C.Overflow -> env)
           | T.Lt (a, b) -> (
               try
                 refine_lin ~eq:false
                   (lin_add (lin_sub (lin_of a) (lin_of b)) (lin_const 1))
                   m
-              with Overflow -> env)
+              with C.Overflow -> env)
           | _ -> env))
 
 and assume_not (phi : T.t) (env : t) : t =

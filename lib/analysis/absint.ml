@@ -129,10 +129,9 @@ let rec eval ctx (st : Domain.t) (venv : T.t Smap.t) (e : HL.expr) :
         let r =
           match (ta, tb) with
           | Some ta, Some tb -> (
-              match (T.view ta, T.view tb) with
-              | T.Int_lit m, T.Int_lit n when n <> 0 ->
-                  Some (T.int (match op with HL.Div -> m / n | _ -> m mod n))
-              | _ -> None (* the executor faults on symbolic divisors *))
+              (* [None] on a symbolic divisor, which the executor faults
+                 on, and on a quotient the executor refuses *)
+              try K.divrem_term op ta tb with Stdx.Checked.Overflow -> None)
           | _ -> None
         in
         (st, r)

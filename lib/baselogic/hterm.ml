@@ -17,11 +17,6 @@ let deref_symbol = "!deref"
 (** [deref l] is the heap read [!l] as a term. *)
 let deref (l : Term.t) : Term.t = Term.app deref_symbol [ l ]
 
-let is_deref t =
-  match Term.view t with
-  | Term.App (f, [ _ ]) -> String.equal f deref_symbol
-  | _ -> false
-
 (** All location terms read by [t], outermost first. A term is
     heap-dependent iff this is nonempty. *)
 let rec reads acc (t : Term.t) : Term.t list =

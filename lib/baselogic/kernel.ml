@@ -812,6 +812,18 @@ let binop_term (op : HL.bin_op) (a : T.t) (b : T.t) : T.t option =
   | HL.AndOp -> Some (T.ite (T.eq a (T.int 0)) (T.int 0) b)
   | HL.OrOp -> Some (T.ite (T.eq a (T.int 0)) b (T.int 1))
 
+(** Division and remainder of two literals with a non-zero divisor,
+    through {!Stdx.Checked} ([min_int / -1] raises
+    [Stdx.Checked.Overflow]); [None] otherwise. Symbolic execution
+    only: no kernel rule uses it. *)
+let divrem_term (op : HL.bin_op) (a : T.t) (b : T.t) : T.t option =
+  match (op, T.view a, T.view b) with
+  | HL.Div, T.Int_lit m, T.Int_lit n when n <> 0 ->
+      Some (T.int (Stdx.Checked.div m n))
+  | HL.Rem, T.Int_lit m, T.Int_lit n when n <> 0 ->
+      Some (T.int (Stdx.Checked.rem m n))
+  | _ -> None
+
 (** Recover the program expression whose operands encode as [a], [b]:
     only variable and literal encodings are permitted, so the encoding
     is unambiguous. *)

@@ -251,6 +251,12 @@ val binop_term :
 (** Symbolic meaning of a binary operator (division and remainder have
     none and are handled on concrete values only). *)
 
+val divrem_term :
+  Heaplang.Ast.bin_op -> Smt.Term.t -> Smt.Term.t -> Smt.Term.t option
+(** Division or remainder of two literals with a non-zero divisor;
+    [None] otherwise. Raises [Stdx.Checked.Overflow] on [min_int / -1].
+    No kernel rule uses it. *)
+
 val wp_value : ?penv:Assertion.pred_env -> Heaplang.Ast.value -> string -> Assertion.t -> theorem
 (** [Q\[v/x\] ⊢ WP v {x. Q}] *)
 

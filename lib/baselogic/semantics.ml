@@ -43,24 +43,6 @@ type cval =
 
 type res = { rheap : (Q.t * int) Imap.t; rghost : cval Smap.t }
 
-let empty_res = { rheap = Imap.empty; rghost = Smap.empty }
-
-let pp_cval ppf = function
-  | CExcl n -> Fmt.pf ppf "excl %d" n
-  | CAgree n -> Fmt.pf ppf "ag %d" n
-  | CFrac q -> Fmt.pf ppf "frac %a" Q.pp q
-  | CAuthNat (Some n, m) -> Fmt.pf ppf "●%d⋅◯%d" n m
-  | CAuthNat (None, m) -> Fmt.pf ppf "◯%d" m
-  | CMaxNat n -> Fmt.pf ppf "max %d" n
-  | CToken -> Fmt.string ppf "tok"
-
-let pp_res ppf r =
-  Fmt.pf ppf "{heap=%a; ghost=%a}"
-    (Fmt.list ~sep:Fmt.comma (fun ppf (l, (q, v)) ->
-         Fmt.pf ppf "#%d↦{%a}%d" l Q.pp q v))
-    (Imap.bindings r.rheap)
-    (Smap.pp pp_cval) r.rghost
-
 let cval_op (a : cval) (b : cval) : cval option =
   match (a, b) with
   | CExcl _, CExcl _ | CToken, CToken -> None
@@ -146,21 +128,6 @@ let compat (sigma : int Imap.t) (r : res) : bool =
       | Some w -> v = w
       | None -> false)
     r.rheap
-
-(** Resource inclusion a ≼ b (pointwise). *)
-let res_incl (a : res) (b : res) : bool =
-  Imap.for_all
-    (fun l (q, v) ->
-      match Imap.find_opt l b.rheap with
-      | Some (q', v') -> v = v' && Q.leq q q'
-      | None -> false)
-    a.rheap
-  && Smap.for_all
-       (fun g cv ->
-         match Smap.find_opt g b.rghost with
-         | Some cv' -> cval_incl cv cv'
-         | None -> false)
-       a.rghost
 
 (* ------------------------------------------------------------------ *)
 (* Splitting (for Sep) *)
@@ -267,8 +234,6 @@ type model = {
   resources : res list;  (** universe for wand / update / WP frames *)
   globals : int Imap.t list;  (** universe for [Stabilize] *)
 }
-
-let default_ints = [ -1; 0; 1; 2; 3 ]
 
 let value_as_int : Heaplang.Ast.value -> int option = function
   | Heaplang.Ast.Unit -> Some 0

@@ -26,12 +26,6 @@ let brute_force (type a) (module C : Camera_intf.FINITE with type t = a)
        (fun f -> (not (C.valid (C.op a f))) || C.valid (C.op b f))
        C.elements
 
-(** In the exclusive camera every frame invalidates [a], so [Excl x ~~>
-    Excl y] holds unconditionally; more generally any update between
-    *exclusive* elements (elements whose composition with every frame
-    is invalid) only needs the target valid on its own. *)
-let exclusive_fpu ~valid_target = valid_target
-
 (** Local update on [nat_add]: [(n, m) ~l~> (n + k, m + k)]. Lifted to
     the authoritative camera this is the counter-increment update
     [● n ⋅ ◯ m ~~> ● (n+k) ⋅ ◯ (m+k)]. *)

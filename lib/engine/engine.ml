@@ -74,14 +74,6 @@ type report = {
 let group_ok (g : group_result) =
   List.for_all (fun (_, o) -> o = V.Verified) g.outcomes
 
-(** Did the verifier abstain somewhere in this group (timeout,
-    resource exhaustion, crash) without finding an actual failure?
-    Distinguishes "the program is wrong" from "the verifier gave up" —
-    the CLI maps the two onto different exit codes. *)
-let group_gave_up (g : group_result) =
-  List.exists (fun (_, o) -> not (V.decided o)) g.outcomes
-  && not (List.exists (fun (_, o) -> match o with V.Failed _ -> true | _ -> false) g.outcomes)
-
 (** The static-analysis phase: one job per program, drained over the
     same domain pool the verification jobs will use. Pure and
     solver-free, so no stats prologue/epilogue is needed. [srcmaps]

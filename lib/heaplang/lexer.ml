@@ -107,7 +107,14 @@ let tokenize ?(file = "") (src : string) : (token * Loc.t) list =
       while !j < n && is_digit src.[!j] do incr j done;
       let lit = String.sub src !i (!j - !i) in
       i := !j;
-      emit (INT (int_of_string lit)) pos
+      match Checked.of_string_opt lit with
+      | Some n -> emit (INT n) pos
+      | None ->
+          raise
+            (Lex_error
+               ( Printf.sprintf "integer literal %s out of range (max %d)" lit
+                   max_int,
+                 span pos !j ))
     end
     else if c = '_' && !i + 1 < n && src.[!i + 1] = '|' then begin
       (* _| closes a stabilization bracket; checked before identifiers

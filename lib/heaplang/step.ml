@@ -62,27 +62,26 @@ type op_error = Bad_operands | Overflow
 
 let overflow_msg = "integer overflow: result not representable"
 
-(* [Stdx.Q]'s checked primitives raise [Q.Overflow] rather than wrap. *)
+(* {!Stdx.Checked} raises rather than wrap. *)
 let exact f a b =
   match f a b with
   | n -> Ok (Int n)
-  | exception Stdx.Q.Overflow -> Error Overflow
+  | exception Stdx.Checked.Overflow -> Error Overflow
 
 let eval_un_op op v =
   match (op, v) with
-  | Neg, Int n -> exact Stdx.Q.sub_checked 0 n
+  | Neg, Int n -> exact Stdx.Checked.sub 0 n
   | Not, Bool b -> Ok (Bool (not b))
   | _ -> Error Bad_operands
 
 let eval_bin_op op v1 v2 =
   match (op, v1, v2) with
-  | Add, Int a, Int b -> exact Stdx.Q.add_checked a b
-  | Sub, Int a, Int b -> exact Stdx.Q.sub_checked a b
-  | Mul, Int a, Int b -> exact Stdx.Q.mul_checked a b
+  | Add, Int a, Int b -> exact Stdx.Checked.add a b
+  | Sub, Int a, Int b -> exact Stdx.Checked.sub a b
+  | Mul, Int a, Int b -> exact Stdx.Checked.mul a b
   | (Div | Rem), Int _, Int 0 -> Error Bad_operands
-  | Div, Int a, Int b ->
-      if a = min_int && b = -1 then Error Overflow else Ok (Int (a / b))
-  | Rem, Int a, Int b -> Ok (Int (a mod b))
+  | Div, Int a, Int b -> exact Stdx.Checked.div a b
+  | Rem, Int a, Int b -> exact Stdx.Checked.rem a b
   | Eq, a, b -> Ok (Bool (value_equal a b))
   | Ne, a, b -> Ok (Bool (not (value_equal a b)))
   | Lt, Int a, Int b -> Ok (Bool (a < b))

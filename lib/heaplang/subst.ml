@@ -42,9 +42,6 @@ let rec subst x v (e : expr) : expr =
   | Par (e1, e2) -> Par (go e1, go e2)
   | Atomic e1 -> Atomic (go e1)
 
-let subst_list bindings e =
-  List.fold_left (fun e (x, v) -> subst x v e) e bindings
-
 (** Close a program's symbolic values ([Sym x]) with concrete values —
     used before running a verified program or model-checking a WP. *)
 let rec close_value (env : (string * value) list) (v : value) : value =

@@ -57,11 +57,6 @@ let rpc t req : (Json.t, string) result =
   | exception Unix.Unix_error (e, _, _) ->
       Error ("send: " ^ Unix.error_message e)
 
-let with_connection path f =
-  match connect path with
-  | Error _ as e -> e
-  | Ok c -> Fun.protect ~finally:(fun () -> close c) (fun () -> f c)
-
 (* --------------------------------------------------------------- *)
 (* Resilient sessions: reconnect + idempotent retry *)
 

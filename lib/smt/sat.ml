@@ -216,8 +216,6 @@ let value_lit t l =
   let a = t.assign.(var_of_lit l) in
   if a < 0 then -1 else if is_pos l then a else 1 - a
 
-let decision_level t = t.n_levels
-
 let enqueue t l reason =
   let v = var_of_lit l in
   t.assign.(v) <- (if is_pos l then 1 else 0);

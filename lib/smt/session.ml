@@ -272,9 +272,9 @@ let refute_neq s (m : int Smap.t) (a : Term.t) (b : Term.t) =
             else env)
           m (Term.vars other)
       in
-      match Term.eval ~env other with
-      | Some v -> Some (Smap.add x (v + 1) env)
-      | None -> None
+      match Option.map (Stdx.Checked.add 1) (Term.eval ~env other) with
+      | Some v -> Some (Smap.add x v env)
+      | None | (exception Stdx.Checked.Overflow) -> None
   in
   match (Term.view a, Term.view b) with
   | Term.Var (x, Sort.Int), _ -> (
@@ -384,59 +384,49 @@ let probe s natoms fallback invalid =
 
 exception Poly_fail
 
-(* Coefficients stay far below [max_int]: every operation is bounds-
-   checked and bails to the theory solver rather than wrapping. *)
-let poly_bound = 1 lsl 40
-
 let poly_of s (t0 : Term.t) : (int Smap.t * int) option =
   if s.poly_gen <> s.gen then begin
     Hashtbl.reset s.poly_tbl;
     s.poly_gen <- s.gen
   end;
   let fuel = ref 4096 in
-  let chk n = if n > poly_bound || n < -poly_bound then raise Poly_fail else n in
-  let combine sign (c1, k1) (c2, k2) =
+  let combine op (c1, k1) (c2, k2) =
     ( Smap.merge
         (fun _ a b ->
-          let v =
-            chk
-              (Option.value a ~default:0 + (sign * Option.value b ~default:0))
-          in
+          let v = op (Option.value a ~default:0) (Option.value b ~default:0) in
           if v = 0 then None else Some v)
         c1 c2,
-      chk (k1 + (sign * k2)) )
+      op k1 k2 )
   in
   let scale c (cs, k) =
     if c = 0 then (Smap.empty, 0)
     else
-      (* Refuse products whose magnitude exceeds [poly_bound] *before*
-         multiplying: checking afterwards would let a native-int wrap
-         land back inside the bound and corrupt the normal form. *)
-      let mul v =
-        if v <> 0 && abs v > poly_bound / abs c then raise Poly_fail
-        else v * c
-      in
-      (Smap.filter_map (fun _ v -> Some (mul v)) cs, mul k)
+      let mul v = Stdx.Checked.mul v c in
+      (Smap.map mul cs, mul k)
   in
   let rec go t =
     match Hashtbl.find_opt s.poly_tbl (Term.id t) with
     | Some (Some p) -> p
     | Some None -> raise Poly_fail
     | None ->
-        let r = try Some (compute t) with Poly_fail -> None in
+        (* Coefficients are exact ({!Stdx.Checked}): one a native [int]
+           cannot hold bails to the theory solver rather than wrapping. *)
+        let r =
+          try Some (compute t) with Poly_fail | Stdx.Checked.Overflow -> None
+        in
         Hashtbl.replace s.poly_tbl (Term.id t) r;
         (match r with Some p -> p | None -> raise Poly_fail)
   and compute t =
     decr fuel;
     if !fuel <= 0 then raise Poly_fail;
     match Term.view t with
-    | Term.Int_lit n -> (Smap.empty, chk n)
+    | Term.Int_lit n -> (Smap.empty, n)
     | Term.Var (x, Sort.Int) -> (
         match Smap.find_opt x s.defs with
         | Some d -> go d
         | None -> (Smap.singleton x 1, 0))
-    | Term.Add (a, b) -> combine 1 (go a) (go b)
-    | Term.Sub (a, b) -> combine (-1) (go a) (go b)
+    | Term.Add (a, b) -> combine Stdx.Checked.add (go a) (go b)
+    | Term.Sub (a, b) -> combine Stdx.Checked.sub (go a) (go b)
     | Term.Mul (a, b) -> (
         let pa = go a in
         let pb = go b in
@@ -458,8 +448,8 @@ let poly_entails s (natoms : Theory.atom list) : bool =
   let const_diff a b =
     (* poly(a) - poly(b) when it is a constant *)
     match (poly_of s a, poly_of s b) with
-    | Some (ca, ka), Some (cb, kb) when Smap.equal Int.equal ca cb ->
-        Some (ka - kb)
+    | Some (ca, ka), Some (cb, kb) when Smap.equal Int.equal ca cb -> (
+        try Some (Stdx.Checked.sub ka kb) with Stdx.Checked.Overflow -> None)
     | _ -> None
   in
   List.exists
@@ -538,9 +528,6 @@ let check_goal s (goal : Term.t) : Solver.verdict =
               if natoms = [] then fallback Untrusted_ctx
               else probe s natoms fallback invalid))
   end
-
-let check_goal_bool s goal =
-  match check_goal s goal with Solver.Valid -> true | _ -> false
 
 (* --------------------------------------------------------------- *)
 (* Context synchronization *)

@@ -31,11 +31,6 @@ type result =
       (** a fuel knob ran dry before an answer; distinct from [Unknown]
           because a retry with a bigger budget may well succeed *)
 
-let pp_model ppf m =
-  Fmt.pf ppf "@[<v>%a@ %a@]"
-    (Smap.pp Fmt.int) m.ints
-    (Smap.pp Fmt.bool) m.bools
-
 (* ------------------------------------------------------------------ *)
 (* Preprocessing: eliminate integer-sorted ite *)
 

@@ -244,17 +244,24 @@ let fls = intern False
 let app f args = intern (App (f, args))
 let pred f args = intern (Pred (f, args))
 
+(* Two literals fold only to an exact result ({!Stdx.Checked}); one a
+   native [int] cannot hold leaves the node symbolic, and the theory's
+   exact arithmetic refuses it later instead of seeing a wrapped
+   literal. *)
+let fold_lit op m n node =
+  match op m n with r -> int r | exception Stdx.Checked.Overflow -> intern node
+
 let add a b =
   match (a.node, b.node) with
   | Int_lit 0, _ -> b
   | _, Int_lit 0 -> a
-  | Int_lit m, Int_lit n -> int (m + n)
+  | Int_lit m, Int_lit n -> fold_lit Stdx.Checked.add m n (Add (a, b))
   | _ -> intern (Add (a, b))
 
 let sub a b =
   match (a.node, b.node) with
   | _, Int_lit 0 -> a
-  | Int_lit m, Int_lit n -> int (m - n)
+  | Int_lit m, Int_lit n -> fold_lit Stdx.Checked.sub m n (Sub (a, b))
   | _ -> intern (Sub (a, b))
 
 let mul a b =
@@ -262,7 +269,7 @@ let mul a b =
   | Int_lit 0, _ | _, Int_lit 0 -> int 0
   | Int_lit 1, _ -> b
   | _, Int_lit 1 -> a
-  | Int_lit m, Int_lit n -> int (m * n)
+  | Int_lit m, Int_lit n -> fold_lit Stdx.Checked.mul m n (Mul (a, b))
   | _ -> intern (Mul (a, b))
 
 let neg t = sub (int 0) t
@@ -405,7 +412,9 @@ let rec eval ~(env : int Stdx.Smap.t)
   let open Option in
   let int_of t = eval ~env ~on_app t in
   let both f a b =
-    bind (int_of a) (fun x -> bind (int_of b) (fun y -> Some (f x y)))
+    bind (int_of a) (fun x ->
+        bind (int_of b) (fun y ->
+            try Some (f x y) with Stdx.Checked.Overflow -> None))
   in
   match t.node with
   | Var (x, _) -> Stdx.Smap.find_opt x env
@@ -415,9 +424,9 @@ let rec eval ~(env : int Stdx.Smap.t)
   | App (f, args) | Pred (f, args) ->
       let vals = List.filter_map int_of args in
       if List.length vals = List.length args then on_app f vals else None
-  | Add (a, b) -> both ( + ) a b
-  | Sub (a, b) -> both ( - ) a b
-  | Mul (a, b) -> both ( * ) a b
+  | Add (a, b) -> both Stdx.Checked.add a b
+  | Sub (a, b) -> both Stdx.Checked.sub a b
+  | Mul (a, b) -> both Stdx.Checked.mul a b
   | Ite (c, a, b) ->
       bind (int_of c) (fun c -> if c <> 0 then int_of a else int_of b)
   | Eq (a, b) -> both (fun x y -> if x = y then 1 else 0) a b

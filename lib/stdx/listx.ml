@@ -58,12 +58,6 @@ let rec zip_with f xs ys =
   | x :: xs, y :: ys -> f x y :: zip_with f xs ys
   | _ -> []
 
-(** Monadic fold over [Result]: stops at the first [Error]. *)
-let fold_result f init xs =
-  List.fold_left
-    (fun acc x -> Result.bind acc (fun acc -> f acc x))
-    (Ok init) xs
-
 (** [map_result f xs] maps [f] and collects, stopping at the first error. *)
 let map_result f xs =
   let rec go acc = function
@@ -72,6 +66,3 @@ let map_result f xs =
         match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
   in
   go [] xs
-
-let iter_result f xs =
-  fold_result (fun () x -> f x) () xs

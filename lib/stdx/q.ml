@@ -1,46 +1,27 @@
-(** Arbitrary-precision-free rational numbers over native [int].
+(** Rational numbers over native [int].
 
     The solver (Simplex/Fourier-Motzkin) and the fractional-permission
     camera both need exact rational arithmetic. The sealed container has
     no [zarith], so we normalize aggressively ([gcd] after every
-    operation) and keep magnitudes small; the verification conditions we
-    generate stay far away from [max_int]. Overflow raises [Overflow]
-    rather than wrapping silently. *)
-
-exception Overflow
+    operation). Every integer operation goes through {!Checked}: a
+    result a native [int] cannot hold raises [Checked.Overflow] rather
+    than wrapping. *)
 
 type t = { num : int; den : int }
 (** Invariant: [den > 0] and [gcd (abs num) den = 1]. *)
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-let add_checked a b =
-  let s = a + b in
-  if (a >= 0 && b >= 0 && s < 0) || (a < 0 && b < 0 && s >= 0) then
-    raise Overflow
-  else s
-
-let sub_checked a b =
-  let d = a - b in
-  if (a >= 0 && b < 0 && d < 0) || (a < 0 && b >= 0 && d >= 0) then
-    raise Overflow
-  else d
-
-(* [min_int * -1] wraps to [min_int], and [min_int / -1] wraps back to
-   [min_int], so the division test alone misses that one product. *)
-let mul_checked a b =
-  if a = 0 || b = 0 then 0
-  else
-    let p = a * b in
-    if p / b <> a || (b = -1 && a = min_int) then raise Overflow else p
-
 let mk num den =
   if den = 0 then invalid_arg "Q.mk: zero denominator";
-  let sign = if den < 0 then -1 else 1 in
-  let num = mul_checked num sign and den = abs den in
+  let num, den =
+    if den < 0 then (Checked.neg num, Checked.neg den) else (num, den)
+  in
   if num = 0 then { num = 0; den = 1 }
   else
-    let g = gcd (abs num) den in
+    (* [gcd (abs num) den], without taking [abs min_int]:
+       [abs (num mod den)] is below [den]. *)
+    let g = gcd den (abs (num mod den)) in
     { num = num / g; den = den / g }
 
 let of_int n = { num = n; den = 1 }
@@ -57,17 +38,17 @@ let den t = t.den
    assignments are integers, and the general path's cross products and
    [gcd] would change nothing. The overflow checks stay. *)
 let add a b =
-  if a.den = 1 && b.den = 1 then { num = add_checked a.num b.num; den = 1 }
+  if a.den = 1 && b.den = 1 then { num = Checked.add a.num b.num; den = 1 }
   else
     mk
-      (add_checked (mul_checked a.num b.den) (mul_checked b.num a.den))
-      (mul_checked a.den b.den)
+      (Checked.add (Checked.mul a.num b.den) (Checked.mul b.num a.den))
+      (Checked.mul a.den b.den)
 
-let neg a = { a with num = -a.num }
+let neg a = { a with num = Checked.neg a.num }
 let sub a b = add a (neg b)
 let mul a b =
-  if a.den = 1 && b.den = 1 then { num = mul_checked a.num b.num; den = 1 }
-  else mk (mul_checked a.num b.num) (mul_checked a.den b.den)
+  if a.den = 1 && b.den = 1 then { num = Checked.mul a.num b.num; den = 1 }
+  else mk (Checked.mul a.num b.num) (Checked.mul a.den b.den)
 
 let inv a =
   if a.num = 0 then invalid_arg "Q.inv: division by zero";
@@ -79,7 +60,7 @@ let compare a b =
   if a.den = 1 && b.den = 1 then Int.compare a.num b.num
   else
     (* Cross-multiplication; denominators are positive. *)
-    Int.compare (mul_checked a.num b.den) (mul_checked b.num a.den)
+    Int.compare (Checked.mul a.num b.den) (Checked.mul b.num a.den)
 
 let equal a b = a.num = b.num && a.den = b.den
 let sign a = compare a zero
@@ -89,7 +70,7 @@ let gt a b = compare a b > 0
 let geq a b = compare a b >= 0
 let min a b = if leq a b then a else b
 let max a b = if geq a b then a else b
-let abs a = { a with num = Stdlib.abs a.num }
+let abs a = if a.num < 0 then neg a else a
 let is_int a = a.den = 1
 
 let floor a =
@@ -98,8 +79,6 @@ let floor a =
   else (a.num / a.den) - 1
 
 let ceil a = -floor (neg a)
-
-let to_float a = float_of_int a.num /. float_of_int a.den
 
 let pp ppf a =
   if a.den = 1 then Fmt.int ppf a.num

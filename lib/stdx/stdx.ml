@@ -1,6 +1,7 @@
 (** Entry point for the utility substrate. *)
 
 module Budget = Budget
+module Checked = Checked
 module Counters = Counters
 module Fault = Fault
 module Watchdog = Watchdog

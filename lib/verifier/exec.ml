@@ -134,10 +134,9 @@ let binop st op (a : T.t) (b : T.t) : T.t =
   match op with
   | HL.Div | HL.Rem -> (
       ignore st;
-      match (T.view a, T.view b) with
-      | T.Int_lit m, T.Int_lit n when n <> 0 ->
-          T.int (if op = HL.Div then m / n else m mod n)
-      | _ ->
+      match K.divrem_term op a b with
+      | Some t -> t
+      | None ->
           fail "div/rem: only concrete operands supported (got %a %s %a)"
             T.pp a
             (if op = HL.Div then "/" else "%%")
@@ -472,8 +471,8 @@ let decided = function
     the parallel engine's workers stay isolated. A caller may pass a
     fresh [session] to inspect it afterwards (its lemma store). *)
 let verify_proc ?(heap_dep = true) ?(absint = true) ?(seed = 0)
-    ?(srcmap : Diag.srcmap = []) ?stats ?session (prog : program)
-    (proc : proc) : outcome =
+    ?(srcmap : Diag.srcmap = []) ?(stats = Vstats.create ()) ?session
+    (prog : program) (proc : proc) : outcome =
   match
     (* Deadline check on entry: a procedure whose budget is already
        spent (e.g. late in a tight per-job deadline) stops here rather
@@ -482,7 +481,7 @@ let verify_proc ?(heap_dep = true) ?(absint = true) ?(seed = 0)
     (* [create] is inside the guarded region: it enforces the
        declaration-time stability of every predicate body (DA012). *)
     let st =
-      create ~heap_dep ~absint ~seed ?session ?stats ~penv:prog.preds
+      create ~heap_dep ~absint ~seed ?session ~stats ~penv:prog.preds
         ~invs:prog.invs ()
     in
     inhale_cases st proc.requires
@@ -503,6 +502,11 @@ let verify_proc ?(heap_dep = true) ?(absint = true) ?(seed = 0)
       Timeout (Budget.reason_to_string r)
   | exception Budget.Exhausted (Budget.Fuel _ as r) ->
       Resource_out (Budget.reason_to_string r)
+  | exception Stdx.Checked.Overflow ->
+      (* The logic's integers are unbounded: a value a native [int]
+         cannot hold is refused, never wrapped and never a crash. *)
+      stats.Vstats.int_out_of_range <- stats.Vstats.int_out_of_range + 1;
+      Resource_out "integer out of range"
 
 (** Verify every procedure of a program; returns per-procedure
     outcomes. A shared [stats] instance accumulates across all

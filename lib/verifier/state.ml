@@ -246,8 +246,6 @@ let inhale (st : t) (a : A.t) : t =
       ignore sts;
       fail "inhale: disjunctive assertion needs inhale_cases: %a" A.pp a
 
-let inhale_all st l = List.fold_left inhale st l
-
 (* ------------------------------------------------------------------ *)
 (* Consume *)
 

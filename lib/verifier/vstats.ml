@@ -28,6 +28,9 @@ type t = {
   mutable interference_havocs : int;
       (** interference points where the footprint was havocked
           (par forks/joins) *)
+  mutable int_out_of_range : int;
+      (** verification attempts refused because an integer left the
+          native range ([Resource_out "integer out of range"]) *)
 }
 
 let create () =
@@ -45,6 +48,7 @@ let create () =
     par_branches = 0;
     inv_opens = 0;
     interference_havocs = 0;
+    int_out_of_range = 0;
   }
 
 (** Every counter, once: [sum], [pp], the report JSON and the daemon's
@@ -74,6 +78,8 @@ let fields : t Stdx.Counters.field list =
       Int ("inv_opens", (fun s -> s.inv_opens), fun s v -> s.inv_opens <- v);
       Int ("interference_havocs", (fun s -> s.interference_havocs),
            fun s v -> s.interference_havocs <- v);
+      Int ("int_out_of_range", (fun s -> s.int_out_of_range),
+           fun s v -> s.int_out_of_range <- v);
     ]
 
 let copy s = { s with obligations = s.obligations }

@@ -258,6 +258,42 @@ let cache_hammer =
          && E.Vc_cache.hits cache + E.Vc_cache.misses cache
             = 4 * List.length keys))
 
+(* Through the engine, with lint and absint on and off: every procedure
+   of {!Int_ref.out_of_range_source} is a counted resource-out, never a
+   verdict and never a crash. *)
+let test_out_of_range () =
+  let prog, _ =
+    Verifier.Elab.program_of_string ~file:"out_of_range.hl"
+      Int_ref.out_of_range_source
+  in
+  List.iter
+    (fun absint ->
+      let report =
+        E.verify_programs
+          ~config:
+            {
+              E.default_config with
+              options = E.Options.make ~lint:true ~absint ();
+            }
+          [ ("out_of_range", prog) ]
+      in
+      let what = Printf.sprintf "absint %b" absint in
+      List.iter
+        (fun (g : E.group_result) ->
+          List.iter
+            (fun (p, o) ->
+              Alcotest.check outcome (what ^ ": " ^ p)
+                (V.Resource_out "integer out of range") o)
+            g.E.outcomes)
+        report.E.groups;
+      let s = report.E.stats in
+      Alcotest.(check (pair int int))
+        (what ^ ": resource-outs, crashes") (5, 0)
+        (s.E.resource_outs, s.E.crashes);
+      Alcotest.(check int) (what ^ ": counted") 5
+        s.E.vstats.Verifier.Vstats.int_out_of_range)
+    [ true; false ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -270,6 +306,7 @@ let () =
           Alcotest.test_case "one-group-per-program" `Quick
             test_one_group_per_program;
           Alcotest.test_case "corpus-golden" `Quick test_corpus_golden;
+          Alcotest.test_case "out-of-range" `Quick test_out_of_range;
           cache_hammer;
         ] );
       ( "counters",

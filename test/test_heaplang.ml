@@ -221,67 +221,40 @@ let surfaces e =
    takes no step on any failure. *)
 let expect r = (r, r, match r with `Int _ -> r | _ -> `Undefined)
 
-(** The exact result of [a op b] through {!Stdx.Q}, truncating
-    division as OCaml does. Exact for operands other than [min_int]:
-    [Q.neg] and [Q.mk] wrap on it, so that value has its own table. *)
-let q_exact op a b =
-  let module Q = Stdx.Q in
-  let qa = Q.of_int a and qb = Q.of_int b in
-  let trunc q = Q.of_int (if Q.sign q >= 0 then Q.floor q else Q.ceil q) in
+(** The exact result of [a op b] through {!Int_ref}, truncating
+    division as OCaml does. *)
+let exact op a b =
   match op with
   | (Div | Rem) when b = 0 -> `Undefined
   | _ -> (
-      match
+      let r =
         match op with
-        | Add -> Q.add qa qb
-        | Sub -> Q.sub qa qb
-        | Mul -> Q.mul qa qb
-        | Div -> trunc (Q.div qa qb)
-        | _ -> Q.sub qa (Q.mul qb (trunc (Q.div qa qb)))
-      with
-      | q -> `Int (Q.num q)
-      | exception Q.Overflow -> `Overflow)
+        | Add -> Int_ref.add
+        | Sub -> Int_ref.sub
+        | Mul -> Int_ref.mul
+        | Div -> Int_ref.div
+        | _ -> Int_ref.rem
+      in
+      match r a b with Some n -> `Int n | None -> `Overflow)
 
 let int_ops = [ Add; Sub; Mul; Div; Rem ]
 let binop op a b = BinOp (op, Val (Int a), Val (Int b))
 let show (op, a, b) = Fmt.str "%d %a %d" a pp_bin_op op b
 
-(* Every [a op b] with a [min_int] operand among the boundary values,
-   where {!q_exact} cannot serve. *)
-let min_int_cases =
-  let m = min_int and x = max_int in
-  let pairs =
-    [ (m, 0); (m, 1); (m, -1); (m, m); (m, x); (0, m); (1, m); (-1, m); (x, m) ]
-  in
-  let i n = `Int n and ov = `Overflow and un = `Undefined in
-  List.concat_map
-    (fun (op, results) ->
-      List.map2 (fun (a, b) r -> ((op, a, b), r)) pairs results)
-    [
-      (Add, [ i m; i (m + 1); ov; ov; i (-1); i m; i (m + 1); ov; i (-1) ]);
-      (Sub, [ i m; ov; i (m + 1); i 0; ov; ov; ov; i x; ov ]);
-      (Mul, [ i 0; i m; ov; ov; ov; i 0; i m; ov; ov ]);
-      (Div, [ un; i m; ov; i 1; i (-1); i 0; i 0; i 0; i 0 ]);
-      (Rem, [ un; i 0; i 0; i 0; i (-1); i 0; i 1; i (-1); i x ]);
-    ]
-
 let test_int_boundaries () =
   let check name e r =
     Alcotest.(check (triple arith arith arith)) name (expect r) (surfaces e)
   in
-  let others = [ 0; 1; -1; max_int ] in
+  let bounds = [ 0; 1; -1; max_int; min_int ] in
   List.iter
     (fun op ->
       List.iter
         (fun a ->
           List.iter
-            (fun b -> check (show (op, a, b)) (binop op a b) (q_exact op a b))
-            others)
-        others)
+            (fun b -> check (show (op, a, b)) (binop op a b) (exact op a b))
+            bounds)
+        bounds)
     int_ops;
-  List.iter
-    (fun (((op, a, b) as c), r) -> check (show c) (binop op a b) r)
-    min_int_cases;
   List.iter
     (fun (n, r) -> check (Fmt.str "-(%d)" n) (UnOp (Neg, Val (Int n))) r)
     [
@@ -296,27 +269,12 @@ let test_int_boundaries () =
   Alcotest.(check bool) "the failure names integer overflow" true
     (String.starts_with ~prefix:"integer overflow" Step.overflow_msg)
 
-(* Operands near 0, near both bounds and near 2^31 (where products
-   cross the bound); [min_int] is left to the table above, since the
-   {!Stdx.Q} reference cannot negate it. *)
 let exact_or_overflow =
-  let open QCheck.Gen in
-  let near c = map (fun k -> c + k) (int_range (-64) 64) in
-  let operand =
-    oneof
-      [
-        small_signed_int;
-        map (fun n -> if n = min_int then max_int else n) int;
-        map (fun k -> max_int - k) (int_bound 64);
-        map (fun k -> k - max_int) (int_bound 64);
-        near (1 lsl 31);
-        near (-(1 lsl 31));
-      ]
-  in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"int-ops-exact-or-overflow" ~count:2000
-       (QCheck.make ~print:show (triple (oneofl int_ops) operand operand))
-       (fun (op, a, b) -> surfaces (binop op a b) = expect (q_exact op a b)))
+       (QCheck.make ~print:show
+          QCheck.Gen.(triple (oneofl int_ops) Int_ref.operand Int_ref.operand))
+       (fun (op, a, b) -> surfaces (binop op a b) = expect (exact op a b)))
 
 let test_subst () =
   let open Syntax in

@@ -960,6 +960,56 @@ let stat resp path key =
   | Some o -> Option.value ~default:(-1) (J.int_member key o)
   | None -> -1
 
+(* Integers the daemon cannot represent: a literal beyond [max_int] is
+   a located lex error, not a worker crash; a program whose arithmetic
+   leaves the native range gives up on every procedure, with absint on
+   and off. Neither recycles a worker. *)
+let test_e2e_out_of_range () =
+  let sock, _ = fresh_paths () in
+  let cfg = { Server.Daemon.default_config with socket_path = sock } in
+  with_daemon cfg (fun () ->
+      let c = connect sock in
+      Fun.protect
+        ~finally:(fun () -> Server.Client.close c)
+        (fun () ->
+          let big =
+            P.Source
+              {
+                file = "big.hl";
+                source =
+                  "procedure big() requires [true] ensures [true] { \
+                   4611686018427387904 }";
+              }
+          in
+          let r = rpc c (P.verify_request big) in
+          Alcotest.(check bool) "big literal rejected" false (get_bool r "ok");
+          Alcotest.(check bool) "as a located lex error" true
+            (contains (get_str r "error") "lex error at big.hl:1:50");
+          List.iter
+            (fun absint ->
+              let target =
+                P.Source
+                  { file = "out_of_range.hl"; source = Int_ref.out_of_range_source }
+              in
+              let what = Printf.sprintf "absint %b" absint in
+              let r =
+                rpc c
+                  (P.verify_request ~absint target)
+              in
+              Alcotest.(check string) (what ^ ": gave up") "gave_up"
+                (get_str r "status");
+              let refused =
+                String.split_on_char '\n' (get_str r "output")
+                |> List.filter (fun l -> contains l "integer out of range")
+              in
+              Alcotest.(check int) (what ^ ": every procedure refused") 5
+                (List.length refused))
+            [ true; false ];
+          let st = rpc c (P.stats_request ()) in
+          let sup k = stat st [ "stats"; "supervisor" ] k in
+          Alcotest.(check (list int)) "no crash, no respawn" [ 0; 0; 0 ]
+            [ sup "crashes"; sup "worker_crashes"; sup "respawns" ]))
+
 (** The keys the report's [stats] object and the [stats] op carried
     before every counter was derived from a field list, by path. Keys
     may be added, never moved or dropped: clients and dev/check.sh read
@@ -1659,6 +1709,8 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick
             test_e2e_shutdown_drains_in_flight;
           Alcotest.test_case "inline source" `Quick test_e2e_inline_source;
+          Alcotest.test_case "integers out of range" `Quick
+            test_e2e_out_of_range;
           Alcotest.test_case "lint" `Quick test_e2e_lint;
           Alcotest.test_case "stats keys preserved" `Quick
             test_e2e_stats_keys_preserved;

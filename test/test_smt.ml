@@ -1108,8 +1108,26 @@ let sat_reduce_differential =
                cnf
          | _, (Sat.Unknown | Sat.Resource_out) -> false))
 
+(* [Term.add]/[sub]/[mul] fold two literals to the exact result
+   ({!Int_ref}); when it does not fit, the node stays symbolic. They
+   never wrap. *)
+let fold_exact =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"fold-exact-or-symbolic" ~count:2000
+       (QCheck.make ~print:QCheck.Print.(pair int int)
+          (QCheck.Gen.pair Int_ref.operand Int_ref.operand))
+       (fun (a, b) ->
+         List.for_all
+           (fun (build, r) ->
+             match (Term.view (build (int a) (int b)), r a b) with
+             | Term.Int_lit n, Some m -> n = m
+             | (Term.Add _ | Term.Sub _ | Term.Mul _), None -> true
+             | _ -> false)
+           [ (add, Int_ref.add); (sub, Int_ref.sub); (mul, Int_ref.mul) ]))
+
 let hashcons_cases =
   [
+    fold_exact;
     hashcons_physical_eq;
     hashcons_eval;
     hashcons_vars;

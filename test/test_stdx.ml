@@ -74,23 +74,70 @@ let test_q_units () =
   Alcotest.(check int) "ceil -3/2" (-1) (Q.ceil (Q.mk (-3) 2));
   Alcotest.(check string) "pp" "5/3" (Q.to_string (Q.mk 10 6))
 
+let overflow = Checked.Overflow
+
 let test_q_overflow () =
-  Alcotest.check_raises "max_int + 1" Q.Overflow (fun () ->
+  Alcotest.check_raises "max_int + 1" overflow (fun () ->
       ignore (Q.add (Q.of_int max_int) Q.one));
-  Alcotest.check_raises "min_int - 1" Q.Overflow (fun () ->
+  Alcotest.check_raises "min_int - 1" overflow (fun () ->
       ignore (Q.sub (Q.of_int min_int) Q.one));
-  Alcotest.check_raises "max_int * 2" Q.Overflow (fun () ->
+  Alcotest.check_raises "max_int * 2" overflow (fun () ->
       ignore (Q.mul (Q.of_int max_int) (Q.of_int 2)));
-  Alcotest.check_raises "(max_int/2) * (1/3 + 1)" Q.Overflow (fun () ->
+  Alcotest.check_raises "(max_int/2) * (1/3 + 1)" overflow (fun () ->
       ignore (Q.mul (Q.of_int (max_int / 2)) (Q.mk 4 3)));
-  Alcotest.check_raises "min_int * -1" Q.Overflow (fun () ->
-      ignore (Q.mul_checked min_int (-1)));
-  Alcotest.check_raises "-1 * min_int" Q.Overflow (fun () ->
-      ignore (Q.mul_checked (-1) min_int));
-  Alcotest.check_raises "0 - min_int" Q.Overflow (fun () ->
-      ignore (Q.sub_checked 0 min_int));
-  Alcotest.(check int) "-1 - min_int" max_int (Q.sub_checked (-1) min_int);
-  Alcotest.(check int) "min_int - 0" min_int (Q.sub_checked min_int 0)
+  (* [min_int] has no negation: these used to wrap. *)
+  Alcotest.check_raises "Q.neg min_int" overflow (fun () ->
+      ignore (Q.neg (Q.of_int min_int)));
+  Alcotest.check_raises "Q.sub 0 min_int" overflow (fun () ->
+      ignore (Q.sub Q.zero (Q.of_int min_int)));
+  Alcotest.check_raises "Q.mk 1 min_int" overflow (fun () ->
+      ignore (Q.mk 1 min_int));
+  Alcotest.check_raises "Q.abs min_int" overflow (fun () ->
+      ignore (Q.abs (Q.of_int min_int)));
+  Alcotest.(check string) "Q.mk min_int 3 stays normalized"
+    (string_of_int min_int ^ "/3") (Q.to_string (Q.mk min_int 3))
+
+let test_checked_units () =
+  Alcotest.check_raises "min_int * -1" overflow (fun () ->
+      ignore (Checked.mul min_int (-1)));
+  Alcotest.check_raises "-1 * min_int" overflow (fun () ->
+      ignore (Checked.mul (-1) min_int));
+  Alcotest.check_raises "0 - min_int" overflow (fun () ->
+      ignore (Checked.sub 0 min_int));
+  Alcotest.check_raises "neg min_int" overflow (fun () ->
+      ignore (Checked.neg min_int));
+  Alcotest.check_raises "min_int / -1" overflow (fun () ->
+      ignore (Checked.div min_int (-1)));
+  Alcotest.(check int) "-1 - min_int" max_int (Checked.sub (-1) min_int);
+  Alcotest.(check int) "min_int - 0" min_int (Checked.sub min_int 0);
+  Alcotest.(check int) "min_int mod -1" 0 (Checked.rem min_int (-1));
+  Alcotest.(check (option int)) "max_int literal" (Some max_int)
+    (Checked.of_string_opt (string_of_int max_int));
+  Alcotest.(check (option int)) "max_int + 1 literal" None
+    (Checked.of_string_opt "4611686018427387904")
+
+(* Each checked operation against {!Int_ref}: the exact result, or
+   [Overflow] exactly when that result does not fit (and a zero divisor
+   raises [Division_by_zero] in both). *)
+let checked_props =
+  let agrees name f r =
+    prop name 2000
+      (QCheck.make ~print:QCheck.Print.(pair int int)
+         (QCheck.Gen.pair Int_ref.operand Int_ref.operand))
+      (fun (a, b) ->
+        let run f = try Ok (f a b) with Division_by_zero -> Error () in
+        run (fun a b ->
+            match f a b with n -> Some n | exception Checked.Overflow -> None)
+        = run r)
+  in
+  [
+    agrees "add" Checked.add Int_ref.add;
+    agrees "sub" Checked.sub Int_ref.sub;
+    agrees "mul" Checked.mul Int_ref.mul;
+    agrees "div" Checked.div Int_ref.div;
+    agrees "rem" Checked.rem Int_ref.rem;
+    agrees "neg" (fun a _ -> Checked.neg a) (fun a _ -> Int_ref.neg a);
+  ]
 
 let test_union_find () =
   let uf = Union_find.create () in
@@ -220,6 +267,9 @@ let () =
           Alcotest.test_case "overflow" `Quick test_q_overflow;
         ] );
       ("Q-props", q_props);
+      ( "checked",
+        Alcotest.test_case "units" `Quick test_checked_units :: checked_props
+      );
       ( "union-find",
         [ Alcotest.test_case "basic" `Quick test_union_find; uf_prop ] );
       ("listx", [ Alcotest.test_case "helpers" `Quick test_listx ]);

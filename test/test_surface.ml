@@ -161,6 +161,19 @@ let test_error_locations () =
         "message mentions procedure bodies" true
         (has_substring m "procedure bodies"))
 
+(* An integer literal beyond [max_int] is a located lex error spanning
+   the literal, never a wrapped value or an escaping [Failure]. *)
+let test_literal_out_of_range () =
+  Alcotest.(check bool) "max_int lexes" true
+    (Heaplang.Lexer.tokenize "4611686018427387903" <> []);
+  match Heaplang.Lexer.tokenize "1 +\n  4611686018427387904" with
+  | _ -> Alcotest.fail "max_int + 1 must not lex"
+  | exception Heaplang.Lexer.Lex_error (m, l) ->
+      Alcotest.(check (pair int int)) "line, col" (2, 3) (l.Loc.line, l.Loc.col);
+      Alcotest.(check int) "spans the literal" 19 (l.Loc.byte_stop - l.Loc.byte_start);
+      Alcotest.(check bool) ("message: " ^ m) true
+        (has_substring m "out of range")
+
 let test_match_parse () =
   let e =
     Heaplang.Parser.parse_exn
@@ -363,6 +376,8 @@ let () =
           Alcotest.test_case "broken.hl-verify-span" `Quick
             test_verify_failure_span;
           Alcotest.test_case "error-locations" `Quick test_error_locations;
+          Alcotest.test_case "literal-out-of-range" `Quick
+            test_literal_out_of_range;
           Alcotest.test_case "match-parse" `Quick test_match_parse;
         ] );
       ( "roundtrip",

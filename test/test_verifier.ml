@@ -357,6 +357,30 @@ let test_nested_atomic_exec () =
         Fmt.(list ~sep:sp (pair string V.pp_outcome))
         os
 
+(* Integers never wrap: every procedure of {!Int_ref.out_of_range_source}
+   is refused as out of range and counted, with the absint
+   pre-discharge on and off. *)
+let test_out_of_range () =
+  let prog, _ =
+    Verifier.Elab.program_of_string ~file:"out_of_range.hl"
+      Int_ref.out_of_range_source
+  in
+  List.iter
+    (fun absint ->
+      let stats = Verifier.Vstats.create () in
+      List.iter
+        (fun (p : V.proc) ->
+          match V.verify_proc ~absint ~stats prog p with
+          | V.Resource_out "integer out of range" -> ()
+          | o ->
+              Alcotest.failf "%s (absint %b): %a" p.V.pname absint
+                V.pp_outcome o)
+        prog.V.procs;
+      Alcotest.(check int)
+        (Printf.sprintf "counted (absint %b)" absint)
+        5 stats.Verifier.Vstats.int_out_of_range)
+    [ true; false ]
+
 let () =
   Alcotest.run "verifier"
     [
@@ -390,5 +414,6 @@ let () =
             test_seed_independence;
           Alcotest.test_case "nested-atomic-exec" `Quick
             test_nested_atomic_exec;
+          Alcotest.test_case "out-of-range" `Quick test_out_of_range;
         ] );
     ]
