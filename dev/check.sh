@@ -162,6 +162,27 @@ for f in examples/*.hl; do
   esac
 done
 
+echo "== integer refusal gate: out of range is refused once, never retried =="
+# An integer that leaves the native range is a deterministic refusal
+# (exit 2, resource-out): more budget cannot change it, so --retries
+# must not re-run it, and it is counted once.
+wrap_dir=$(mktemp -d)
+echo 'procedure wrap() requires [true] ensures [4611686018427387903 + 1 < 0] { 0 }' \
+  > "$wrap_dir/wrap.hl"
+st=0
+wrap_json=$(dune exec bin/daenerys.exe -- verify --retries 3 --json "$wrap_dir/wrap.hl") || st=$?
+rm -rf "$wrap_dir"
+wrap_stat() {
+  echo "$wrap_json" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2
+}
+if [ "$st" -ne 2 ] || [ "$(wrap_stat retries)" != 0 ] \
+   || [ "$(wrap_stat int_out_of_range)" != 1 ]; then
+  echo "FAIL: wrap under --retries 3 exited $st with retries=$(wrap_stat retries)" \
+    "int_out_of_range=$(wrap_stat int_out_of_range), expected 2, 0 and 1" >&2
+  exit 1
+fi
+echo "wrap: refused once (retries=0, int_out_of_range=1)"
+
 echo "== concurrency gate: verdicts identical under seeds 1/2/3 =="
 # The scheduler seed permutes par-branch exploration order; verdicts
 # must not depend on it. Positives stay verified and negatives keep

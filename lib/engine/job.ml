@@ -80,18 +80,22 @@ let run_once (job : t) vstats ~timeout_ms : V.outcome =
       V.Crashed { V.exn = Printexc.to_string e; backtrace }
 
 (** Run a job; never raises. [timeout_ms] bounds one attempt's wall
-    clock; on [Timeout]/[Resource_out] the job is retried up to
-    [retries] times with the deadline escalated by {!escalation} per
-    attempt (graceful degradation in the other direction: given more
-    room, most resource-outs resolve to a real verdict). [Failed],
-    [Verified] and [Crashed] are never retried — the first two are
-    judgements, and a crash is a bug to surface, not to mask. *)
+    clock; on [Timeout] or a fuel [Resource_out] the job is retried up
+    to [retries] times with the deadline escalated by {!escalation}
+    per attempt (graceful degradation in the other direction: given
+    more room, most resource-outs resolve to a real verdict). [Failed],
+    [Verified], [Crashed] and the deterministic
+    {!V.int_out_of_range} refusal are never retried — the first two
+    are judgements, a crash is a bug to surface, not to mask, and no
+    budget moves an integer back into range. *)
 let run ?timeout_ms ?(retries = 0) (job : t) : result =
   let vstats = Verifier.Vstats.create () in
   let t0 = Unix.gettimeofday () in
   let rec attempt n ~timeout_ms =
     let outcome = run_once job vstats ~timeout_ms in
     match outcome with
+    | V.Resource_out m when String.equal m V.int_out_of_range ->
+        (outcome, n)
     | V.Timeout _ | V.Resource_out _ when n <= retries ->
         attempt (n + 1)
           ~timeout_ms:(Option.map (fun ms -> ms *. escalation) timeout_ms)

@@ -213,7 +213,7 @@ let assert_hyp s (h : Term.t) =
     hypotheses), a model is trusted only when nothing was held back and
     no disequality is in scope. The verifier asks about the same live
     context many times in a row (feasibility after every step, one
-    entailment per heap chunk scanned), so this is checked once and
+    {!separated} test per heap chunk scanned), so this is checked once and
     then answered from cache until the context changes. *)
 let context_status s =
   match s.ctx_cache with
@@ -246,24 +246,32 @@ let context_vars s =
       s.ctx_vars <- Some (s.gen, vs);
       vs
 
-(** [refute_neq s m a b] tries to extend the trusted context model [m]
-    to a witness of [a ≠ b]. If one side is an integer variable
-    occurring neither in the hypotheses nor in the other side, every
-    model of the context extends to one separating the two sides (the
-    fresh variable is unconstrained), so the entailment of [a = b] is
-    refuted with no theory work — this is the common case of the
-    verifier's heap-chunk scans asking "is this the chunk for that
-    location?". The witness values are best-effort: other
-    context-fresh variables default to 0, which cannot falsify
-    hypotheses they do not occur in. *)
-let refute_neq s (m : int Smap.t) (a : Term.t) (b : Term.t) =
+(** The orientations [(x, other)] of [a = b] in which [x] is an
+    integer variable occurring neither in the hypotheses nor in
+    [other], left side first. Each one makes [a = b] refutable under
+    any satisfiable context: every model of the context extends to one
+    separating the two sides, because [x] is unconstrained. *)
+let fresh_sides s (a : Term.t) (b : Term.t) : (string * Term.t) list =
   let ctx = context_vars s in
-  let try_fresh x other =
-    if
-      Smap.mem x ctx
-      || List.exists (fun (y, _) -> String.equal y x) (Term.vars other)
-    then None
-    else
+  let side t other =
+    match Term.view t with
+    | Term.Var (x, Sort.Int)
+      when (not (Smap.mem x ctx))
+           && not (List.exists (fun (y, _) -> String.equal y x)
+                     (Term.vars other)) ->
+        [ (x, other) ]
+    | _ -> []
+  in
+  side a b @ side b a
+
+(** [refute_neq s m a b] tries to extend the trusted context model [m]
+    to a witness of [a ≠ b] over a {!fresh_sides} orientation, so the
+    entailment of [a = b] is refuted with no theory work. The witness
+    values are best-effort: other context-fresh variables default to 0,
+    which cannot falsify hypotheses they do not occur in. *)
+let refute_neq s (m : int Smap.t) (a : Term.t) (b : Term.t) =
+  List.find_map
+    (fun (x, other) ->
       let env =
         List.fold_left
           (fun env (y, srt) ->
@@ -274,18 +282,26 @@ let refute_neq s (m : int Smap.t) (a : Term.t) (b : Term.t) =
       in
       match Option.map (Stdx.Checked.add 1) (Term.eval ~env other) with
       | Some v -> Some (Smap.add x v env)
-      | None | (exception Stdx.Checked.Overflow) -> None
-  in
-  match (Term.view a, Term.view b) with
-  | Term.Var (x, Sort.Int), _ -> (
-      match try_fresh x b with
-      | Some _ as r -> r
-      | None -> (
-          match Term.view b with
-          | Term.Var (y, Sort.Int) -> try_fresh y a
-          | _ -> None))
-  | _, Term.Var (y, Sort.Int) -> try_fresh y a
-  | _ -> None
+      | None | (exception Stdx.Checked.Overflow) -> None)
+    (fresh_sides s a b)
+
+(** Escape hatch for benchmarks and differential tests: when set, every
+    {!check_goal} routes through the one-shot pipeline exactly
+    like the pre-session verifier, so session-based and one-shot runs
+    can be compared on identical workloads. Domain-local would be
+    cleaner, but the flag is only flipped by single-domain harnesses. *)
+let oneshot = ref false
+
+(** [separated s a b]: is [a = b] refuted by the live context without a
+    check? True only when the cached context status is a trusted model
+    and one side is context-fresh ({!fresh_sides}) — the verifier's
+    heap-chunk lookups ask this of every candidate before spending an
+    obligation on it. Never under {!oneshot}, whose runs must ask the
+    one-shot pipeline every question. *)
+let separated s (a : Term.t) (b : Term.t) =
+  (not !oneshot)
+  && (match context_status s with CtxSat _ -> true | _ -> false)
+  && fresh_sides s a b <> []
 
 (** Why a check left the session for the one-shot pipeline, in the
     order {!check_goal} tests the reasons; each has its [fallback_*]
@@ -307,13 +323,6 @@ let count_fallback (st : Stats.t) = function
   | Ctx_neq -> st.fallback_ctx_neq <- st.fallback_ctx_neq + 1
   | Goal_neqs -> st.fallback_goal_neqs <- st.fallback_goal_neqs + 1
   | Inconclusive -> st.fallback_inconclusive <- st.fallback_inconclusive + 1
-
-(** Escape hatch for benchmarks and differential tests: when set, every
-    {!check_goal} routes through the one-shot pipeline exactly
-    like the pre-session verifier, so session-based and one-shot runs
-    can be compared on identical workloads. Domain-local would be
-    cleaner, but the flag is only flipped by single-domain harnesses. *)
-let oneshot = ref false
 
 (** Discharge the negated-goal atoms against the live context by theory
     probes. Integer disequalities among them are split into strict

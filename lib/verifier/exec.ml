@@ -337,8 +337,7 @@ and take_full st l =
   match
     take st (function
       | A.Points_to { loc; frac; _ } ->
-          Q.equal frac Q.one
-          && (T.equal l loc || entails st (T.eq l loc))
+          Q.equal frac Q.one && same_loc st l loc
       | _ -> false)
   with
   | Some (A.Points_to { value; _ }, st') -> (st', value)
@@ -452,6 +451,11 @@ let pp_outcome ppf = function
   | Resource_out m -> Fmt.pf ppf "resource-out: %s" m
   | Crashed { exn; _ } -> Fmt.pf ppf "crashed: %s" exn
 
+(** The [Resource_out] message of a procedure refused because an
+    integer left the native range. The refusal is deterministic: more
+    budget cannot change it, so it is never retried. *)
+let int_out_of_range = "integer out of range"
+
 (** Did the verifier actually decide the program? [Timeout],
     [Resource_out] and [Crashed] are abstentions, not judgements. *)
 let decided = function
@@ -506,7 +510,7 @@ let verify_proc ?(heap_dep = true) ?(absint = true) ?(seed = 0)
       (* The logic's integers are unbounded: a value a native [int]
          cannot hold is refused, never wrapped and never a crash. *)
       stats.Vstats.int_out_of_range <- stats.Vstats.int_out_of_range + 1;
-      Resource_out "integer out of range"
+      Resource_out int_out_of_range
 
 (** Verify every procedure of a program; returns per-procedure
     outcomes. A shared [stats] instance accumulates across all

@@ -140,6 +140,23 @@ let entails st phi =
        | Smt.Solver.Gave_up r -> raise (Budget.Exhausted r)
      end
 
+(** Is the chunk location [at] the sought location [l]? The one test
+    every heap-chunk lookup applies to its candidates, in the lookup's
+    own scan order: the same hash-consed term matches at once; a
+    candidate the live context separates from [l] without a check
+    ({!Smt.Session.separated}: a trusted context model and a
+    context-fresh side) is rejected without an obligation; anything
+    else is an {!entails} question. The middle step only skips
+    candidates {!entails} would reject, so every lookup picks the same
+    chunk as asking {!entails} of every candidate. *)
+let same_loc st l at =
+  T.equal l at
+  || begin
+       sync_session st;
+       (not (Smt.Session.separated st.session l at))
+       && entails st (T.eq l at)
+     end
+
 (** Is the current path feasible? Used to prune dead branches: the path
     condition is infeasible exactly when the live context entails
     [False]. *)
@@ -173,9 +190,7 @@ let find_points_to st (l : T.t) =
   List.find_map
     (function
       | A.Points_to { loc; frac; value } ->
-          if T.equal l loc || entails st (T.eq l loc) then
-            Some (loc, frac, value)
-          else None
+          if same_loc st l loc then Some (loc, frac, value) else None
       | _ -> None)
     st.chunks
 
@@ -278,10 +293,10 @@ let rec resolve_assertion st (a : A.t) : A.t =
     equal locations also have equal values (their composition is
     valid), so they merge into one with the summed fraction. *)
 let coalesce (st : t) (loc : T.t) : t =
-  let same l' = T.equal loc l' || entails st (T.eq loc l') in
   let mine, others =
     List.partition
-      (function A.Points_to { loc = l'; _ } -> same l' | _ -> false)
+      (function
+        | A.Points_to { loc = l'; _ } -> same_loc st loc l' | _ -> false)
       st.chunks
   in
   match mine with
@@ -358,8 +373,7 @@ let rec consume_resolved (st : t) (a : A.t) : t =
       match
         take st (function
           | A.Points_to { loc = l'; frac = q'; _ } ->
-              Q.geq q' frac
-              && (T.equal loc l' || entails st (T.eq loc l'))
+              Q.geq q' frac && same_loc st loc l'
           | _ -> false)
       with
       | Some (A.Points_to { loc = l'; frac = q'; value = v' }, st') ->
@@ -435,8 +449,7 @@ and witnesses st x body : T.t list =
     | ( A.Points_to { loc; value; _ },
         A.Points_to { loc = l'; value = v'; _ } ) ->
         if is_x value then begin
-          if T.equal loc l' || entails st (T.eq loc l') then
-            cands := v' :: !cands
+          if same_loc st loc l' then cands := v' :: !cands
         end
         else if is_x loc then
           if entails st (T.eq value v') then cands := l' :: !cands

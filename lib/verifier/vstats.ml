@@ -7,7 +7,10 @@
     Sequential drivers pass one shared instance across procedures. *)
 
 type t = {
-  mutable obligations : int;  (** proof obligations discharged *)
+  mutable obligations : int;
+      (** proof obligations discharged; a candidate chunk that the
+          context model separates from the sought location is rejected
+          without one ([State.same_loc]) and is not counted *)
   mutable chunk_matches : int;  (** spatial chunks consumed *)
   mutable resolutions : int;  (** heap reads resolved (destabilized) *)
   mutable stab_checks : int;  (** stability checks performed *)

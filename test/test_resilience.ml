@@ -196,6 +196,27 @@ let test_job_retry_escalates_to_success () =
     true
     (r.E.Job.attempts > 1)
 
+(* An integer refusal is deterministic: no budget moves an integer
+   back into range, so each out-of-range procedure runs exactly once
+   whatever [retries] allows, and is counted once. *)
+let test_job_int_refusal_not_retried () =
+  let prog, _ =
+    Verifier.Elab.program_of_string ~file:"out_of_range.hl"
+      Int_ref.out_of_range_source
+  in
+  List.iter
+    (fun job ->
+      let name = job.E.Job.proc.V.pname in
+      let r = E.Job.run ~timeout_ms:1000.0 ~retries:3 job in
+      (match r.E.Job.outcome with
+      | V.Resource_out m when String.equal m V.int_out_of_range -> ()
+      | o -> Alcotest.failf "%s: expected the integer refusal, got %a" name
+               V.pp_outcome o);
+      Alcotest.(check int) (name ^ ": one attempt") 1 r.E.Job.attempts;
+      Alcotest.(check int) (name ^ ": counted once") 1
+        r.E.Job.vstats.Verifier.Vstats.int_out_of_range)
+    (E.Job.of_program ~group:"out_of_range" prog)
+
 (* A diverging job at -j4 times out inside its own deadline while its
    sibling jobs verify, unaffected. *)
 let test_engine_timeout_isolates_siblings () =
@@ -509,6 +530,8 @@ let () =
           Alcotest.test_case "job-timeout" `Quick test_job_timeout;
           Alcotest.test_case "retry-escalates-to-success" `Quick
             test_job_retry_escalates_to_success;
+          Alcotest.test_case "int-refusal-not-retried" `Quick
+            test_job_int_refusal_not_retried;
           Alcotest.test_case "timeout-isolates-siblings" `Quick
             test_engine_timeout_isolates_siblings;
         ] );

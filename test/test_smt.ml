@@ -783,6 +783,32 @@ let gen_sess_ops : sess_op list QCheck.Gen.t =
   in
   list_size (int_range 6 24) op
 
+(* Drive [s] through [ops], mirroring the hypotheses in scope, and call
+   [check hyps g] at every [SCheck g] with the hypotheses in scope
+   (oldest-first). *)
+let run_sess_ops s ops check =
+  (* mirror: stack of frames, each newest-first *)
+  let frames = ref [ [] ] in
+  List.iter
+    (fun op ->
+      match op with
+      | SPush ->
+          Session.push s;
+          frames := [] :: !frames
+      | SPop -> (
+          match !frames with
+          | _ :: (_ :: _ as rest) ->
+              Session.pop s;
+              frames := rest
+          | _ -> () (* no open frame: skip *))
+      | SAssert t -> (
+          Session.assert_hyp s t;
+          match !frames with
+          | f :: rest -> frames := (t :: f) :: rest
+          | [] -> assert false)
+      | SCheck g -> check (List.rev (List.concat !frames)) g)
+    ops
+
 let session_differential =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"session-vs-oneshot" ~count:300
@@ -791,32 +817,89 @@ let session_differential =
           gen_sess_ops)
        (fun ops ->
          let s = Session.create () in
-         (* mirror: stack of frames, each newest-first *)
-         let frames = ref [ [] ] in
          let ok = ref true in
-         List.iter
-           (fun op ->
-             match op with
-             | SPush ->
-                 Session.push s;
-                 frames := [] :: !frames
-             | SPop -> (
-                 match !frames with
-                 | _ :: (_ :: _ as rest) ->
-                     Session.pop s;
-                     frames := rest
-                 | _ -> () (* no open frame: skip *))
-             | SAssert t -> (
-                 Session.assert_hyp s t;
-                 match !frames with
-                 | f :: rest -> frames := (t :: f) :: rest
-                 | [] -> assert false)
-             | SCheck g ->
-                 let hyps = List.rev (List.concat !frames) in
-                 let expect = Solver.entails ~hyps g in
-                 let got = Session.check_goal s g in
-                 if verdict_kind expect <> verdict_kind got then ok := false)
-           ops;
+         run_sess_ops s ops (fun hyps g ->
+             let expect = Solver.entails ~hyps g in
+             let got = Session.check_goal s g in
+             if verdict_kind expect <> verdict_kind got then ok := false);
+         !ok))
+
+(* [Session.separated] answers from the cached context status: a
+   trusted model with a context-fresh side separates, nothing else
+   does. *)
+let test_session_separated () =
+  let x = Term.var "x" and y = Term.var "y" and w = Term.var "w" in
+  let s = Session.create () in
+  Session.assert_hyp s (Term.le x y);
+  Alcotest.(check bool) "fresh side" true (Session.separated s w x);
+  Alcotest.(check bool) "fresh right side" true (Session.separated s x w);
+  Alcotest.(check bool) "both in context" false (Session.separated s x y);
+  Alcotest.(check bool) "w on both sides" false
+    (Session.separated s w (Term.add w (Term.int 1)));
+  Session.oneshot := true;
+  let under_oneshot =
+    Fun.protect
+      ~finally:(fun () -> Session.oneshot := false)
+      (fun () -> Session.separated s w x)
+  in
+  Alcotest.(check bool) "never under oneshot" false under_oneshot;
+  let untrusted hyp =
+    Session.push s;
+    Session.assert_hyp s hyp;
+    let r = Session.separated s w x in
+    Session.pop s;
+    r
+  in
+  Alcotest.(check bool) "disequality in scope" false
+    (untrusted (Term.not_ (Term.eq x y)));
+  Alcotest.(check bool) "held-back disjunction" false
+    (untrusted (Term.or_ [ Term.lt x y; Term.lt y x ]));
+  Alcotest.(check bool) "inconsistent context" false
+    (untrusted (Term.lt y x))
+
+(* [Session.separated] is sound: whenever it calls a pair separated,
+   the one-shot solver does not find the pair's equality entailed by
+   the hypotheses in scope — and it never does so over a context with
+   a held-back hypothesis or a disequality, whose models it cannot
+   trust. The contexts are the differential's; the pairs mix the
+   context's variables with two it never mentions. *)
+let session_separated_sound =
+  let side =
+    let open QCheck.Gen in
+    let v = map Term.var (oneofl [ "x"; "y"; "z"; "w"; "u" ]) in
+    frequency
+      [
+        (4, v);
+        (1, map2 (fun t k -> Term.add t (Term.int k)) v (int_range (-2) 2));
+        (1, map (fun t -> Term.app "f" [ t ]) v);
+      ]
+  in
+  let gen =
+    QCheck.Gen.(pair gen_sess_ops (list_size (int_range 1 4) (pair side side)))
+  in
+  let print (ops, pairs) =
+    String.concat "; " (List.map pp_sess_op ops)
+    ^ " | pairs "
+    ^ String.concat ", "
+        (List.map
+           (fun (a, b) -> Term.to_string a ^ " ~ " ^ Term.to_string b)
+           pairs)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"session-separated-sound" ~count:300
+       (QCheck.make ~print gen) (fun (ops, pairs) ->
+         let s = Session.create () in
+         let ok = ref true in
+         run_sess_ops s (ops @ [ SCheck Term.fls ]) (fun hyps _ ->
+             List.iter
+               (fun (a, b) ->
+                 if Session.separated s a b then
+                   if
+                     s.Session.nonlit > 0 || s.Session.neqs > 0
+                     || verdict_kind (Solver.entails ~hyps (Term.eq a b))
+                        = "valid"
+                   then ok := false)
+               pairs);
          !ok))
 
 (* ------------------------------------------------------------------ *)
@@ -1144,6 +1227,8 @@ let session_cases =
     Alcotest.test_case "session-lemma-reuse" `Quick test_session_lemma_reuse;
     Alcotest.test_case "session-lemmas-unsat" `Quick test_session_lemmas_unsat;
     session_differential;
+    Alcotest.test_case "session-separated" `Quick test_session_separated;
+    session_separated_sound;
   ]
 
 let () =

@@ -381,6 +381,47 @@ let test_out_of_range () =
         5 stats.Verifier.Vstats.int_out_of_range)
     [ true; false ]
 
+(* Chunk lookup under aliasing: every location below is a distinct
+   term equal to another one only through the path condition, so each
+   lookup must ask the context rather than skip the candidate. *)
+let aliasing_source =
+  {|procedure halves(l, m, a, b) requires l |->{1/2} a * m |->{1/2} b * [l == m] ensures l |-> a * [result == b] { !m }
+procedure alias_load(l, m, a) requires l |-> a * [m == l] ensures l |-> a * [result == a] { !m }
+procedure alias_store(l, m, a) requires l |-> a * [m == l] ensures l |-> 5 { m <- 5 }
+procedure two_full(l, m, a, b) requires l |-> a * m |-> b * [l == m] ensures l |-> a * m |-> b * [a == b] { 0 }
+procedure two_full_swap(l, m, a, b) requires l |-> a * m |-> b * [l == m] ensures m |-> a * l |-> b { 0 }
+procedure half_then_full(l, m, a) requires m |->{1/2} a * l |->{1/2} a * [l == m] ensures l |-> a { 0 }
+|}
+
+let test_aliasing () =
+  let prog, _ =
+    Verifier.Elab.program_of_string ~file:"aliasing.hl" aliasing_source
+  in
+  Alcotest.(check int) "six procedures" 6 (List.length prog.V.procs);
+  List.iter
+    (fun (name, o) ->
+      if o <> V.Verified then Alcotest.failf "%s: %a" name V.pp_outcome o)
+    (V.verify prog)
+
+(* Chunk lookup is linear: a [k]-cell procedure spends no obligation on
+   the candidate chunks the context model separates from the sought
+   location, so only the [k] value checks of the postcondition remain
+   (asking every candidate costs 3k²−2k). *)
+let test_linear_lookup () =
+  for k = 2 to 8 do
+    let proc =
+      Suite.Corpus.cells ~name:"cells" ~k ~step:3 ~salt:k ~wrong_cell:(-1)
+    in
+    let prog = { V.procs = [ proc ]; preds = Smap.empty; invs = [] } in
+    let stats = Verifier.Vstats.create () in
+    (match V.verify_proc ~stats prog proc with
+    | V.Verified -> ()
+    | o -> Alcotest.failf "cells k=%d: %a" k V.pp_outcome o);
+    let n = stats.Verifier.Vstats.obligations in
+    if n > 2 * k then
+      Alcotest.failf "cells k=%d: %d obligations, more than 2k" k n
+  done
+
 let () =
   Alcotest.run "verifier"
     [
@@ -415,5 +456,7 @@ let () =
           Alcotest.test_case "nested-atomic-exec" `Quick
             test_nested_atomic_exec;
           Alcotest.test_case "out-of-range" `Quick test_out_of_range;
+          Alcotest.test_case "aliasing" `Quick test_aliasing;
+          Alcotest.test_case "linear-lookup" `Quick test_linear_lookup;
         ] );
     ]
