@@ -43,47 +43,54 @@ dune exec bin/daenerys.exe -- suite --lint -j 2 --stats
 
 echo "== fallback gate: suite --json on one domain, reasons + lemma store + simplex =="
 # Every session fallback counts under exactly one fallback_* reason, so
-# the reasons sum to session_fallbacks; and the session lemma store is
-# live in the shipped binary: later fallbacks are seeded with conflict
-# cores that earlier fallbacks of the same procedure learned.
-suite_json=$(dune exec bin/daenerys.exe -- suite -j 1 --json)
+# the reasons sum to session_fallbacks; the warm-started simplex must
+# not send branch-and-bound or the combination loop drifting into their
+# fuel limits. Both hold with the abstract pre-discharge on and off
+# (off, the session decides every linear goal itself). The session
+# lemma store is live in the shipped binary: later fallbacks are seeded
+# with conflict cores that earlier fallbacks of the same procedure
+# learned; and the equality probe shortcut (a live feasible assignment
+# refuting a pair) is live too.
 stat_of() {
   echo "$suite_json" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2
 }
-fallbacks=$(stat_of session_fallbacks)
-reasons=0
-for r in fault nonlit_goal untrusted_ctx held_back ctx_neq goal_neqs inconclusive; do
-  v=$(stat_of "fallback_$r")
-  [ -n "$v" ] || { echo "FAIL: suite --json has no fallback_$r" >&2; exit 1; }
-  reasons=$((reasons + v))
-done
-if [ -z "$fallbacks" ] || [ "$reasons" -ne "$fallbacks" ]; then
-  echo "FAIL: fallback reasons sum to $reasons, session_fallbacks=${fallbacks:-missing}" >&2
-  exit 1
-fi
+# check_fallbacks RUN: the reasons sum and the fuel limits on $suite_json.
+check_fallbacks() {
+  fallbacks=$(stat_of session_fallbacks)
+  reasons=0
+  for r in fault nonlit_goal untrusted_ctx held_back ctx_neq goal_neqs inconclusive; do
+    v=$(stat_of "fallback_$r")
+    [ -n "$v" ] || { echo "FAIL: $1 --json has no fallback_$r" >&2; exit 1; }
+    reasons=$((reasons + v))
+  done
+  if [ -z "$fallbacks" ] || [ "$reasons" -ne "$fallbacks" ]; then
+    echo "FAIL: $1: fallback reasons sum to $reasons, session_fallbacks=${fallbacks:-missing}" >&2
+    exit 1
+  fi
+  for f in fuel_simplex fuel_combination; do
+    v=$(stat_of "$f")
+    if [ -z "$v" ] || [ "$v" -ne 0 ]; then
+      echo "FAIL: $f is '${v:-missing}' on $1, expected 0" >&2
+      exit 1
+    fi
+  done
+  echo "$1: $fallbacks fallbacks, all attributed to a reason; fuel_simplex=0 fuel_combination=0"
+}
+suite_json=$(dune exec bin/daenerys.exe -- suite -j 1 --json)
+check_fallbacks "suite -j 1"
 seeded=$(stat_of lemmas_seeded)
 if [ -z "$seeded" ] || [ "$seeded" -eq 0 ]; then
   echo "FAIL: lemmas_seeded is '${seeded:-missing}': the lemma store is not live" >&2
   exit 1
 fi
-# The warm-started simplex must not send branch-and-bound or the
-# combination loop drifting into their fuel limits, and the equality
-# probe shortcut (a live feasible assignment refuting a pair) must be
-# live in the shipped binary.
-for f in fuel_simplex fuel_combination; do
-  v=$(stat_of "$f")
-  if [ -z "$v" ] || [ "$v" -ne 0 ]; then
-    echo "FAIL: $f is '${v:-missing}' on the suite, expected 0" >&2
-    exit 1
-  fi
-done
 witnessed=$(stat_of lia_eq_witnessed)
 if [ -z "$witnessed" ] || [ "$witnessed" -eq 0 ]; then
   echo "FAIL: lia_eq_witnessed is '${witnessed:-missing}': the probe shortcut is not live" >&2
   exit 1
 fi
-echo "fallbacks: $fallbacks, all attributed to a reason; lemmas_seeded=$seeded"
-echo "simplex: fuel_simplex=0 fuel_combination=0 lia_eq_witnessed=$witnessed"
+echo "lemmas_seeded=$seeded lia_eq_witnessed=$witnessed"
+suite_json=$(dune exec bin/daenerys.exe -- suite -j 1 --json --no-absint)
+check_fallbacks "suite -j 1 --no-absint"
 
 echo "== surface (.hl) gate: parse + lint + verify every examples/*.hl =="
 # must_fail FILE [FLAG...]: verify must not accept FILE.

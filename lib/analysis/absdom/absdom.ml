@@ -19,7 +19,8 @@
     infinite bound, never to a wrong finite answer. Queries return
     three-valued verdicts ({!tv}); only [Yes] ("every concretization
     satisfies the formula") is ever allowed to short-circuit a solver
-    verdict, mirroring the linear fast path's only-Valid discipline. *)
+    verdict: this pass is the one producer of linear-identity [Valid]s
+    in front of the verifier's solver session. *)
 
 module T = Smt.Term
 

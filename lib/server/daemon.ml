@@ -404,6 +404,7 @@ let stats_json (d : t) =
         Json.Num ((Unix.gettimeofday () -. d.started) *. 1000.0) );
       ("workers", num s.Scheduler.workers);
       ("pending", num s.Scheduler.pending);
+      ("clients", num s.Scheduler.clients);
       ("submitted", num s.Scheduler.submitted);
       ("rejected", num s.Scheduler.rejected);
       ("completed", num s.Scheduler.completed);

@@ -69,6 +69,7 @@ type t = {
   runnable : Condition.t;  (** signalled when [ring] gains a client *)
   drained : Condition.t;  (** signalled when all work has finished *)
   clients : (int, client_q) Hashtbl.t;
+      (** clients with queued or in-flight work; see {!finish} *)
   ring : int Queue.t;  (** round-robin ring of runnable client ids *)
   bound : int;  (** max queued (not yet running) tasks per client *)
   recycle_after : int;  (** raising tasks before automatic recycle *)
@@ -110,6 +111,16 @@ let enring t cid (q : client_q) =
     Queue.push cid t.ring;
     Condition.signal t.runnable
   end
+
+(** [cid]'s task completed or was written off: re-ring the client if it
+    has more work, otherwise drop its record. A client in the ring
+    always has queued work, so a dropped record is never looked up
+    again; {!client_q} recreates it on the next submit. Without this,
+    every connection the daemon ever served would keep a record. *)
+let finish t cid (q : client_q) =
+  q.in_flight <- false;
+  if Queue.is_empty q.tasks then Hashtbl.remove t.clients cid
+  else enring t cid q
 
 let rec worker t (slot : slot) (inc : inc) () =
   let cell = Domain.DLS.get slot_key in
@@ -156,10 +167,9 @@ let rec worker t (slot : slot) (inc : inc) () =
             slot.retire <- true
         end;
         slot.running <- None;
-        q.in_flight <- false;
+        finish t cid q;
         t.live <- t.live - 1;
         t.completed <- t.completed + 1;
-        enring t cid q;
         if t.live = 0 then begin
           Condition.broadcast t.drained;
           (* Wake idle workers so they can observe the drained+stopping
@@ -264,9 +274,7 @@ let abandon t ~wid ~seq =
             slot.running <- None;
             t.abandoned <- t.abandoned + 1;
             (match Hashtbl.find_opt t.clients cid with
-            | Some q ->
-                q.in_flight <- false;
-                enring t cid q
+            | Some q -> finish t cid q
             | None -> ());
             t.live <- t.live - 1;
             t.completed <- t.completed + 1;
@@ -329,6 +337,7 @@ let wait t =
 type stats = {
   workers : int;
   pending : int;  (** accepted but not yet completed *)
+  clients : int;  (** clients with queued or in-flight work *)
   submitted : int;
   rejected : int;
   completed : int;
@@ -343,6 +352,7 @@ let stats t =
       {
         workers = Array.length t.slots;
         pending = t.live;
+        clients = Hashtbl.length t.clients;
         submitted = t.submitted;
         rejected = t.rejected;
         completed = t.completed;

@@ -27,6 +27,12 @@
     Verdicts therefore coincide with the one-shot API on every query;
     the differential tests in [test/test_smt.ml] pin this.
 
+    Linear identities (⟦v+1+1⟧ against ⟦v+2⟧, possibly through context
+    equalities naming intermediate values) get no shortcut here: the
+    verifier's abstract pre-discharge settles them before a goal
+    reaches the session, and what it leaves is decided by the same
+    theory probes as every other goal (DESIGN.md §11.2).
+
     Lemma store. Every fallback of a session hands {!Solver.entails}
     the theory-conflict cores the session's earlier fallbacks learned,
     and keeps the ones it learns itself. A core is a set of literals
@@ -54,10 +60,7 @@ type t = {
   mutable hyps : Term.t list;  (** everything in scope, newest-first *)
   mutable nonlit : int;  (** hypotheses in scope not (fully) asserted *)
   mutable neqs : int;  (** asserted integer disequalities in scope *)
-  mutable defs : Term.t Smap.t;
-      (** oriented defining equalities [x = rhs] implied by the
-          hypotheses, for the linear fast path *)
-  mutable saved : (Term.t list * int * int * Term.t Smap.t) list;
+  mutable saved : (Term.t list * int * int) list;
       (** frame stack *)
   mutable synced : Term.t list;  (** oldest-first, one frame per hyp;
                                      maintained by {!sync} only *)
@@ -65,10 +68,6 @@ type t = {
   mutable ctx_cache : (int * ctx_status) option;
   mutable ctx_vars : (int * unit Smap.t) option;
       (** variables occurring in the hypotheses, per generation *)
-  poly_tbl : (int, (int Smap.t * int) option) Hashtbl.t;
-      (** term id -> defs-resolved linear normal form, valid for
-          [poly_gen] only (term ids are stable, contexts are not) *)
-  mutable poly_gen : int;
   mutable lemmas : Theory.atom list list;
       (** theory-conflict cores learned by this session's fallbacks,
           newest-first; see the header *)
@@ -80,32 +79,28 @@ let create () =
     hyps = [];
     nonlit = 0;
     neqs = 0;
-    defs = Smap.empty;
     saved = [];
     synced = [];
     gen = 0;
     ctx_cache = None;
     ctx_vars = None;
-    poly_tbl = Hashtbl.create 256;
-    poly_gen = -1;
     lemmas = [];
   }
 
 let push s =
   Theory.push_scoped s.th;
   s.gen <- s.gen + 1;
-  s.saved <- (s.hyps, s.nonlit, s.neqs, s.defs) :: s.saved
+  s.saved <- (s.hyps, s.nonlit, s.neqs) :: s.saved
 
 let pop s =
   match s.saved with
   | [] -> invalid_arg "Session.pop: no matching push"
-  | (hyps, nonlit, neqs, defs) :: rest ->
+  | (hyps, nonlit, neqs) :: rest ->
       Theory.pop_scoped s.th;
       s.gen <- s.gen + 1;
       s.hyps <- hyps;
       s.nonlit <- nonlit;
       s.neqs <- neqs;
-      s.defs <- defs;
       s.saved <- rest
 
 (* --------------------------------------------------------------- *)
@@ -152,50 +147,12 @@ let is_neq (a : Theory.atom) =
 (* --------------------------------------------------------------- *)
 (* Asserting and checking *)
 
-(** Record oriented defining equalities [x = rhs] from asserted atoms:
-    [x] integer-sorted, not yet defined, not occurring directly in
-    [rhs]. Transitive cycles through several definitions are possible
-    and tolerated — resolution in the linear fast path is
-    fuel-bounded, so a cycle only costs a failed normalization. *)
-let add_defs s atoms =
-  List.iter
-    (fun (a : Theory.atom) ->
-      if a.Theory.pos then
-        match Term.view a.Theory.term with
-        | Term.Eq (l, r) when Sort.equal (Term.sort_of l) Sort.Int ->
-            let rec occurs x t =
-              match Term.view t with
-              | Term.Var (y, _) -> String.equal y x
-              | Term.Int_lit _ | Term.True | Term.False -> false
-              | Term.App (_, ts) | Term.Pred (_, ts)
-              | Term.And ts | Term.Or ts ->
-                  List.exists (occurs x) ts
-              | Term.Add (a, b) | Term.Sub (a, b) | Term.Mul (a, b)
-              | Term.Eq (a, b) | Term.Le (a, b) | Term.Lt (a, b)
-              | Term.Implies (a, b) | Term.Iff (a, b) ->
-                  occurs x a || occurs x b
-              | Term.Ite (c, a, b) -> occurs x c || occurs x a || occurs x b
-              | Term.Not a -> occurs x a
-            in
-            let definable x rhs =
-              (not (Smap.mem x s.defs)) && not (occurs x rhs)
-            in
-            (match (Term.view l, Term.view r) with
-            | Term.Var (x, _), _ when definable x r ->
-                s.defs <- Smap.add x r s.defs
-            | _, Term.Var (x, _) when definable x l ->
-                s.defs <- Smap.add x l s.defs
-            | _ -> ())
-        | _ -> ())
-    atoms
-
 let assert_hyp s (h : Term.t) =
   s.hyps <- h :: s.hyps;
   s.gen <- s.gen + 1;
   match pos_atoms [] h with
   | None -> s.nonlit <- s.nonlit + 1
   | Some atoms -> (
-      add_defs s atoms;
       match List.iter (Theory.assert_literal s.th) atoms with
       | () ->
           List.iter (fun a -> if is_neq a then s.neqs <- s.neqs + 1) atoms
@@ -378,107 +335,6 @@ let probe s natoms fallback invalid =
     | Error reason -> fallback reason
   end
 
-(* --------------------------------------------------------------- *)
-(* The linear fast path *)
-
-(* Entailments the verifier generates in bulk are linear identities:
-   the strongest-postcondition term and the spec's right-hand side
-   are the same polynomial written differently (⟦v+1+1⟧ vs ⟦v+2⟧),
-   possibly through context equalities defining intermediate names.
-   Normalizing both sides to a coefficient map over defs-resolved
-   variables decides those goals with integer arithmetic only — no
-   congruence closure, no simplex, no push/pop. The normal form is
-   memoized per term id (hash-consing makes the key O(1)) and
-   invalidated whenever the context generation moves. *)
-
-exception Poly_fail
-
-let poly_of s (t0 : Term.t) : (int Smap.t * int) option =
-  if s.poly_gen <> s.gen then begin
-    Hashtbl.reset s.poly_tbl;
-    s.poly_gen <- s.gen
-  end;
-  let fuel = ref 4096 in
-  let combine op (c1, k1) (c2, k2) =
-    ( Smap.merge
-        (fun _ a b ->
-          let v = op (Option.value a ~default:0) (Option.value b ~default:0) in
-          if v = 0 then None else Some v)
-        c1 c2,
-      op k1 k2 )
-  in
-  let scale c (cs, k) =
-    if c = 0 then (Smap.empty, 0)
-    else
-      let mul v = Stdx.Checked.mul v c in
-      (Smap.map mul cs, mul k)
-  in
-  let rec go t =
-    match Hashtbl.find_opt s.poly_tbl (Term.id t) with
-    | Some (Some p) -> p
-    | Some None -> raise Poly_fail
-    | None ->
-        (* Coefficients are exact ({!Stdx.Checked}): one a native [int]
-           cannot hold bails to the theory solver rather than wrapping. *)
-        let r =
-          try Some (compute t) with Poly_fail | Stdx.Checked.Overflow -> None
-        in
-        Hashtbl.replace s.poly_tbl (Term.id t) r;
-        (match r with Some p -> p | None -> raise Poly_fail)
-  and compute t =
-    decr fuel;
-    if !fuel <= 0 then raise Poly_fail;
-    match Term.view t with
-    | Term.Int_lit n -> (Smap.empty, n)
-    | Term.Var (x, Sort.Int) -> (
-        match Smap.find_opt x s.defs with
-        | Some d -> go d
-        | None -> (Smap.singleton x 1, 0))
-    | Term.Add (a, b) -> combine Stdx.Checked.add (go a) (go b)
-    | Term.Sub (a, b) -> combine Stdx.Checked.sub (go a) (go b)
-    | Term.Mul (a, b) -> (
-        let pa = go a in
-        let pb = go b in
-        match (Smap.is_empty (fst pa), Smap.is_empty (fst pb)) with
-        | true, _ -> scale (snd pa) pb
-        | _, true -> scale (snd pb) pa
-        | _ -> raise Poly_fail)
-    | _ -> raise Poly_fail
-  in
-  try Some (go t0) with Poly_fail -> None
-
-(** Is some negated-goal atom identically false under the context's
-    defining equalities? Each atom is a literal of ¬goal; one of them
-    being unsatisfiable in every model of [defs] (a superset of the
-    context's models) makes the goal entailed. Only concludes
-    [Valid]; anything short of a constant verdict falls through to
-    the theory pipeline. *)
-let poly_entails s (natoms : Theory.atom list) : bool =
-  let const_diff a b =
-    (* poly(a) - poly(b) when it is a constant *)
-    match (poly_of s a, poly_of s b) with
-    | Some (ca, ka), Some (cb, kb) when Smap.equal Int.equal ca cb -> (
-        try Some (Stdx.Checked.sub ka kb) with Stdx.Checked.Overflow -> None)
-    | _ -> None
-  in
-  List.exists
-    (fun (n : Theory.atom) ->
-      match Term.view n.Theory.term with
-      | Term.Eq (a, b) when Sort.equal (Term.sort_of a) Sort.Int -> (
-          match const_diff a b with
-          | Some c -> if n.Theory.pos then c <> 0 else c = 0
-          | None -> false)
-      | Term.Le (a, b) -> (
-          match const_diff b a with
-          | Some c -> if n.Theory.pos then c < 0 else c >= 0
-          | None -> false)
-      | Term.Lt (a, b) -> (
-          match const_diff b a with
-          | Some c -> if n.Theory.pos then c <= 0 else c > 0
-          | None -> false)
-      | _ -> false)
-    natoms
-
 let check_goal s (goal : Term.t) : Solver.verdict =
   if !oneshot then Solver.entails ~hyps:(List.rev s.hyps) goal
   else begin
@@ -503,12 +359,6 @@ let check_goal s (goal : Term.t) : Solver.verdict =
   else
   match neg_atoms [] goal with
   | None -> fallback Nonlit_goal
-  | Some natoms when natoms <> [] && poly_entails s natoms ->
-      (* Linear fast path: a negated-goal atom is identically false
-         under the context's defining equalities, so the goal holds in
-         every context model. Sound to short-circuit only [Valid]:
-         failing goals keep their exact model-producing pipeline. *)
-      Solver.Valid
   | Some natoms -> (
       let invalid m =
         let ints = Smap.filter (fun x _ -> x.[0] <> '%') m in

@@ -5,8 +5,8 @@
     operation whose exact result may not fit goes through this module,
     which raises {!Overflow} instead of wrapping. Callers refuse what
     they cannot represent: the machine gets stuck, [Smt.Term] keeps the
-    node symbolic, the fast path and the abstract domain give up on the
-    term, and an [Overflow] that reaches the verifier becomes
+    node symbolic, [Q] passes the exception on, the abstract domain
+    gives up on the term, and an [Overflow] that reaches the verifier becomes
     [Resource_out "integer out of range"]. *)
 
 exception Overflow

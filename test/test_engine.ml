@@ -125,9 +125,11 @@ let test_one_group_per_program () =
 
 (* 3b. The fixed-seed synthetic corpus: every verdict equals its
    spec's [expect_fail], and the full verdict manifest is pinned — for
-   the quick corpus on two domains with the abstract pre-discharge on
-   and off (the pass may only short-circuit Valid verdicts, never move
-   one), and for the full corpus on one domain. *)
+   the quick corpus on two domains and the full corpus on one, each
+   with the abstract pre-discharge on and off (the pass may only
+   short-circuit Valid verdicts, never move one). With the pass off the
+   session decides every linear goal itself, by theory probes that
+   never fall back or run out of fuel. *)
 let quick_corpus_manifest = "18472bf8521a62c8e134f399afd02c2a"
 let full_corpus_manifest = "2306f952fb687d93a1c3de805abaaf9b"
 
@@ -161,11 +163,20 @@ let test_corpus_golden () =
              if v = (s.C.name, s.C.expect_fail) then None else Some s.C.name)
            (List.combine specs verdicts));
       Alcotest.(check string)
-        (what ^ ": manifest") expected (C.manifest_digest verdicts))
+        (what ^ ": manifest") expected (C.manifest_digest verdicts);
+      if not absint then begin
+        let st = report.E.stats.E.smt in
+        Alcotest.(check int)
+          (what ^ ": session fallbacks") 0 st.Smt.Stats.session_fallbacks;
+        Alcotest.(check int) (what ^ ": fuel_simplex") 0 st.Smt.Stats.fuel_simplex;
+        Alcotest.(check int)
+          (what ^ ": fuel_combination") 0 st.Smt.Stats.fuel_combination
+      end)
     [
       (120, 2, true, quick_corpus_manifest);
       (120, 2, false, quick_corpus_manifest);
       (2000, 1, true, full_corpus_manifest);
+      (2000, 1, false, full_corpus_manifest);
     ]
 
 (* 4. Every counter of [Smt.Stats] and [Vstats] is in its [fields]

@@ -368,6 +368,62 @@ let test_scheduler_drain () =
   Alcotest.(check int) "completed = submitted" st.Server.Scheduler.submitted
     st.Server.Scheduler.completed
 
+(* A client's record lives only while it has queued or in-flight work:
+   the daemon hands out a fresh id per connection, so a record kept
+   after the last task would grow the table by one per connection. *)
+let test_scheduler_forgets_clients () =
+  let s = Server.Scheduler.create ~bound:4 ~workers:2 () in
+  let clients () = (Server.Scheduler.stats s).Server.Scheduler.clients in
+  let drained () =
+    while (Server.Scheduler.stats s).Server.Scheduler.pending > 0 do
+      Domain.cpu_relax ()
+    done
+  in
+  let n = Atomic.make 0 in
+  for cid = 1 to 500 do
+    match Server.Scheduler.submit s ~cid (fun () -> Atomic.incr n) with
+    | `Accepted -> ()
+    | _ -> Alcotest.failf "submit for client %d rejected" cid
+  done;
+  drained ();
+  Alcotest.(check int) "every task ran" 500 (Atomic.get n);
+  Alcotest.(check int) "no client record left after the drain" 0 (clients ());
+  (* A forgotten client is served again, FIFO, from a fresh record. *)
+  let lm = Mutex.create () in
+  let log = ref [] in
+  List.iter
+    (fun x ->
+      ignore
+        (Server.Scheduler.submit s ~cid:7 (fun () ->
+             Mutex.protect lm (fun () -> log := x :: !log))))
+    [ 1; 2; 3 ];
+  drained ();
+  Alcotest.(check (list int)) "returning client in order" [ 1; 2; 3 ]
+    (List.rev !log);
+  Alcotest.(check int) "returning client forgotten again" 0 (clients ());
+  (* A task written off by [abandon] releases its client too. *)
+  let g = gate () in
+  let slot = Atomic.make None in
+  ignore
+    (Server.Scheduler.submit s ~cid:9 (fun () ->
+         Atomic.set slot (Server.Scheduler.current_slot ());
+         wait_gate g));
+  let rec running () =
+    match Atomic.get slot with
+    | Some ws -> ws
+    | None ->
+        Domain.cpu_relax ();
+        running ()
+  in
+  let wid, seq = running () in
+  Alcotest.(check int) "in-flight client kept" 1 (clients ());
+  Alcotest.(check bool) "abandoned" true (Server.Scheduler.abandon s ~wid ~seq);
+  Alcotest.(check int) "abandoned client forgotten" 0 (clients ());
+  open_gate g;
+  Server.Scheduler.shutdown s;
+  Server.Scheduler.wait s;
+  Alcotest.(check int) "none after shutdown" 0 (clients ())
+
 (* ------------------------------------------------------------------ *)
 (* The two-tier cache *)
 
@@ -1679,6 +1735,8 @@ let () =
           Alcotest.test_case "fifo+fair" `Quick test_scheduler_fifo_fair;
           Alcotest.test_case "backpressure" `Quick test_scheduler_backpressure;
           Alcotest.test_case "drain" `Quick test_scheduler_drain;
+          Alcotest.test_case "forgets-clients" `Quick
+            test_scheduler_forgets_clients;
         ] );
       ( "cache",
         [

@@ -665,12 +665,12 @@ let test_session_pop_reassert () =
     (verdict_kind (Session.check_goal s goal));
   Session.pop s
 
-(* Regression: the linear fast path must refuse products whose true
-   magnitude exceeds its coefficient bound instead of wrapping. With x
-   defined as 2^32, x*x is 2^64 — which wraps to 0 in a native int —
-   and a post-multiplication bound check accepted the wrapped value,
-   reporting the goal x*x = 0 as Valid. The fixed path bails to the
-   theory pipeline, which must not conclude Valid. *)
+(* Regression: a product whose true value leaves the native int range
+   must never be folded back into it. With x defined as 2^32, x*x is
+   2^64, which wraps to 0 in a native int; a normal form that kept the
+   wrapped value once reported the goal x*x = 0 as Valid. The theory
+   computes exactly ({!Stdx.Checked}) and must refuse to conclude
+   Valid. *)
 let test_session_poly_no_wrap () =
   let s = Session.create () in
   Session.push s;
@@ -679,6 +679,93 @@ let test_session_poly_no_wrap () =
   | Solver.Valid -> Alcotest.fail "wrapped product accepted as Valid"
   | _ -> ());
   Session.pop s
+
+(* Linear identities through defining equalities, the goals symbolic
+   execution generates in bulk: a chain x1 = x0 + c1, ..., xn = x(n-1)
+   + cn, some steps written through a product with a literal
+   (k*x - (k-1)*x + c), entails xn = x0 + sum c and refutes every
+   off-by-k variant with a model of the chain. The session decides
+   both by theory probes alone: no fallback, no fuel exhausted. *)
+let session_linear_chains =
+  let gen =
+    let open QCheck.Gen in
+    let step = pair (int_range (-50) 50) (oneofl [ 1; 2; 3; 4 ]) in
+    triple (list_size (int_range 1 8) step)
+      (oneof [ int_range (-5) (-1); int_range 1 5 ])
+      bool
+  in
+  let print (steps, off, _) =
+    Printf.sprintf "steps [%s], off %d"
+      (String.concat "; "
+         (List.map (fun (c, k) -> Printf.sprintf "%d*%d" c k) steps))
+      off
+  in
+  let xi i = var (Printf.sprintf "x%d" i) in
+  let fuel_zero (d : Stats.t) =
+    List.for_all
+      (fun (name, v) ->
+        (not (String.starts_with ~prefix:"fuel_" name)) || v = `Int 0)
+      (Stdx.Counters.to_list Stats.fields d)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"session-linear-chains" ~count:300
+       (QCheck.make ~print gen) (fun (steps, off, valid_first) ->
+         let hyps =
+           List.mapi
+             (fun i (c, k) ->
+               let prev = xi i in
+               let rhs =
+                 if k = 1 then add prev (int c)
+                 else
+                   sub (mul (int k) prev)
+                     (sub (mul (int (k - 1)) prev) (int c))
+               in
+               eq (xi (i + 1)) rhs)
+             steps
+         in
+         let n = List.length steps in
+         let sum = List.fold_left (fun acc (c, _) -> acc + c) 0 steps in
+         let goal d = eq (xi n) (add (xi 0) (int (sum + d))) in
+         let s = Session.create () in
+         List.iter
+           (fun h ->
+             Session.push s;
+             Session.assert_hyp s h)
+           hyps;
+         let before = Stats.snapshot () in
+         let check_valid () =
+           match Session.check_goal s (goal 0) with
+           | Solver.Valid -> true
+           | v -> QCheck.Test.fail_reportf "identity: %s" (verdict_kind v)
+         in
+         let check_invalid () =
+           match Session.check_goal s (goal off) with
+           | Solver.Invalid { Solver.ints; _ } ->
+               let env =
+                 List.fold_left
+                   (fun env i ->
+                     if Stdx.Smap.mem (Printf.sprintf "x%d" i) env then env
+                     else Stdx.Smap.add (Printf.sprintf "x%d" i) 0 env)
+                   ints (List.init (n + 1) Fun.id)
+               in
+               let holds t = Term.eval_bool ~env t = Some true in
+               List.for_all holds hyps
+               || QCheck.Test.fail_report "model violates the chain"
+           | v -> QCheck.Test.fail_reportf "off by %d: %s" off (verdict_kind v)
+         in
+         let ok =
+           if valid_first then
+             let v = check_valid () in
+             check_invalid () && v
+           else
+             let i = check_invalid () in
+             check_valid () && i
+         in
+         let d = Stats.diff (Stats.snapshot ()) before in
+         ok
+         && (d.Stats.session_fallbacks = 0
+            || QCheck.Test.fail_reportf "%d fallbacks" d.Stats.session_fallbacks)
+         && (fuel_zero d || QCheck.Test.fail_report "fuel exhausted")))
 
 (* Lemma store: a fallback query asked twice on one session gets the
    same verdict, and the second time every conflict comes from the
@@ -1224,6 +1311,7 @@ let session_cases =
     Alcotest.test_case "session-euf-chain" `Quick test_session_euf_chain;
     Alcotest.test_case "session-pop-reassert" `Quick test_session_pop_reassert;
     Alcotest.test_case "session-poly-no-wrap" `Quick test_session_poly_no_wrap;
+    session_linear_chains;
     Alcotest.test_case "session-lemma-reuse" `Quick test_session_lemma_reuse;
     Alcotest.test_case "session-lemmas-unsat" `Quick test_session_lemmas_unsat;
     session_differential;
