@@ -352,20 +352,7 @@ let rec holds env (phi : T.t) : tv =
           | Yes, Yes | No, No -> Yes
           | Yes, No | No, Yes -> No
           | _ -> Maybe)
-      | T.Eq (a, b) when Smt.Sort.equal (T.sort_of a) Smt.Sort.Bool ->
-          holds env (T.iff a b)
-      | T.Eq (a, b) -> (
-          let d = lin_sub (lin_of a) (lin_of b) in
-          if d.coeffs = [] then if d.const = 0 then Yes else No
-          else
-            match lin_cmp env d with
-            | Some v ->
-                if Itv.is_zero v.Val.itv then Yes
-                else if
-                  Itv.excludes_zero v.Val.itv || v.Val.par = Parity.Odd
-                then No
-                else Maybe
-            | None -> Maybe)
+      | T.Eq (a, b) -> holds_eq env a b
       | T.Le (a, b) -> (
           let d = lin_sub (lin_of a) (lin_of b) in
           match lin_cmp env d with
@@ -386,9 +373,31 @@ let rec holds env (phi : T.t) : tv =
       | T.Add _ | T.Sub _ | T.Mul _ ->
           Maybe)
 
+(** [holds_eq env a b] — [holds env (T.eq a b)] for an [Eq] node,
+    without the node: the verifier asks it of equalities it has not
+    interned. *)
+and holds_eq env a b =
+  match env with
+  | Bot -> Yes
+  | Env _ when Smt.Sort.equal (T.sort_of a) Smt.Sort.Bool ->
+      holds env (T.iff a b)
+  | Env _ -> (
+      let d = lin_sub (lin_of a) (lin_of b) in
+      if d.coeffs = [] then if d.const = 0 then Yes else No
+      else
+        match lin_cmp env d with
+        | Some v ->
+            if Itv.is_zero v.Val.itv then Yes
+            else if Itv.excludes_zero v.Val.itv || v.Val.par = Parity.Odd
+            then No
+            else Maybe
+        | None -> Maybe)
+
 (* The exception [holds] above creates: [lin_sub] can overflow when
    combining two already-normalized forms; treat as Maybe. *)
-let holds env phi = try holds env phi with C.Overflow -> (match env with Bot -> Yes | _ -> Maybe)
+let overflowed = function Bot -> Yes | Env _ -> Maybe
+let holds env phi = try holds env phi with C.Overflow -> overflowed env
+let holds_eq env a b = try holds_eq env a b with C.Overflow -> overflowed env
 
 (** Number of distinct atoms in the linear normal form of a
     comparison — the measure of how *relational* the formula is. A

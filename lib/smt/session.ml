@@ -56,7 +56,8 @@ type ctx_status =
   | CtxUnknown  (** untrusted [Sat] or an inconclusive theory check *)
 
 type t = {
-  th : Theory.state;
+  mutable th : Theory.state option;
+      (** made on first use ({!theory}); [None] until then *)
   mutable hyps : Term.t list;  (** everything in scope, newest-first *)
   mutable nonlit : int;  (** hypotheses in scope not (fully) asserted *)
   mutable neqs : int;  (** asserted integer disequalities in scope *)
@@ -75,7 +76,7 @@ type t = {
 
 let create () =
   {
-    th = Theory.create ();
+    th = None;
     hyps = [];
     nonlit = 0;
     neqs = 0;
@@ -87,8 +88,20 @@ let create () =
     lemmas = [];
   }
 
+(** The session's theory state, made on its first use. A procedure
+    whose context stays empty and whose goals never reach a theory
+    probe never pays for one (congruence and simplex arrays, three
+    hashtables). *)
+let theory s =
+  match s.th with
+  | Some th -> th
+  | None ->
+      let th = Theory.create () in
+      s.th <- Some th;
+      th
+
 let push s =
-  Theory.push_scoped s.th;
+  Theory.push_scoped (theory s);
   s.gen <- s.gen + 1;
   s.saved <- (s.hyps, s.nonlit, s.neqs) :: s.saved
 
@@ -96,7 +109,7 @@ let pop s =
   match s.saved with
   | [] -> invalid_arg "Session.pop: no matching push"
   | (hyps, nonlit, neqs) :: rest ->
-      Theory.pop_scoped s.th;
+      Theory.pop_scoped (theory s);
       s.gen <- s.gen + 1;
       s.hyps <- hyps;
       s.nonlit <- nonlit;
@@ -153,7 +166,7 @@ let assert_hyp s (h : Term.t) =
   match pos_atoms [] h with
   | None -> s.nonlit <- s.nonlit + 1
   | Some atoms -> (
-      match List.iter (Theory.assert_literal s.th) atoms with
+      match List.iter (Theory.assert_literal (theory s)) atoms with
       | () ->
           List.iter (fun a -> if is_neq a then s.neqs <- s.neqs + 1) atoms
       | exception Invalid_argument _ ->
@@ -171,14 +184,23 @@ let assert_hyp s (h : Term.t) =
     no disequality is in scope. The verifier asks about the same live
     context many times in a row (feasibility after every step, one
     {!separated} test per heap chunk scanned), so this is checked once and
-    then answered from cache until the context changes. *)
+    then answered from cache until the context changes.
+
+    An empty context (no hypothesis, so nothing held back and no
+    disequality) needs no check at all: it is [CtxSat] with the empty
+    model, which is what a fresh theory state's check answers once the
+    theory's own [%] names are dropped ({!check_goal}'s [invalid]). *)
+let empty_ctx = CtxSat Smap.empty
+
 let context_status s =
-  match s.ctx_cache with
-  | Some (g, st) when g = s.gen -> st
+  match (s.hyps, s.ctx_cache) with
+  | [], _ -> empty_ctx
+  | _, Some (g, st) when g = s.gen -> st
   | _ ->
-      Theory.push_scoped s.th;
-      let r = Theory.check s.th in
-      Theory.pop_scoped s.th;
+      let th = theory s in
+      Theory.push_scoped th;
+      let r = Theory.check th in
+      Theory.pop_scoped th;
       let st =
         match r with
         | Theory.Unsat -> CtxUnsat
@@ -203,20 +225,25 @@ let context_vars s =
       s.ctx_vars <- Some (s.gen, vs);
       vs
 
-(** The orientations [(x, other)] of [a = b] in which [x] is an
-    integer variable occurring neither in the hypotheses nor in
-    [other], left side first. Each one makes [a = b] refutable under
-    any satisfiable context: every model of the context extends to one
-    separating the two sides, because [x] is unconstrained. *)
+(** [fresh_side ctx t other]: is [t] an integer variable occurring
+    neither in the hypotheses (whose variables are [ctx]) nor in
+    [other]? Such a side makes [t = other] refutable under any
+    satisfiable context: every model of the context extends to one
+    separating the two sides, because [t] is unconstrained. Allocates
+    nothing: {!separated} asks it of every heap-chunk candidate. *)
+let fresh_side ctx (t : Term.t) (other : Term.t) =
+  match Term.view t with
+  | Term.Var (x, Sort.Int) ->
+      (not (Smap.mem x ctx)) && not (Term.occurs x other)
+  | _ -> false
+
+(** The orientations [(x, other)] of [a = b] whose side [x] is
+    {!fresh_side}, left side first. *)
 let fresh_sides s (a : Term.t) (b : Term.t) : (string * Term.t) list =
   let ctx = context_vars s in
   let side t other =
     match Term.view t with
-    | Term.Var (x, Sort.Int)
-      when (not (Smap.mem x ctx))
-           && not (List.exists (fun (y, _) -> String.equal y x)
-                     (Term.vars other)) ->
-        [ (x, other) ]
+    | Term.Var (x, _) when fresh_side ctx t other -> [ (x, other) ]
     | _ -> []
   in
   side a b @ side b a
@@ -251,14 +278,16 @@ let oneshot = ref false
 
 (** [separated s a b]: is [a = b] refuted by the live context without a
     check? True only when the cached context status is a trusted model
-    and one side is context-fresh ({!fresh_sides}) — the verifier's
+    and one side is context-fresh ({!fresh_side}) — the verifier's
     heap-chunk lookups ask this of every candidate before spending an
     obligation on it. Never under {!oneshot}, whose runs must ask the
     one-shot pipeline every question. *)
 let separated s (a : Term.t) (b : Term.t) =
   (not !oneshot)
   && (match context_status s with CtxSat _ -> true | _ -> false)
-  && fresh_sides s a b <> []
+  &&
+  let ctx = context_vars s in
+  fresh_side ctx a b || fresh_side ctx b a
 
 (** Why a check left the session for the one-shot pipeline, in the
     order {!check_goal} tests the reasons; each has its [fallback_*]
@@ -309,13 +338,14 @@ let probe s natoms fallback invalid =
           | _ -> assert false (* is_neq only matches Eq *))
     in
     let check_branch atoms =
-      Theory.push_scoped s.th;
+      let th = theory s in
+      Theory.push_scoped th;
       let r =
-        match List.iter (Theory.assert_literal s.th) atoms with
-        | () -> Some (Theory.check s.th)
+        match List.iter (Theory.assert_literal th) atoms with
+        | () -> Some (Theory.check th)
         | exception Invalid_argument _ -> None
       in
-      Theory.pop_scoped s.th;
+      Theory.pop_scoped th;
       r
     in
     let rec eval = function

@@ -148,9 +148,17 @@ let next_tag = Atomic.make 0
    canonical (pool-resident) terms, a stale read just falls through
    to the locked pool, and an overwrite loses nothing but a future
    shortcut. This keeps the common rebuild-an-existing-term path at
-   one hash + one array read, with no mutex and no weak-set probe. *)
+   one hash + one array read, with no mutex and no weak-set probe.
+
+   Slots hold the term itself, not a [Some t] box: the array lives in
+   the major heap, so every box stored into it would be promoted at
+   the next minor collection along with its term. An empty slot holds
+   [vacant], whose negative tag no interned term has; the [tag >= 0]
+   test keeps it from ever matching (its node is [True], which
+   [tru] itself interns). *)
 let cache_bits = 16
-let cache : t option array = Array.make (1 lsl cache_bits) None
+let vacant = { node = True; tag = -1; hkey = 0; tsize = 0 }
+let cache : t array = Array.make (1 lsl cache_bits) vacant
 
 (* Racy on purpose: a lost increment under contention skews a
    diagnostic counter, not a verdict; an atomic here would tax every
@@ -160,37 +168,39 @@ let cache_hits = ref 0
 let intern node =
   let hkey = hash_node node in
   let slot = hkey land ((1 lsl cache_bits) - 1) in
-  match Array.unsafe_get cache slot with
-  | Some t when equal_node t.node node ->
-      incr cache_hits;
-      t
-  | _ ->
-      (* The lookup key borrows the node; tag and size are only
-         computed (and an id only consumed) when the term is new. *)
-      let probe = { node; tag = -1; hkey; tsize = 0 } in
-      let shard = shards.(hkey lsr cache_bits land (n_shards - 1)) in
-      Mutex.lock shard.mutex;
-      let t =
-        match Pool.find_opt shard.pool probe with
-        | Some t ->
-            shard.hits <- shard.hits + 1;
-            t
-        | None ->
-            let t =
-              {
-                node;
-                tag = Atomic.fetch_and_add next_tag 1;
-                hkey;
-                tsize = size_node node;
-              }
-            in
-            Pool.add shard.pool t;
-            shard.misses <- shard.misses + 1;
-            t
-      in
-      Mutex.unlock shard.mutex;
-      Array.unsafe_set cache slot (Some t);
-      t
+  let t = Array.unsafe_get cache slot in
+  if t.tag >= 0 && equal_node t.node node then begin
+    incr cache_hits;
+    t
+  end
+  else begin
+    (* The lookup key borrows the node; tag and size are only
+       computed (and an id only consumed) when the term is new. *)
+    let probe = { node; tag = -1; hkey; tsize = 0 } in
+    let shard = shards.(hkey lsr cache_bits land (n_shards - 1)) in
+    Mutex.lock shard.mutex;
+    let t =
+      match Pool.find_opt shard.pool probe with
+      | Some t ->
+          shard.hits <- shard.hits + 1;
+          t
+      | None ->
+          let t =
+            {
+              node;
+              tag = Atomic.fetch_and_add next_tag 1;
+              hkey;
+              tsize = size_node node;
+            }
+          in
+          Pool.add shard.pool t;
+          shard.misses <- shard.misses + 1;
+          t
+    in
+    Mutex.unlock shard.mutex;
+    Array.unsafe_set cache slot t;
+    t
+  end
 
 type pool_stats = { pool_size : int; pool_hits : int; pool_misses : int }
 
@@ -317,14 +327,25 @@ let iff a b =
   | _, False -> not_ a
   | _ -> if a == b then tru else intern (Iff (a, b))
 
-let eq a b =
+(** Does [eq a b] build the node [Eq (a, b)]? Otherwise it folds: two
+    literals, a boolean constant side, or the same term twice. *)
+let eq_is_node a b =
+  a != b
+  &&
   match (a.node, b.node) with
-  | Int_lit m, Int_lit n -> if m = n then tru else fls
-  | True, _ -> b
-  | _, True -> a
-  | False, _ -> not_ b
-  | _, False -> not_ a
-  | _ -> if a == b then tru else intern (Eq (a, b))
+  | Int_lit _, Int_lit _ | (True | False), _ | _, (True | False) -> false
+  | _ -> true
+
+let eq a b =
+  if eq_is_node a b then intern (Eq (a, b))
+  else
+    match (a.node, b.node) with
+    | Int_lit m, Int_lit n -> if m = n then tru else fls
+    | True, _ -> b
+    | _, True -> a
+    | False, _ -> not_ b
+    | _, False -> not_ a
+    | _ -> tru (* a == b *)
 
 let le a b =
   match (a.node, b.node) with
@@ -368,6 +389,24 @@ let rec free_vars acc t =
   | And ts | Or ts -> List.fold_left free_vars acc ts
 
 let vars t = free_vars [] t |> List.sort_uniq Stdlib.compare
+
+(** [occurs x t]: does a variable named [x], of either sort, occur in
+    [t]? The answer of [List.mem_assoc x (vars t)], with no list
+    built. *)
+let rec occurs x t =
+  match t.node with
+  | Var (y, _) -> String.equal x y
+  | Int_lit _ | True | False -> false
+  | App (_, ts) | Pred (_, ts) | And ts | Or ts -> occurs_any x ts
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Eq (a, b) | Le (a, b) | Lt (a, b)
+  | Implies (a, b) | Iff (a, b) ->
+      occurs x a || occurs x b
+  | Ite (c, a, b) -> occurs x c || occurs x a || occurs x b
+  | Not a -> occurs x a
+
+and occurs_any x = function
+  | [] -> false
+  | t :: ts -> occurs x t || occurs_any x ts
 
 (** Capture-free substitution of variables by terms (our terms have no
     binders, so plain structural replacement is capture-free).

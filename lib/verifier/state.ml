@@ -113,32 +113,65 @@ let add_chunk st c = { st with chunks = c :: st.chunks }
    sublists, sibling branches pay only for their differing suffix. *)
 let sync_session st = Smt.Session.sync st.session (List.rev st.pures)
 
-let entails st phi =
+let count_obligation st =
   st.stats.Vstats.obligations <- st.stats.Vstats.obligations + 1;
   (* One guaranteed deadline check per proof obligation: even a VC
      whose solver work happens entirely inside fast paths cannot
      overshoot its budget by more than one obligation. *)
-  Budget.poll_now ();
+  Budget.poll_now ()
+
+(* The abstraction's verdict on an obligation: only [Yes] settles it. *)
+let absint_settles st (tv : Absdom.tv) =
+  tv = Absdom.Yes
+  && begin
+       st.stats.Vstats.absint_discharged <-
+         st.stats.Vstats.absint_discharged + 1;
+       true
+     end
+
+(* What neither the syntactic tests nor the abstraction settled goes
+   to the procedure's session. *)
+let ask_session st phi =
+  if st.absint then
+    st.stats.Vstats.absint_abstained <- st.stats.Vstats.absint_abstained + 1;
+  sync_session st;
+  match Smt.Session.check_goal st.session phi with
+  | Smt.Solver.Valid -> true
+  | Smt.Solver.Invalid _ | Smt.Solver.Undecided -> false
+  | Smt.Solver.Gave_up r -> raise (Budget.Exhausted r)
+
+let entails st phi =
+  count_obligation st;
   T.equal phi T.tru
   || List.exists (T.equal phi) st.pures
   || (match T.view phi with T.Eq (a, b) -> T.equal a b | _ -> false)
-  || (st.absint
-     && Absdom.holds st.absenv phi = Absdom.Yes
-     && begin
-          st.stats.Vstats.absint_discharged <-
-            st.stats.Vstats.absint_discharged + 1;
-          true
-        end)
-  || begin
-       if st.absint then
-         st.stats.Vstats.absint_abstained <-
-           st.stats.Vstats.absint_abstained + 1;
-       sync_session st;
-       match Smt.Session.check_goal st.session phi with
-       | Smt.Solver.Valid -> true
-       | Smt.Solver.Invalid _ | Smt.Solver.Undecided -> false
-       | Smt.Solver.Gave_up r -> raise (Budget.Exhausted r)
-     end
+  || (st.absint && absint_settles st (Absdom.holds st.absenv phi))
+  || ask_session st phi
+
+(* Is the node [Eq (a, b)] one of [pures]? *)
+let rec mem_eq a b = function
+  | [] -> false
+  | p :: ps -> (
+      match T.view p with
+      | T.Eq (x, y) when T.equal x a && T.equal y b -> true
+      | _ -> mem_eq a b ps)
+
+(** [entails_eq st a b] is [entails st (T.eq a b)], with the same
+    answer and counters, but interns the equality only when it must go
+    to the session. Most of the verifier's equality questions (chunk
+    locations, points-to values, predicate arguments) are settled by
+    the abstraction first, and a term interned for nothing is promoted
+    out of the minor heap at the next collection (DESIGN.md §11.1). *)
+let entails_eq st a b =
+  if not (T.eq_is_node a b) then entails st (T.eq a b)
+  else begin
+    (* [T.eq a b] is the node [Eq (a, b)]: not [tru], with distinct
+       sides, so [entails]'s first and third tests fail. *)
+    count_obligation st;
+    mem_eq a b st.pures
+    || (st.absint && absint_settles st (Absdom.holds_eq st.absenv a b))
+    || ask_session st (T.eq a b)
+  end
 
 (** Is the chunk location [at] the sought location [l]? The one test
     every heap-chunk lookup applies to its candidates, in the lookup's
@@ -146,15 +179,14 @@ let entails st phi =
     candidate the live context separates from [l] without a check
     ({!Smt.Session.separated}: a trusted context model and a
     context-fresh side) is rejected without an obligation; anything
-    else is an {!entails} question. The middle step only skips
+    else is an {!entails_eq} question. The middle step only skips
     candidates {!entails} would reject, so every lookup picks the same
     chunk as asking {!entails} of every candidate. *)
 let same_loc st l at =
   T.equal l at
   || begin
        sync_session st;
-       (not (Smt.Session.separated st.session l at))
-       && entails st (T.eq l at)
+       (not (Smt.Session.separated st.session l at)) && entails_eq st l at
      end
 
 (** Is the current path feasible? Used to prune dead branches: the path
@@ -377,7 +409,7 @@ let rec consume_resolved (st : t) (a : A.t) : t =
           | _ -> false)
       with
       | Some (A.Points_to { loc = l'; frac = q'; value = v' }, st') ->
-          if not (entails st (T.eq value v')) then
+          if not (entails_eq st value v') then
             fail "points-to %a: cannot prove value %a = %a" T.pp loc T.pp
               value T.pp v';
           if Q.gt q' frac then
@@ -402,7 +434,7 @@ let rec consume_resolved (st : t) (a : A.t) : t =
           | A.Pred (p', args') ->
               String.equal p p'
               && List.length args = List.length args'
-              && List.for_all2 (fun a b -> entails st (T.eq a b)) args args'
+              && List.for_all2 (entails_eq st) args args'
           | _ -> false)
       with
       | Some (_, st') -> st'
@@ -452,7 +484,7 @@ and witnesses st x body : T.t list =
           if same_loc st loc l' then cands := v' :: !cands
         end
         else if is_x loc then
-          if entails st (T.eq value v') then cands := l' :: !cands
+          if entails_eq st value v' then cands := l' :: !cands
     | ( A.Ghost (g, GV.Auth_nat { auth = Some a; _ }),
         A.Ghost (g', GV.Auth_nat { auth = Some n'; _ }) )
       when is_x a && String.equal g g' ->

@@ -164,6 +164,21 @@ let test_corpus_golden () =
            (List.combine specs verdicts));
       Alcotest.(check string)
         (what ^ ": manifest") expected (C.manifest_digest verdicts);
+      (* The full corpus's solver work, pinned: absint settles almost
+         every obligation, and a procedure whose context stays empty
+         spends no theory check. *)
+      if size = 2000 && absint then begin
+        let st = report.E.stats.E.smt and vs = report.E.stats.E.vstats in
+        List.iter
+          (fun (name, want, got) ->
+            Alcotest.(check int) (what ^ ": " ^ name) want got)
+          [
+            ("theory_checks", 362, st.Smt.Stats.theory_checks);
+            ("session_checks", 2181, st.Smt.Stats.session_checks);
+            ("obligations", 6580, vs.Verifier.Vstats.obligations);
+            ("absint_discharged", 6399, vs.Verifier.Vstats.absint_discharged);
+          ]
+      end;
       if not absint then begin
         let st = report.E.stats.E.smt in
         Alcotest.(check int)

@@ -950,31 +950,32 @@ let test_session_separated () =
    a held-back hypothesis or a disequality, whose models it cannot
    trust. The contexts are the differential's; the pairs mix the
    context's variables with two it never mentions. *)
+let sep_side =
+  let open QCheck.Gen in
+  let v = map Term.var (oneofl [ "x"; "y"; "z"; "w"; "u" ]) in
+  frequency
+    [
+      (4, v);
+      (1, map2 (fun t k -> Term.add t (Term.int k)) v (int_range (-2) 2));
+      (1, map (fun t -> Term.app "f" [ t ]) v);
+    ]
+
+let sep_case =
+  QCheck.Gen.(
+    pair gen_sess_ops (list_size (int_range 1 4) (pair sep_side sep_side)))
+
+let print_sep_case (ops, pairs) =
+  String.concat "; " (List.map pp_sess_op ops)
+  ^ " | pairs "
+  ^ String.concat ", "
+      (List.map
+         (fun (a, b) -> Term.to_string a ^ " ~ " ^ Term.to_string b)
+         pairs)
+
 let session_separated_sound =
-  let side =
-    let open QCheck.Gen in
-    let v = map Term.var (oneofl [ "x"; "y"; "z"; "w"; "u" ]) in
-    frequency
-      [
-        (4, v);
-        (1, map2 (fun t k -> Term.add t (Term.int k)) v (int_range (-2) 2));
-        (1, map (fun t -> Term.app "f" [ t ]) v);
-      ]
-  in
-  let gen =
-    QCheck.Gen.(pair gen_sess_ops (list_size (int_range 1 4) (pair side side)))
-  in
-  let print (ops, pairs) =
-    String.concat "; " (List.map pp_sess_op ops)
-    ^ " | pairs "
-    ^ String.concat ", "
-        (List.map
-           (fun (a, b) -> Term.to_string a ^ " ~ " ^ Term.to_string b)
-           pairs)
-  in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"session-separated-sound" ~count:300
-       (QCheck.make ~print gen) (fun (ops, pairs) ->
+       (QCheck.make ~print:print_sep_case sep_case) (fun (ops, pairs) ->
          let s = Session.create () in
          let ok = ref true in
          run_sess_ops s (ops @ [ SCheck Term.fls ]) (fun hyps _ ->
@@ -988,6 +989,73 @@ let session_separated_sound =
                    then ok := false)
                pairs);
          !ok))
+
+(* The allocation-free [Session.separated] answers what its reference
+   definition does: a trusted context model ([CtxSat]) and at least one
+   [fresh_sides] orientation. Same contexts and pairs as the soundness
+   property above. *)
+let session_separated_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"session-separated-vs-reference" ~count:300
+       (QCheck.make ~print:print_sep_case sep_case) (fun (ops, pairs) ->
+         let s = Session.create () in
+         let ok = ref true in
+         run_sess_ops s (ops @ [ SCheck Term.fls ]) (fun _ _ ->
+             List.iter
+               (fun (a, b) ->
+                 let reference =
+                   (match Session.context_status s with
+                   | Session.CtxSat _ -> true
+                   | _ -> false)
+                   && Session.fresh_sides s a b <> []
+                 in
+                 if Session.separated s a b <> reference then ok := false)
+               pairs);
+         !ok))
+
+(* What a session spends in theory checks. A session makes its theory
+   state on first use, and an empty context is [CtxSat] with the empty
+   model without a check: the model a fresh theory state's check gives,
+   once the theory's own [%] names are dropped. *)
+let test_session_cost_units () =
+  let theory_checks () = (Stats.snapshot ()).Stats.theory_checks in
+  Stats.reset ();
+  let s = Session.create () in
+  (match Session.check_goal s Term.fls with
+  | Solver.Invalid { Solver.ints; _ } ->
+      Alcotest.(check bool) "empty model" true (Stdx.Smap.is_empty ints)
+  | v ->
+      Alcotest.failf "fresh session: expected invalid, got %s"
+        (verdict_kind v));
+  Alcotest.(check int) "fresh session: no theory check" 0 (theory_checks ());
+  Alcotest.(check bool) "fresh session: no theory state" true
+    (Option.is_none s.Session.th);
+  let fresh_model =
+    match Theory.check (Theory.create ()) with
+    | Theory.Sat m -> Stdx.Smap.filter (fun x _ -> x.[0] <> '%') m
+    | _ -> Alcotest.fail "a fresh theory state must be Sat"
+  in
+  Stats.reset ();
+  (match Session.context_status s with
+  | Session.CtxSat m ->
+      Alcotest.(check (list (pair string int)))
+        "empty-context model = fresh theory model"
+        (Stdx.Smap.bindings fresh_model) (Stdx.Smap.bindings m)
+  | _ -> Alcotest.fail "empty context must be CtxSat");
+  Alcotest.(check int) "empty context: no theory check" 0 (theory_checks ());
+  Session.push s;
+  Session.assert_hyp s (Term.le x y);
+  Stats.reset ();
+  ignore (Session.check_goal s Term.fls);
+  Alcotest.(check int) "first context check: one theory check" 1
+    (theory_checks ());
+  ignore (Session.check_goal s Term.fls);
+  ignore (Session.separated s z x);
+  Alcotest.(check int) "unchanged context: cached" 1 (theory_checks ());
+  Session.pop s;
+  Stats.reset ();
+  ignore (Session.check_goal s Term.fls);
+  Alcotest.(check int) "popped to empty: no theory check" 0 (theory_checks ())
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consed terms: differential properties against a reference AST.
@@ -1172,7 +1240,19 @@ let hashcons_physical_eq =
          t1 == t2
          && Term.equal t1 t2
          && Term.id t1 = Term.id t2
-         && u1 == u2))
+         && u1 == u2
+         (* and never the front cache's empty-slot sentinel (tag -1) *)
+         && Term.id t1 >= 0
+         && Term.id u1 >= 0))
+
+(* The front cache's empty slots hold a sentinel whose node is [True];
+   interning [True] must still give the pooled term. *)
+let test_hashcons_no_sentinel () =
+  Alcotest.(check bool) "Term.tru has an id" true (Term.id Term.tru >= 0);
+  Alcotest.(check bool) "Term.bool true has an id" true
+    (Term.id (Term.bool true) >= 0);
+  Alcotest.(check bool) "Term.bool true is Term.tru" true
+    (Term.bool true == Term.tru)
 
 let hashcons_eval =
   QCheck_alcotest.to_alcotest
@@ -1210,6 +1290,19 @@ let hashcons_vars =
          && List.for_all
               (fun v -> List.mem v (rvars_i [] a))
               (Term.vars t)))
+
+(* [Term.occurs] answers what the variable list does, with no list. *)
+let hashcons_occurs =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"occurs-vs-vars" ~count:500
+       (QCheck.make QCheck.Gen.(pair gen_iexp gen_bform))
+       (fun (a, f) ->
+         List.for_all
+           (fun t ->
+             List.for_all
+               (fun x -> Term.occurs x t = List.mem_assoc x (Term.vars t))
+               [ "x"; "y"; "z"; "p"; "q"; "w" ])
+           [ build_i a; build_b f ]))
 
 let hashcons_subst =
   QCheck_alcotest.to_alcotest
@@ -1299,8 +1392,10 @@ let hashcons_cases =
   [
     fold_exact;
     hashcons_physical_eq;
+    Alcotest.test_case "no-sentinel" `Quick test_hashcons_no_sentinel;
     hashcons_eval;
     hashcons_vars;
+    hashcons_occurs;
     hashcons_subst;
   ]
 
@@ -1317,6 +1412,8 @@ let session_cases =
     session_differential;
     Alcotest.test_case "session-separated" `Quick test_session_separated;
     session_separated_sound;
+    session_separated_reference;
+    Alcotest.test_case "session-cost-units" `Quick test_session_cost_units;
   ]
 
 let () =
