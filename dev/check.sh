@@ -91,6 +91,18 @@ fi
 echo "lemmas_seeded=$seeded lia_eq_witnessed=$witnessed"
 suite_json=$(dune exec bin/daenerys.exe -- suite -j 1 --json --no-absint)
 check_fallbacks "suite -j 1 --no-absint"
+# The session's case splitting is live: max3 (path conditions on
+# lifted ite encodings, a disjunctive postcondition) and spinlock
+# (context disequalities) are decided without one fallback.
+for f in examples/max3.hl examples/spinlock.hl; do
+  n=$(dune exec bin/daenerys.exe -- verify --json "$f" |
+    grep -o '"session_fallbacks":[0-9]*' | head -1 | cut -d: -f2)
+  if [ "${n:-missing}" != 0 ]; then
+    echo "FAIL: verify --json $f: session_fallbacks=${n:-missing}, expected 0" >&2
+    exit 1
+  fi
+done
+echo "max3, spinlock: session_fallbacks=0"
 
 echo "== surface (.hl) gate: parse + lint + verify every examples/*.hl =="
 # must_fail FILE [FLAG...]: verify must not accept FILE.

@@ -42,20 +42,26 @@ type t = {
           it by reason and sum to it *)
   mutable fallback_fault : int;  (** an injected session fault fired *)
   mutable fallback_nonlit_goal : int;
-      (** the goal is not a disjunction of literals *)
+      (** the negated goal has no cases: boolean structure the theory
+          cannot take, or more cases than the session probes *)
   mutable fallback_untrusted_ctx : int;
       (** a feasibility check (goal [False]) on a context whose model
           the session cannot trust *)
   mutable fallback_held_back : int;
-      (** a theory probe said [Sat], untrusted because a non-literal
-          hypothesis (a disjunction, iff or [ite]) is held back *)
+      (** a theory probe said [Sat], untrusted because a hypothesis
+          with other than one case (a disjunction, an iff) is held back *)
   mutable fallback_ctx_neq : int;
       (** a theory probe said [Sat], untrusted because an integer
-          disequality is in the context *)
+          disequality in the context was left unsplit (splitting it
+          would exceed the session's branch bound) *)
   mutable fallback_goal_neqs : int;
-      (** the negated goal has more than two disequalities to split *)
+      (** the negated goal's cases and disequalities make more branches
+          than the session probes *)
   mutable fallback_inconclusive : int;
       (** a probe branch was unpurifiable or ran out of theory fuel *)
+  mutable session_split_probes : int;
+      (** theory probes a session check spent on branches beyond its
+          first: goal cases and strict sides of disequalities *)
   mutable lemmas_seeded : int;
       (** stored theory-conflict cores a fallback added as clauses
           before its first SAT call (the session's lemma store) *)
@@ -104,6 +110,7 @@ let create () =
     fallback_ctx_neq = 0;
     fallback_goal_neqs = 0;
     fallback_inconclusive = 0;
+    session_split_probes = 0;
     lemmas_seeded = 0;
     learnts_deleted = 0;
     heap_decisions = 0;
@@ -169,6 +176,8 @@ let fields : t Stdx.Counters.field list =
     ]
     @ fallback_reasons
     @ [
+      Int ("session_split_probes", (fun s -> s.session_split_probes),
+           fun s v -> s.session_split_probes <- v);
       Int ("lemmas_seeded", (fun s -> s.lemmas_seeded),
            fun s v -> s.lemmas_seeded <- v);
       Int ("learnts_deleted", (fun s -> s.learnts_deleted),
