@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1 gate: everything a PR must keep green.
 #   ./dev/check.sh
-# Runs the build, the full test suite, the static analyzer (suite +
-# examples must lint clean; the ill-formed suite must produce its
-# annotated codes), a smoke run of the parallel engine (2 worker
+# Runs the build, prints the non-blank .ml line count under lib/ and
+# bin/ (the figure ROADMAP's "net line drop" gates quote), then runs
+# the full test suite, the static analyzer (suite + examples must lint
+# clean; the ill-formed suite must produce its annotated codes), a smoke run of the parallel engine (2 worker
 # domains, lint gate on) over the benchmark suite, the session
 # fallback gate (reasons sum, lemma store live), the daemon gates
 # (warm cache, restart, kill -9 crash recovery), the chaos gates
@@ -28,6 +29,9 @@ fi
 
 echo "== dune build =="
 dune build
+
+echo "== size: non-blank .ml lines under lib/ and bin/ (informational) =="
+find lib bin -name '*.ml' -exec cat {} + | grep -c '[^[:space:]]'
 
 echo "== dune runtest =="
 dune runtest

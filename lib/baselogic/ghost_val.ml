@@ -2,17 +2,23 @@
 
     Assertions own ghost resources whose contents are *terms* (symbolic
     integers), not concrete camera elements — [own γ (● n ⋅ ◯ m)] with
-    [n], [m] verification-time unknowns. Each constructor corresponds
-    to a camera from {!Camera}; {!Semantics} evaluates a symbolic
-    element to the concrete camera under a valuation, which is how the
-    property-based tests tie this layer to the camera laws.
+    [n], [m] verification-time unknowns. Each constructor denotes an
+    element of a camera from {!Camera}: [Excl] of [Excl int], [Agree]
+    of [Agree int], [Frac_tok] of [Frac], [Auth_nat] of [Auth Nat_add],
+    [Max_nat] of [Max_nat] and [Token] of [Excl unit].
+    {!Semantics.eval_ghost_val} computes that element under a
+    valuation.
 
-    The functions below compute, symbolically, the three facts the
-    logic needs about ghost state: composition (for [own γ a ∗ own γ b ⊣⊢
-    own γ (a⋅b)]), validity (for [own γ a ⊢ ✓ a]), and frame-preserving
+    The functions below compute, symbolically, the facts the logic
+    needs about ghost state: composition (for [own γ a ∗ own γ b ⊣⊢
+    own γ (a⋅b)]), validity (for [own γ a ⊢ ✓ a]), inclusion and
+    equality (for consuming a chunk), persistence, and frame-preserving
     updates (for the ghost-update rule). Composition and updates are
     partial: on shapes we cannot decide symbolically they return
-    [None] and the caller must fall back to manual reasoning. *)
+    [None] and the caller must fall back to manual reasoning. The
+    [ghost-val camera-*] QCheck properties in [test/test_baselogic.ml]
+    check each of them against the camera's [valid], [op], [included],
+    [pcore] and [Camera.Updates.brute_force] at random valuations. *)
 
 open Stdx
 open Smt
@@ -113,8 +119,7 @@ let sub_condition ~(goal : t) ~(chunk : t) : Term.t option =
 
 (** Symbolic frame-preserving update [a ~~> b]: returns the side
     condition under which the update is frame-preserving, or [None] if
-    the shape pair is not a recognized update pattern. The patterns
-    mirror the certified updates in {!Camera.Updates}. *)
+    the shape pair is not a recognized update pattern. *)
 let update (a : t) (b : t) : Term.t option =
   match (a, b) with
   | Excl _, Excl _ -> Some Term.tru

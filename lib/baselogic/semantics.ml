@@ -1,21 +1,29 @@
 (** A finite-model semantics for the destabilized logic.
 
     The paper's artifact proves soundness in Coq; our executable
-    analogue interprets assertions in small concrete models and lets
-    QCheck search for counterexamples to every kernel rule.
+    analogue interprets assertions in small concrete models, and
+    [test/test_baselogic.ml] checks every kernel rule in all of them.
 
     The semantic domain is a triple (step index, global heap σ, local
     resource a):
 
     - σ is the *authoritative* program heap (what the machine runs on);
-    - a is the locally-owned fragment: a fractional heap fragment that
-      must agree with σ, plus concrete ghost state;
+    - a is the locally-owned resource, an element of the camera {!Res}:
+      a finite map of fractional, agreeing heap cells that must agree
+      with σ, times the registry's ghost map;
     - all connectives are monotone in a (Iris-style upward closure),
       but *stability* — insensitivity to changes of σ outside a's
       footprint — is a separate property that heap-dependent pure
       assertions deliberately lack. [Stabilize] quantifies over the
       compatible globals, which is what makes ⌊P⌋ stable by
       construction.
+
+    Every resource law (composition, validity, core, inclusion) is the
+    one of {!Camera}. This module adds only the evaluator's enumeration
+    strategy — the splits tried for [∗], the finite universes of
+    {!model} — and the evaluation of symbolic ghost values; the
+    [ghost-val camera-*] QCheck properties in [test/test_baselogic.ml]
+    tie each {!Ghost_val} function to these cameras.
 
     Quantifiers, wands, updates and WP quantify over the finite
     universes supplied in {!model}; the evaluator is sound and complete
@@ -29,111 +37,103 @@ open Stdx
 module Imap = Heaplang.Heap.Imap
 
 (* ------------------------------------------------------------------ *)
-(* Concrete resources *)
+(* Concrete resources, built from the cameras of {!Camera} *)
 
-(** Concrete ghost-camera elements — {!Ghost_val} with the terms
-    evaluated. *)
-type cval =
-  | CExcl of int
-  | CAgree of int
-  | CFrac of Q.t
-  | CAuthNat of int option * int
-  | CMaxNat of int
-  | CToken
+module Int_elt = struct
+  type t = int
 
-type res = { rheap : (Q.t * int) Imap.t; rghost : cval Smap.t }
+  let pp = Fmt.int
+  let equal = Int.equal
+  let compare = Int.compare
+end
 
-let cval_op (a : cval) (b : cval) : cval option =
-  match (a, b) with
-  | CExcl _, CExcl _ | CToken, CToken -> None
-  | CAgree x, CAgree y -> if x = y then Some (CAgree x) else None
-  | CFrac p, CFrac q ->
-      let s = Q.add p q in
-      if Q.leq s Q.one then Some (CFrac s) else None
-  | CAuthNat (Some _, _), CAuthNat (Some _, _) -> None
-  | CAuthNat (auth, m1), CAuthNat (None, m2)
-  | CAuthNat (None, m1), CAuthNat (auth, m2) ->
-      let m = m1 + m2 in
-      (match auth with
-      | Some n when m > n -> None
-      | _ -> Some (CAuthNat (auth, m)))
-  | CMaxNat x, CMaxNat y -> Some (CMaxNat (max x y))
-  | _ -> None
+module Agree_int = Camera.Agree.Make (Int_elt)
+module Excl_int = Camera.Excl.Make (Int_elt)
 
-let cval_valid = function
-  | CExcl _ | CAgree _ | CToken -> true
-  | CFrac q -> Q.gt q Q.zero && Q.leq q Q.one
-  | CAuthNat (Some n, m) -> 0 <= m && m <= n
-  | CAuthNat (None, m) -> 0 <= m
-  | CMaxNat n -> n >= 0
+module Token = Camera.Excl.Make (struct
+  type t = unit
 
-let cval_core = function
-  | CAgree x -> Some (CAgree x)
-  | CMaxNat x -> Some (CMaxNat x)
-  | CAuthNat (_, _) -> Some (CAuthNat (None, 0))
-  | CExcl _ | CFrac _ | CToken -> None
+  let pp ppf () = Fmt.string ppf "tok"
+  let equal () () = true
+end)
 
-let cval_incl (a : cval) (b : cval) : bool =
-  match (a, b) with
-  | CAgree x, CAgree y -> x = y
-  | CMaxNat x, CMaxNat y -> x <= y
-  | CFrac p, CFrac q -> Q.leq p q
-  | CAuthNat (None, m1), CAuthNat (_, m2) -> m1 <= m2
-  | CAuthNat (Some n1, m1), CAuthNat (Some n2, m2) -> n1 = n2 && m1 <= m2
-  | CExcl x, CExcl y -> x = y
-  | CToken, CToken -> true
-  | _ -> false
+module Auth_nat = Camera.Auth.Make (Camera.Nat_add)
 
-(** Resource composition; [None] marks invalid composites. *)
-let res_op (a : res) (b : res) : res option =
-  let heap =
-    Imap.merge
-      (fun _ x y ->
-        match (x, y) with
-        | None, z | z, None -> Option.map Result.ok z
-        | Some (q1, v1), Some (q2, v2) ->
-            let q = Q.add q1 q2 in
-            if v1 = v2 && Q.leq q Q.one then Some (Ok (q, v1))
-            else Some (Error ()))
-      a.rheap b.rheap
-  in
-  let ghost =
-    Smap.merge
-      (fun _ x y ->
-        match (x, y) with
-        | None, z | z, None -> Option.map Result.ok z
-        | Some x, Some y -> (
-            match cval_op x y with
-            | Some z when cval_valid z -> Some (Ok z)
-            | _ -> Some (Error ())))
-      a.rghost b.rghost
-  in
-  let ok_heap = Imap.for_all (fun _ v -> Result.is_ok v) heap in
-  let ok_ghost = Smap.for_all (fun _ v -> Result.is_ok v) ghost in
-  if ok_heap && ok_ghost then
-    Some
-      {
-        rheap = Imap.map Result.get_ok heap;
-        rghost = Smap.map Result.get_ok ghost;
-      }
-  else None
+(** The local heap: each location holds a fraction of a value that
+    every owner agrees on. *)
+module Heap =
+  Camera.Gmap.Make
+    (struct
+      include Imap
 
-let res_core (r : res) : res =
-  { rheap = Imap.empty; rghost = Smap.filter_map (fun _ v -> cval_core v) r.rghost }
+      let pp_key = Fmt.int
+    end)
+    (Camera.Prod.Make (Camera.Frac) (Agree_int))
+
+module Packed = Camera.Registry.Packed
+module Ghost = Camera.Registry.Ghost_map
+
+(** A local resource: a heap fragment and the ghost state. *)
+module Res = Camera.Prod.MakeUnital (Heap) (Ghost)
+
+type res = Res.t
+
+(* One registration per {!Ghost_val} shape. *)
+module Reg_excl = Camera.Registry.Register (struct
+  include Excl_int
+
+  let name = "excl"
+end) ()
+
+module Reg_agree = Camera.Registry.Register (struct
+  include Agree_int
+
+  let name = "ag"
+end) ()
+
+module Reg_frac = Camera.Registry.Register (struct
+  include Camera.Frac
+
+  let name = "frac"
+end) ()
+
+module Reg_auth = Camera.Registry.Register (struct
+  include Auth_nat
+
+  let name = "auth"
+end) ()
+
+module Reg_max = Camera.Registry.Register (struct
+  include Camera.Max_nat
+
+  let name = "maxnat"
+end) ()
+
+module Reg_token = Camera.Registry.Register (struct
+  include Token
+
+  let name = "tok"
+end) ()
+
+(** [r ⋅ f] for valid [r] and [f], when that composite is valid. *)
+let compose ((h1, g1) : res) ((h2, g2) : res) : res option =
+  match Heap.op_if_valid h1 h2 with
+  | None -> None
+  | Some h -> Option.map (fun g -> (h, g)) (Ghost.op_if_valid g1 g2)
 
 (** Does fragment [r] agree with global heap [sigma]? *)
-let compat (sigma : int Imap.t) (r : res) : bool =
+let compat (sigma : int Imap.t) ((heap, _) : res) : bool =
   Imap.for_all
-    (fun l (_, v) -> match Imap.find_opt l sigma with
-      | Some w -> v = w
-      | None -> false)
-    r.rheap
+    (fun l (_, ag) ->
+      match (Imap.find_opt l sigma, Agree_int.value ag) with
+      | Some w, Some v -> w = v
+      | _ -> false)
+    heap
 
 (* ------------------------------------------------------------------ *)
 (* Splitting (for Sep) *)
 
-let rec heap_splits (cells : (int * (Q.t * int)) list) :
-    ((Q.t * int) Imap.t * (Q.t * int) Imap.t) list =
+let rec heap_splits cells : (Heap.t * Heap.t) list =
   match cells with
   | [] -> [ (Imap.empty, Imap.empty) ]
   | (l, (q, v)) :: rest ->
@@ -155,27 +155,30 @@ let rec heap_splits (cells : (int * (Q.t * int)) list) :
             rests)
         options
 
-let cval_splits (cv : cval) : (cval option * cval option) list =
-  let whole = [ (Some cv, None); (None, Some cv) ] in
-  match cv with
-  | CAgree _ | CMaxNat _ -> (Some cv, Some cv) :: whole
-  | CFrac q ->
-      let h = Q.mul q Q.half in
-      (Some (CFrac h), Some (CFrac h)) :: whole
-  | CAuthNat (auth, m) ->
+(* A persistent element splits into two copies of itself, a fraction
+   into halves, and an authoritative counter into small contributions
+   with the authoritative part on either side. *)
+let cell_splits (p : Packed.t) =
+  let whole = [ (Some p, None); (None, Some p) ] in
+  match (Reg_frac.project p, Reg_auth.project p) with
+  | Some q, _ ->
+      let h = Some (Reg_frac.inject (Q.mul q Q.half)) in
+      (h, h) :: whole
+  | None, Some a ->
+      let m = a.frag in
       whole
       @ List.concat_map
           (fun m1 ->
-            let m2 = m - m1 in
-            [
-              (Some (CAuthNat (auth, m1)), Some (CAuthNat (None, m2)));
-              (Some (CAuthNat (None, m1)), Some (CAuthNat (auth, m2)));
-            ])
+            let part m = Some (Reg_auth.inject (Auth_nat.frag m)) in
+            let with_auth m = Some (Reg_auth.inject { a with frag = m }) in
+            [ (with_auth m1, part (m - m1)); (part m1, with_auth (m - m1)) ])
           (Listx.range 0 (min m 4 + 1))
-  | CExcl _ | CToken -> whole
+  | None, None -> (
+      match Packed.pcore p with
+      | Some c when Packed.equal c p -> (Some p, Some p) :: whole
+      | _ -> whole)
 
-let rec ghost_splits (cells : (string * cval) list) :
-    (cval Smap.t * cval Smap.t) list =
+let rec ghost_splits cells : (Ghost.t * Ghost.t) list =
   match cells with
   | [] -> [ (Smap.empty, Smap.empty) ]
   | (g, cv) :: rest ->
@@ -187,17 +190,13 @@ let rec ghost_splits (cells : (string * cval) list) :
               ( (match x with Some c -> Smap.add g c m1 | None -> m1),
                 match y with Some c -> Smap.add g c m2 | None -> m2 ))
             rests)
-        (cval_splits cv)
+        (cell_splits cv)
 
-let res_splits (r : res) : (res * res) list =
-  let hs = heap_splits (Imap.bindings r.rheap) in
-  let gs = ghost_splits (Smap.bindings r.rghost) in
+let res_splits ((heap, ghost) : res) : (res * res) list =
+  let hs = heap_splits (Imap.bindings heap) in
+  let gs = ghost_splits (Smap.bindings ghost) in
   List.concat_map
-    (fun (h1, h2) ->
-      List.map
-        (fun (g1, g2) ->
-          ({ rheap = h1; rghost = g1 }, { rheap = h2; rghost = g2 }))
-        gs)
+    (fun (h1, h2) -> List.map (fun (g1, g2) -> ((h1, g1), (h2, g2))) gs)
     hs
 
 (* ------------------------------------------------------------------ *)
@@ -211,20 +210,23 @@ let eval_term env sigma (t : Smt.Term.t) : int option =
   in
   Smt.Term.eval ~env ~on_app t
 
-let eval_ghost_val env sigma (v : Ghost_val.t) : cval option =
+(** The camera element a symbolic ghost value denotes under [env] and
+    [sigma], or [None] when a term does not evaluate. *)
+let eval_ghost_val env sigma (v : Ghost_val.t) : Packed.t option =
   let ev = eval_term env sigma in
   match v with
-  | Ghost_val.Excl t -> Option.map (fun n -> CExcl n) (ev t)
-  | Ghost_val.Agree t -> Option.map (fun n -> CAgree n) (ev t)
-  | Ghost_val.Frac_tok q -> Some (CFrac q)
+  | Ghost_val.Excl t -> Option.map (fun n -> Reg_excl.inject (Excl n)) (ev t)
+  | Ghost_val.Agree t ->
+      Option.map (fun n -> Reg_agree.inject (Agree_int.of_elt n)) (ev t)
+  | Ghost_val.Frac_tok q -> Some (Reg_frac.inject q)
   | Ghost_val.Auth_nat { auth; frag } -> (
       match (auth, ev frag) with
-      | None, Some m -> Some (CAuthNat (None, m))
+      | None, Some m -> Some (Reg_auth.inject (Auth_nat.frag m))
       | Some a, Some m ->
-          Option.map (fun n -> CAuthNat (Some n, m)) (ev a)
+          Option.map (fun n -> Reg_auth.inject (Auth_nat.both n m)) (ev a)
       | _, None -> None)
-  | Ghost_val.Max_nat t -> Option.map (fun n -> CMaxNat n) (ev t)
-  | Ghost_val.Token -> Some CToken
+  | Ghost_val.Max_nat t -> Option.map Reg_max.inject (ev t)
+  | Ghost_val.Token -> Some (Reg_token.inject (Excl ()))
 
 (* ------------------------------------------------------------------ *)
 (* The evaluator *)
@@ -282,10 +284,8 @@ let rec eval (m : model) (penv : Assertion.pred_env) (env : int Smap.t)
   | Assertion.Emp -> true  (* upward-closed: unit is included in anything *)
   | Assertion.Points_to { loc; frac; value } -> (
       match (ev_t loc, ev_t value) with
-      | Some l, Some v -> (
-          match Imap.find_opt l r.rheap with
-          | Some (q, v') -> v = v' && Q.leq frac q
-          | None -> false)
+      | Some l, Some v ->
+          Heap.included (Imap.singleton l (frac, Agree_int.of_elt v)) (fst r)
       | _ -> false)
   | Assertion.Pred (p, args) -> (
       match Smap.find_opt p penv with
@@ -308,10 +308,7 @@ let rec eval (m : model) (penv : Assertion.pred_env) (env : int Smap.t)
   | Assertion.Ghost (g, gv) -> (
       match eval_ghost_val env sigma gv with
       | None -> false
-      | Some cv -> (
-          match Smap.find_opt g r.rghost with
-          | Some cv' -> cval_incl cv cv'
-          | None -> false))
+      | Some cv -> Ghost.included (Smap.singleton g cv) (snd r))
   | Assertion.Sep (p, q) ->
       List.exists
         (fun (r1, r2) ->
@@ -326,7 +323,7 @@ let rec eval (m : model) (penv : Assertion.pred_env) (env : int Smap.t)
         (fun sigma' ->
           List.for_all
             (fun rf ->
-              match res_op r rf with
+              match compose r rf with
               | Some rc when compat sigma' rc ->
                   (not (continue env ~step sigma' rf p))
                   || continue env ~step sigma' rc q
@@ -345,18 +342,21 @@ let rec eval (m : model) (penv : Assertion.pred_env) (env : int Smap.t)
       List.for_all
         (fun n -> continue (Smap.add x n env) ~step sigma r p)
         m.ints
-  | Assertion.Persistently p -> continue env ~step sigma (res_core r) p
+  | Assertion.Persistently p ->
+      (* The resource camera is unital, so its core is total. *)
+      let core = Option.value (Res.pcore r) ~default:Res.unit in
+      continue env ~step sigma core p
   | Assertion.Later p -> step = 0 || continue env ~step:(step - 1) sigma r p
   | Assertion.Upd p ->
       (* For every compatible frame there is an updated local resource
          validly composing with it and satisfying P. *)
       List.for_all
         (fun rf ->
-          match res_op r rf with
+          match compose r rf with
           | Some rc when compat sigma rc ->
               List.exists
                 (fun r' ->
-                  match res_op r' rf with
+                  match compose r' rf with
                   | Some rc' ->
                       compat sigma rc' && continue env ~step sigma r' p
                   | None -> false)
@@ -366,14 +366,8 @@ let rec eval (m : model) (penv : Assertion.pred_env) (env : int Smap.t)
   | Assertion.Stabilize p ->
       (* ⌊P⌋: P holds under every global (from the universe, plus the
          current one) that agrees with our footprint. *)
-      let fp = Imap.bindings r.rheap in
       List.for_all
-        (fun sigma' ->
-          (not
-             (List.for_all
-                (fun (l, (_, v)) -> Imap.find_opt l sigma' = Some v)
-                fp))
-          || continue env ~step sigma' r p)
+        (fun sigma' -> (not (compat sigma' r)) || continue env ~step sigma' r p)
         (sigma :: m.globals)
   | Assertion.Wp (e, x, post) -> eval_wp m penv env ~step sigma r e x post
 
@@ -397,7 +391,7 @@ and eval_wp m penv env ~step sigma0 r e x post =
     (fun sigma ->
       List.for_all
         (fun rf ->
-          match res_op r rf with
+          match compose r rf with
           | Some rc when compat sigma rc ->
           let rec run k (cfg : Heaplang.Step.cfg) =
             if k >= step then true  (* ran out of steps: vacuously fine *)
@@ -415,7 +409,7 @@ and eval_wp m penv env ~step sigma0 r e x post =
             | Some n, Some sigma' ->
                 List.exists
                   (fun r' ->
-                    match res_op r' rf with
+                    match compose r' rf with
                     | Some rc' ->
                         compat sigma' rc'
                         && eval m penv env ~step:(step - k) sigma' r'

@@ -1,63 +1,44 @@
 (** The authoritative camera [Auth M] over a unital camera [M].
 
     [auth a] (written [● a]) is the unique authoritative element;
-    [frag b] (written [◯ b]) is a fragment. Validity of a composition
+    [frag b] (written [◯ b]) is a fragment. As in Iris, the
+    authoritative part lives in [option (excl M)], so two of them
+    compose to the invalid [Some Bot]. Validity of a composition
     requires at most one authoritative part, with every fragment
     included in it. This is the workhorse for connecting ghost state to
     physical state (heaps, counters, monotone logs). *)
 
 module Make (M : Camera_intf.UNITAL) = struct
-  type auth_part = NoAuth | Auth of M.t | AuthBot
+  module E = Excl.Make (M)
+  module Part = Option_ra.Make (E)
 
-  type t = { auth : auth_part; frag : M.t }
+  type t = { auth : Part.t; frag : M.t }
 
   let pp ppf t =
     match t.auth with
-    | NoAuth -> Fmt.pf ppf "◯ %a" M.pp t.frag
-    | Auth a -> Fmt.pf ppf "● %a ⋅ ◯ %a" M.pp a M.pp t.frag
-    | AuthBot -> Fmt.string ppf "auth:⊥"
+    | None -> Fmt.pf ppf "◯ %a" M.pp t.frag
+    | Some (E.Excl a) -> Fmt.pf ppf "● %a ⋅ ◯ %a" M.pp a M.pp t.frag
+    | Some E.Bot -> Fmt.string ppf "auth:⊥"
 
-  let equal x y =
-    (match (x.auth, y.auth) with
-    | NoAuth, NoAuth -> true
-    | Auth a, Auth b -> M.equal a b
-    | AuthBot, AuthBot -> true
-    | _ -> false)
-    && M.equal x.frag y.frag
-
-  let auth a = { auth = Auth a; frag = M.unit }
-  let frag b = { auth = NoAuth; frag = b }
-  let both a b = { auth = Auth a; frag = b }
+  let equal x y = Part.equal x.auth y.auth && M.equal x.frag y.frag
+  let auth a = { auth = Some (E.Excl a); frag = M.unit }
+  let frag b = { auth = None; frag = b }
+  let both a b = { auth = Some (E.Excl a); frag = b }
 
   let valid t =
     match t.auth with
-    | NoAuth -> M.valid t.frag
-    | Auth a ->
-        M.valid a && (M.included t.frag a || M.equal t.frag a)
-    | AuthBot -> false
+    | None -> M.valid t.frag
+    | Some (E.Excl a) -> M.valid a && (M.included t.frag a || M.equal t.frag a)
+    | Some E.Bot -> false
 
-  let op x y =
-    let auth =
-      match (x.auth, y.auth) with
-      | NoAuth, a | a, NoAuth -> a
-      | _ -> AuthBot
-    in
-    { auth; frag = M.op x.frag y.frag }
+  let op x y = { auth = Part.op x.auth y.auth; frag = M.op x.frag y.frag }
 
-  let pcore t =
-    match M.pcore t.frag with
-    | Some c -> Some { auth = NoAuth; frag = c }
-    | None -> Some { auth = NoAuth; frag = M.unit }
   (* The core drops the authoritative part and keeps the fragment's
      core; with a unital M the fragment core is total. *)
+  let pcore t =
+    Some { auth = None; frag = Option.value (M.pcore t.frag) ~default:M.unit }
 
   let included x y =
-    let auth_incl =
-      match (x.auth, y.auth) with
-      | NoAuth, _ -> true
-      | Auth a, Auth b -> M.equal a b
-      | _, AuthBot -> true
-      | _ -> false
-    in
-    auth_incl && (M.included x.frag y.frag || M.equal x.frag y.frag)
+    Part.included x.auth y.auth
+    && (M.included x.frag y.frag || M.equal x.frag y.frag)
 end

@@ -15,9 +15,7 @@ module Nat_add = Nat_add
 module Max_nat = Max_nat
 module Option_ra = Option_ra
 module Prod = Prod
-module Sum = Sum
 module Gmap = Gmap
-module Gset_disj = Gset_disj
 module Auth = Auth
 module Updates = Updates
 module Registry = Registry

@@ -8,7 +8,7 @@
     Step-indexing lives entirely in the base logic ([Baselogic]), where
     the later modality counts down a semantic step index.
 
-    Laws (validated by QCheck in [test/test_camera.ml]):
+    Laws (checked on finite carriers in [test/test_camera.ml]):
     - [op] is associative and commutative;
     - validity is down-closed: [valid (op a b)] implies [valid a];
     - if [pcore a = Some ca] then [op ca a = a], [pcore ca = Some ca],

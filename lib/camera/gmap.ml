@@ -1,39 +1,53 @@
 (** The finite-map camera [gmap K A]: pointwise composition.
 
     Absent keys act as units, so the map camera is unital with the empty
-    map even when the value camera is not. Keys are strings (ghost
-    names, printed locations); richer key types go through their printed
-    form. *)
+    map even when the value camera is not. The functor takes the key's
+    map module itself, so a map of cells stays a map of the caller's
+    keys (ghost names in a [Smap], locations in an [Imap]). *)
 
-open Stdx
+module type MAP = sig
+  include Map.S
 
-module Make (C : Camera_intf.S) = struct
-  type t = C.t Smap.t
+  val pp_key : key Fmt.t
+end
 
-  let pp ppf m = Smap.pp C.pp ppf m
-  let equal a b = Smap.equal C.equal a b
-  let valid m = Smap.for_all (fun _ v -> C.valid v) m
+module Make (M : MAP) (C : Camera_intf.S) = struct
+  type t = C.t M.t
 
-  let op a b =
-    Smap.union (fun _ x y -> Some (C.op x y)) a b
+  let pp ppf m =
+    Fmt.pf ppf "{@[%a@]}"
+      (Fmt.list ~sep:(Fmt.any ";@ ") (fun ppf (k, v) ->
+           Fmt.pf ppf "%a ↦ %a" M.pp_key k C.pp v))
+      (M.bindings m)
+
+  let equal a b = M.equal C.equal a b
+  let valid m = M.for_all (fun _ v -> C.valid v) m
+  let op a b = M.union (fun _ x y -> Some (C.op x y)) a b
+
+  exception Invalid
+
+  (** [Some (a ⋅ b)] when [a ⋅ b] is valid, for valid [a] and [b]: only
+      the keys they share can make the composite invalid, so the others
+      are neither composed nor checked again. *)
+  let op_if_valid a b =
+    let f _ x y =
+      let z = C.op x y in
+      if C.valid z then Some z else raise_notrace Invalid
+    in
+    match M.union f a b with m -> Some m | exception Invalid -> None
 
   let pcore m =
     (* Pointwise cores; keys without a core simply drop out (their core
        is the absent-key unit). *)
-    Some (Smap.filter_map (fun _ v -> C.pcore v) m)
+    Some (M.filter_map (fun _ v -> C.pcore v) m)
 
   let included a b =
-    Smap.for_all
+    M.for_all
       (fun k va ->
-        match Smap.find_opt k b with
+        match M.find_opt k b with
         | None -> false
         | Some vb -> C.included va vb || C.equal va vb)
       a
 
-  let unit = Smap.empty
-  let singleton k v = Smap.add k v Smap.empty
-  let find = Smap.find_opt
-  let add = Smap.add
-  let remove = Smap.remove
-  let bindings = Smap.bindings
+  let unit = M.empty
 end

@@ -21,15 +21,12 @@ module Make (A : Camera_intf.S) (B : Camera_intf.S) = struct
     (A.included a1 a2 || A.equal a1 a2) && (B.included b1 b2 || B.equal b1 b2)
   (* Inclusion in a product without units requires a witness per
      component; allowing reflexivity per component matches inclusion in
-     the unital completion, which is what the logic uses. *)
+     the unital completion, which is what the logic uses. With units it
+     is the genuine extension order. *)
 end
 
 module MakeUnital (A : Camera_intf.UNITAL) (B : Camera_intf.UNITAL) = struct
   include Make (A) (B)
 
   let unit = (A.unit, B.unit)
-
-  (* With units, inclusion is the genuine extension order. *)
-  let included (a1, b1) (a2, b2) =
-    (A.included a1 a2 || A.equal a1 a2) && (B.included b1 b2 || B.equal b1 b2)
 end

@@ -27,26 +27,13 @@ module type CELL_OPS = sig
   val op : univ -> univ -> univ
   val pcore : univ -> univ option
   val included : univ -> univ -> bool
-  val fpu : univ -> univ -> bool
 end
 
-(** A camera bundled with the update oracle it certifies. *)
+(** A camera with the name its packed elements print under. *)
 module type REGISTRABLE = sig
   include Camera_intf.S
 
   val name : string
-
-  val fpu : t -> t -> bool
-  (** Sound (possibly incomplete) frame-preserving-update oracle. *)
-end
-
-(** Typed view of one registered camera. *)
-module type INJECTION = sig
-  type elt
-
-  val cell : int
-  val inject : elt -> packed
-  val project : packed -> elt option
 end
 
 (* Thread-safety invariant: the cell table is written only under
@@ -69,7 +56,6 @@ let cell_ops i : (module CELL_OPS) =
     [univ] constructor, so the same underlying module can be registered
     twice and the two registrations will not mix. *)
 module Register (C : REGISTRABLE) () = struct
-  type elt = C.t
   type univ += U of C.t
 
   let prj = function U x -> x | _ -> invalid_arg ("Registry cell " ^ C.name)
@@ -91,7 +77,6 @@ module Register (C : REGISTRABLE) () = struct
       let op a b = U (C.op (prj a) (prj b))
       let pcore a = Option.map (fun c -> U c) (C.pcore (prj a))
       let included a b = C.included (prj a) (prj b)
-      let fpu a b = C.fpu (prj a) (prj b)
     end in
     !cells.(id) <- Some (module Ops : CELL_OPS);
     Mutex.unlock registry_lock;
@@ -149,32 +134,14 @@ module Packed = struct
         &&
         let module Ops = (val cell_ops x.cell) in
         Ops.included x.v y.v || Ops.equal x.v y.v
-
-  let fpu a b =
-    match (a, b) with
-    | Pack x, Pack y when x.cell = y.cell ->
-        let module Ops = (val cell_ops x.cell) in
-        Ops.fpu x.v y.v
-    | _ -> false
 end
 
 (** The global ghost camera: ghost names to packed camera elements. *)
-module Ghost_map = struct
-  include Gmap.Make (Packed)
+module Ghost_map =
+  Gmap.Make
+    (struct
+      include Smap
 
-  (** Pointwise frame-preserving update: every key present on either
-      side must be updatable (or unchanged); keys may not appear or
-      disappear (allocation is a separate, existential rule in the
-      kernel). *)
-  let fpu (a : t) (b : t) =
-    let keys =
-      Smap.merge (fun _ x y -> if x = None && y = None then None else Some ())
-        a b
-    in
-    Smap.for_all
-      (fun k () ->
-        match (Smap.find_opt k a, Smap.find_opt k b) with
-        | Some va, Some vb -> Packed.equal va vb || Packed.fpu va vb
-        | _ -> false)
-      keys
-end
+      let pp_key = Fmt.string
+    end)
+    (Packed)

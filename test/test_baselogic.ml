@@ -37,9 +37,10 @@ let globals : int Imap.t list =
     ([ [] ] @ List.map (fun b -> [ b ]) (cell 1 [ 0; 1 ]))
 
 let resources : S.res list =
-  let heap_frag = function
-    | [] -> Imap.empty
-    | cells -> Imap.of_seq (List.to_seq cells)
+  let heap_frag cells =
+    Imap.of_seq
+      (List.to_seq
+         (List.map (fun (l, (q, v)) -> (l, (q, S.Agree_int.of_elt v))) cells))
   in
   let heaps =
     [ [] ]
@@ -52,19 +53,27 @@ let resources : S.res list =
         [ (0, (Q.one, 1)); (1, (Q.one, 0)) ];
       ]
   in
+  let own gv =
+    Smap.singleton "g"
+      (Option.get (S.eval_ghost_val Smap.empty Imap.empty gv))
+  in
   let ghosts =
     [
       Smap.empty;
-      Smap.of_list [ ("g", S.CAuthNat (Some 2, 1)) ];
-      Smap.of_list [ ("g", S.CAuthNat (None, 1)) ];
-      Smap.of_list [ ("g", S.CAgree 1) ];
-      Smap.of_list [ ("g", S.CExcl 0) ];
-      Smap.of_list [ ("g", S.CMaxNat 2) ];
+      own (GV.Auth_nat { auth = Some (T.int 2); frag = T.int 1 });
+      own (GV.Auth_nat { auth = None; frag = T.int 1 });
+      own (GV.Agree (T.int 1));
+      own (GV.Excl (T.int 0));
+      own (GV.Max_nat (T.int 2));
     ]
   in
-  List.concat_map
-    (fun g -> List.map (fun h -> { S.rheap = heap_frag h; rghost = g }) heaps)
-    ghosts
+  List.concat_map (fun g -> List.map (fun h -> (heap_frag h, g)) heaps) ghosts
+  (* Ghost-only: the states the authoritative update rules start from
+     and land in, so that neither holds vacuously. *)
+  @ List.map
+      (fun (n, m) ->
+        (Imap.empty, own (GV.Auth_nat { auth = Some (T.int n); frag = T.int m })))
+      [ (1, 1); (2, 2) ]
 
 let model = { S.ints = [ -1; 0; 1; 2; 3 ]; resources; globals }
 
@@ -168,6 +177,8 @@ let ghost_rules =
   [
     check_rule "ghost-valid"
       (K.ghost_valid "g" (GV.Auth_nat { auth = Some va; frag = T.int 1 }));
+    check_rule "ghost-valid-negative-frag"
+      (K.ghost_valid "g" (GV.Auth_nat { auth = None; frag = T.int (-1) }));
     check_rule "ghost-op-split"
       (K.ghost_op_split "g"
          (GV.Auth_nat { auth = Some (T.int 2); frag = T.int 1 })
@@ -232,6 +243,12 @@ let negative_cases =
     check_invalid "no-free-frame" A.Emp p1;
     check_invalid "no-value-change" (pt l0 (T.int 0)) (pt l0 (T.int 1));
     check_invalid "later-not-elim" (A.Later (pt l0 (T.int 9999))) (pt l0 (T.int 9999));
+    (let frag1 = A.Ghost ("g", GV.Auth_nat { auth = None; frag = T.int 1 }) in
+     check_invalid "no-dup-fragment" frag1 (A.Sep (frag1, frag1)));
+    (let auth1 m = GV.Auth_nat { auth = Some (T.int 1); frag = T.int m } in
+     check_invalid "no-nonlocal-auth-update"
+       (A.Ghost ("g", auth1 1))
+       (A.Upd (A.Ghost ("g", auth1 2))));
   ]
 
 (* Kernel side conditions must reject bad instances. *)
@@ -327,6 +344,111 @@ let ghost_val_consistency =
         | _ -> Alcotest.fail "frac composes");
   ]
 
+(* Every Ghost_val function agrees with the camera of its evaluated
+   shape, at small random valuations of its terms. *)
+module P = Camera.Registry.Packed
+
+let gv_vars = [ "x"; "y"; "z"; "w" ]
+
+let gen_ghost_val shape =
+  let open QCheck.Gen in
+  let v = map T.var (oneofl gv_vars) in
+  match shape with
+  | 0 -> map (fun t -> GV.Excl t) v
+  | 1 -> map (fun t -> GV.Agree t) v
+  | 2 ->
+      map
+        (fun q -> GV.Frac_tok q)
+        (oneofl Q.[ zero; mk 1 4; half; mk 3 4; one; mk 5 4 ])
+  | 3 -> map2 (fun auth frag -> GV.Auth_nat { auth; frag }) (opt v) v
+  | 4 -> map (fun t -> GV.Max_nat t) v
+  | _ -> return GV.Token
+
+(* A valuation and two elements, mostly of one shape. *)
+let arb_ghost_case =
+  let open QCheck.Gen in
+  let gen =
+    let* shape = int_bound 5 in
+    let* shape' = frequency [ (7, return shape); (1, int_bound 5) ] in
+    let* a = gen_ghost_val shape in
+    let* b = gen_ghost_val shape' in
+    let+ vals = list_repeat (List.length gv_vars) (int_range (-1) 3) in
+    (Smap.of_list (List.combine gv_vars vals), a, b)
+  in
+  QCheck.make gen ~print:(fun (env, a, b) ->
+      Fmt.str "%a | %a | %a"
+        Fmt.(list ~sep:comma (pair ~sep:(any "=") string int))
+        (Smap.bindings env) GV.pp a GV.pp b)
+
+let camera_of env gv = Option.get (S.eval_ghost_val env Imap.empty gv)
+let holds env t = T.eval_bool ~env t = Some true
+
+(* Update frames: every valid element of every shape at small values. *)
+module Frames = struct
+  include P
+
+  let elements =
+    let ns = List.map T.int [ 0; 1; 2; 3 ] in
+    List.concat
+      [
+        List.concat_map (fun n -> [ GV.Excl n; GV.Agree n; GV.Max_nat n ]) ns;
+        List.map (fun q -> GV.Frac_tok q) Q.[ mk 1 4; half; mk 3 4; one ];
+        List.concat_map
+          (fun m ->
+            List.map
+              (fun auth -> GV.Auth_nat { auth; frag = m })
+              (None :: List.map Option.some ns))
+          ns;
+        [ GV.Token ];
+      ]
+    |> List.map (camera_of Smap.empty)
+    |> List.filter P.valid
+end
+
+let ghost_camera_prop name law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:("camera-" ^ name) ~count:2000 arb_ghost_case
+       (fun (env, a, b) -> law env a b))
+
+let ghost_val_camera =
+  [
+    ghost_camera_prop "valid-fact" (fun env a _ ->
+        holds env (GV.valid_fact a) = P.valid (camera_of env a));
+    (* Only valid operands matter: [own] of an invalid element never
+       holds. *)
+    ghost_camera_prop "compose" (fun env a b ->
+        let ea = camera_of env a and eb = camera_of env b in
+        let ab = P.op ea eb in
+        (not (P.valid ea && P.valid eb))
+        ||
+        match GV.compose a b with
+        | None -> not (P.valid ab)
+        | Some (c, fact) ->
+            if holds env fact then P.equal (camera_of env c) ab
+            else not (P.valid ab));
+    ghost_camera_prop "sub-condition" (fun env a b ->
+        match GV.sub_condition ~goal:a ~chunk:b with
+        | Some c when holds env c ->
+            let ea = camera_of env a and eb = camera_of env b in
+            P.included ea eb || P.equal ea eb
+        | _ -> true);
+    ghost_camera_prop "eq-condition" (fun env a b ->
+        match GV.eq_condition a b with
+        | Some c when holds env c -> P.equal (camera_of env a) (camera_of env b)
+        | _ -> true);
+    ghost_camera_prop "persistent" (fun env a _ ->
+        let ea = camera_of env a in
+        (not (GV.persistent a))
+        || match P.pcore ea with Some c -> P.equal c ea | None -> false);
+    ghost_camera_prop "update" (fun env a b ->
+        match GV.update a b with
+        | Some c when holds env c ->
+            Camera.Updates.brute_force
+              (module Frames)
+              (camera_of env a) (camera_of env b)
+        | _ -> true);
+  ]
+
 (* Syntactic stability implies semantic stability. *)
 let stability_semantic =
   [
@@ -377,6 +499,6 @@ let () =
       ("negative", negative_cases);
       ("side-conditions", rule_error_cases);
       ("entail-auto", entail_auto_cases);
-      ("ghost-val", ghost_val_consistency);
+      ("ghost-val", ghost_val_consistency @ ghost_val_camera);
       ("stability", stability_semantic);
     ]

@@ -1,8 +1,9 @@
 (** Camera-law tests: every instance satisfies the RA axioms, the
     decidable inclusion agrees with witness search on finite carriers,
-    and the update oracles agree with brute force. *)
+    and the exclusive overwrite is frame-preserving by brute force. *)
 
 open Camera
+open Stdx
 
 (* A generic law-checker over a finite carrier. *)
 module Laws (C : Camera.FINITE) = struct
@@ -86,22 +87,13 @@ end
 module NatF = struct
   include Nat_add
 
-  let elements = [ 0; 1; 2; 3 ]
+  let elements = [ -1; 0; 1; 2; 3 ]
 end
 
 module MaxF = struct
   include Max_nat
 
   let elements = [ 0; 1; 2; 3 ]
-end
-
-module SumF = struct
-  include Sum.Make (ExclBool) (NatF)
-
-  let elements =
-    List.map (fun e -> Inl e) ExclBool.elements
-    @ List.map (fun e -> Inr e) NatF.elements
-    @ [ SumBot ]
 end
 
 module ProdF = struct
@@ -123,31 +115,47 @@ module AuthNatF = struct
   include Auth.Make (NatF)
 
   let elements =
-    let frags = [ 0; 1; 2 ] in
+    let frags = [ -1; 0; 1; 2 ] in
     List.map frag frags
     @ List.concat_map (fun a -> List.map (fun f -> both a f) frags) [ 0; 1; 2 ]
 end
 
-module GsetF = struct
-  include Gset_disj
-
-  let elements =
-    [ unit; singleton "a"; singleton "b"; of_list [ "a"; "b" ]; Bot ]
-end
-
 module GmapF = struct
-  include Gmap.Make (ExclBool)
+  include
+    Gmap.Make
+      (struct
+        include Smap
+
+        let pp_key = Fmt.string
+      end)
+      (ExclBool)
 
   let elements =
-    [
-      unit;
-      singleton "x" (ExclBool.Excl true);
-      singleton "x" (ExclBool.Excl false);
-      singleton "y" (ExclBool.Excl true);
-      op (singleton "x" (ExclBool.Excl true)) (singleton "y" (ExclBool.Excl false));
-      singleton "x" ExclBool.Bot;
-    ]
+    Smap.
+      [
+        unit;
+        singleton "x" (ExclBool.Excl true);
+        singleton "x" (ExclBool.Excl false);
+        singleton "y" (ExclBool.Excl true);
+        op (singleton "x" (ExclBool.Excl true))
+          (singleton "y" (ExclBool.Excl false));
+        singleton "x" ExclBool.Bot;
+      ]
 end
+
+(* On valid operands, the composite-when-valid shortcut is [op] then
+   [valid]. *)
+let gmap_op_if_valid () =
+  let valid = List.filter GmapF.valid GmapF.elements in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b ->
+          let ab = GmapF.op a b in
+          Option.equal GmapF.equal (GmapF.op_if_valid a b)
+            (if GmapF.valid ab then Some ab else None))
+        valid)
+    valid
 
 let law_cases =
   let module L1 = Laws (ExclBool) in
@@ -155,23 +163,24 @@ let law_cases =
   let module L3 = Laws (FracF) in
   let module L4 = Laws (NatF) in
   let module L5 = Laws (MaxF) in
-  let module L6 = Laws (SumF) in
-  let module L7 = Laws (ProdF) in
-  let module L8 = Laws (OptF) in
-  let module L9 = Laws (AuthNatF) in
-  let module L10 = Laws (GsetF) in
-  let module L11 = Laws (GmapF) in
+  let module L6 = Laws (ProdF) in
+  let module L7 = Laws (OptF) in
+  let module L8 = Laws (AuthNatF) in
+  let module L9 = Laws (GmapF) in
   List.concat
     [
       L1.all "excl"; L2.all "agree"; L3.all "frac"; L4.all "nat";
-      L5.all "maxnat"; L6.all "sum"; L7.all "prod"; L8.all "option";
-      L9.all "auth"; L10.all "gset"; L11.all "gmap";
+      L5.all "maxnat"; L6.all "prod"; L7.all "option"; L8.all "auth";
+      L9.all "gmap";
+      [ ("gmap-op-if-valid", gmap_op_if_valid) ];
     ]
   |> List.map (fun (name, f) ->
          Alcotest.test_case name `Quick (fun () ->
              Alcotest.(check bool) name true (f ())))
 
-(* Frame-preserving updates: oracles vs brute force. *)
+(* Frame-preserving updates: the exclusive overwrite vs brute force. The
+   symbolic update patterns are checked against brute force in
+   test_baselogic. *)
 
 let test_excl_update () =
   (* Excl a ~~> Excl b unconditionally. *)
@@ -187,53 +196,23 @@ let test_excl_update () =
         ExclBool.elements)
     ExclBool.elements
 
-let test_auth_nat_update () =
-  (* ● n ⋅ ◯ m ~~> ● n' ⋅ ◯ m' iff the local-update condition holds. *)
-  let range = [ 0; 1; 2; 3 ] in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun m ->
-          List.iter
-            (fun n' ->
-              List.iter
-                (fun m' ->
-                  let a = AuthNatF.both n m and b = AuthNatF.both n' m' in
-                  let brute = Updates.brute_force (module AuthNatF) a b in
-                  let oracle =
-                    Updates.auth_nat_local_update ~auth:n ~frag:m ~auth':n'
-                      ~frag':m'
-                  in
-                  (* The oracle must be sound (imply brute force); it
-                     may be incomplete. *)
-                  if oracle && AuthNatF.valid a then
-                    Alcotest.(check bool)
-                      (Printf.sprintf "auth %d %d ~> %d %d" n m n' m')
-                      true brute)
-                range)
-            range)
-        range)
-    range
-
 (* Registry: typed injection, cross-camera isolation. *)
 
 module RegNat = Registry.Register (struct
   include Nat_add
 
   let name = "nat"
-  let fpu a b = a = b
 end) ()
 
-module RegTok = Registry.Register (struct
-  include Gset_disj
+module RegExcl = Registry.Register (struct
+  include ExclBool
 
-  let name = "tok"
-  let fpu a b = equal a b
+  let name = "excl"
 end) ()
 
 let test_registry () =
   let p1 = RegNat.inject 3 in
-  let p2 = RegTok.inject (Gset_disj.singleton "t") in
+  let p2 = RegExcl.inject (ExclBool.Excl true) in
   Alcotest.(check (option int)) "roundtrip" (Some 3) (RegNat.project p1);
   Alcotest.(check bool) "cross-project" true (RegNat.project p2 = None);
   Alcotest.(check bool) "cross-op invalid" false
@@ -245,16 +224,15 @@ let test_registry () =
 
 let test_ghost_map () =
   let module GM = Registry.Ghost_map in
-  let m1 = GM.singleton "γ1" (RegNat.inject 1) in
-  let m2 = GM.singleton "γ1" (RegNat.inject 2) in
-  let m3 = GM.singleton "γ2" (RegTok.inject (Gset_disj.singleton "t")) in
+  let m1 = Smap.singleton "γ1" (RegNat.inject 1) in
+  let m2 = Smap.singleton "γ1" (RegNat.inject 2) in
+  let m3 = Smap.singleton "γ2" (RegExcl.inject (ExclBool.Excl true)) in
   Alcotest.(check bool) "disjoint valid" true (GM.valid (GM.op m1 m3));
   Alcotest.(check bool) "same-key nat adds" true (GM.valid (GM.op m1 m2));
   Alcotest.(check (option int)) "pointwise op" (Some 3)
-    (Option.bind (GM.find "γ1" (GM.op m1 m2)) RegNat.project);
-  (* fpu: nat cell only allows identity per the registration above *)
-  Alcotest.(check bool) "fpu refl" true (GM.fpu m1 m1);
-  Alcotest.(check bool) "fpu non-refl" false (GM.fpu m1 m2)
+    (Option.bind (Smap.find_opt "γ1" (GM.op m1 m2)) RegNat.project);
+  Alcotest.(check bool) "same-key excl invalid" false
+    (GM.valid (GM.op m3 m3))
 
 let () =
   Alcotest.run "camera"
@@ -263,7 +241,6 @@ let () =
       ( "updates",
         [
           Alcotest.test_case "excl" `Quick test_excl_update;
-          Alcotest.test_case "auth-nat" `Quick test_auth_nat_update;
         ] );
       ( "registry",
         [
