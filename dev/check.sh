@@ -2,7 +2,8 @@
 # Tier-1 gate: everything a PR must keep green.
 #   ./dev/check.sh
 # Runs the build, prints the non-blank .ml line count under lib/ and
-# bin/ (the figure ROADMAP's "net line drop" gates quote), then runs
+# bin/ and the non-blank .hl line count under lib/suite/ (their total
+# is the figure ROADMAP's "net line drop" gates quote), then runs
 # the full test suite, the static analyzer (suite + examples must lint
 # clean; the ill-formed suite must produce its annotated codes), a smoke run of the parallel engine (2 worker
 # domains, lint gate on) over the benchmark suite, the session
@@ -30,8 +31,10 @@ fi
 echo "== dune build =="
 dune build
 
-echo "== size: non-blank .ml lines under lib/ and bin/ (informational) =="
-find lib bin -name '*.ml' -exec cat {} + | grep -c '[^[:space:]]'
+echo "== size: non-blank .ml lines under lib/ and bin/, plus the suite's .hl sources under lib/suite/ (informational) =="
+ml_lines=$(find lib bin -name '*.ml' -exec cat {} + | grep -c '[^[:space:]]' || true)
+hl_lines=$(find lib/suite -name '*.hl' -exec cat {} + | grep -c '[^[:space:]]' || true)
+echo "ml=$ml_lines hl=$hl_lines total=$((ml_lines + hl_lines))"
 
 echo "== dune runtest =="
 dune runtest

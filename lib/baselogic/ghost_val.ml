@@ -110,7 +110,8 @@ let eq_condition (a : t) (b : t) : Term.t option =
     are incompatible. *)
 let sub_condition ~(goal : t) ~(chunk : t) : Term.t option =
   match (goal, chunk) with
-  | Max_nat x, Max_nat y -> Some (Term.le x y)
+  | Max_nat x, Max_nat y ->
+      Some (Term.and_ [ Term.le (Term.int 0) x; Term.le x y ])
   | Auth_nat { auth = None; frag = m' }, Auth_nat { auth = _; frag = m } ->
       Some (Term.and_ [ Term.le (Term.int 0) m'; Term.le m' m ])
   | Frac_tok p, Frac_tok q ->

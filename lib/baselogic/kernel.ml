@@ -207,9 +207,21 @@ let deref_intro ?penv q l v phi_with_reads =
 (* ------------------------------------------------------------------ *)
 (* Ghost state *)
 
+(* [own g (a · b)] splits only when the composition's fact holds and
+   both parts are valid: [Agree] composes only equal values, and a
+   [Nat_add] fragment splits into no negative part. *)
 let ghost_op_split ?penv g a b =
   match Ghost_val.compose a b with
-  | Some (ab, _) -> mk ?penv (A.own g ab) (A.Sep (A.own g a, A.own g b))
+  | Some (ab, fact) ->
+      mk ?penv
+        (A.seps
+           [
+             A.own g ab;
+             A.Pure fact;
+             A.Pure (Ghost_val.valid_fact a);
+             A.Pure (Ghost_val.valid_fact b);
+           ])
+        (A.Sep (A.own g a, A.own g b))
   | None -> fail "ghost_op_split: composition undefined"
 
 let ghost_op_join ?penv g a b =

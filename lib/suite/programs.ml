@@ -1,23 +1,31 @@
 (** The benchmark suite: annotated programs exercising the verifier
     (and, where marked, the certified baseline).
 
+    Every entry the surface language can express is its [.hl] source,
+    elaborated by {!Verifier.Elab.program_of_string} exactly as
+    [daenerys verify] and the daemon elaborate a file. {!sources} names
+    each one by its path from the repository root: the 14 programs
+    that also ship as [examples/*.hl] use those files, and the others,
+    with the stable variants of [count] and [bank], live in
+    [lib/suite/programs/]. The dune rule that builds [Sources] embeds
+    the bytes at build time, so nothing reads a file at run time.
+
+    Only [ghost_counter] and [monotone] are built here as OCaml ASTs:
+    they hold ghost resources ([A.Ghost]) and update them with ghost
+    commands ([V.Update]), and the surface language has neither an
+    [own] assertion nor a ghost-update command.
+
     Conventions: specification parameters appear as [Sym] values in
     programs and as term variables in assertions, with the same name;
     procedure results bind the reserved variable [result] in
     postconditions. *)
 
-open Stdx
 module A = Baselogic.Assertion
 module GV = Baselogic.Ghost_val
-module HT = Baselogic.Hterm
 module T = Smt.Term
 module HL = Heaplang.Ast
 module V = Verifier.Exec
 module P = Proofmode.Prove
-
-let sym x = HL.Val (HL.Sym x)
-let pt ?frac l v = A.points_to ?frac (T.var l) v
-let deref l = HT.deref (T.var l)
 
 (** A baseline (proof-producing) verification task. *)
 type baseline = {
@@ -38,1053 +46,204 @@ type entry = {
   expect_fail : bool;  (** negative test: must NOT verify *)
 }
 
+(** The source of every elaborated program, by key: an entry's name
+    for its [prog], the entry's name with [_stable] appended for its
+    stable variant. *)
+let sources =
+  [
+    ("swap", "examples/swap.hl");
+    ("swap_client", "examples/swap_client.hl");
+    ("count", "examples/count.hl");
+    ("count_stable", "lib/suite/programs/count_stable.hl");
+    ("max3", "examples/max3.hl");
+    ("clamp", "examples/clamp.hl");
+    ("bank", "examples/bank.hl");
+    ("bank_stable", "lib/suite/programs/bank_stable.hl");
+    ("list_length", "examples/list_length.hl");
+    ("cas_once", "lib/suite/programs/cas_once.hl");
+    ("faa_counter", "lib/suite/programs/faa_counter.hl");
+    ("times7", "lib/suite/programs/times7.hl");
+    ("cas_retry", "lib/suite/programs/cas_retry.hl");
+    ("lifecycle", "lib/suite/programs/lifecycle.hl");
+    ("shared_read", "examples/shared_read.hl");
+    ("spinlock", "examples/spinlock.hl");
+    ("ticket_lock", "examples/ticket_lock.hl");
+    ("treiber", "examples/treiber.hl");
+    ("bad_swap", "examples/bad_swap.hl");
+    ("bad_leak", "lib/suite/programs/bad_leak.hl");
+    ("bad_unstable", "lib/suite/programs/bad_unstable.hl");
+    ("bad_double_free", "lib/suite/programs/bad_double_free.hl");
+    ("bad_half_write", "lib/suite/programs/bad_half_write.hl");
+    ("racy_incr", "examples/da027_racy_par.hl");
+    ("lock_noinv", "examples/lock_noinv.hl");
+  ]
+
+let load key =
+  let file = List.assoc key sources in
+  fst
+    (Verifier.Elab.program_of_string ~file
+       (List.assoc (Filename.basename file) Sources.files))
+
 let entry ?baseline ?stable_variant ?(expect_fail = false) ~descr name prog
     main =
   { name; descr; prog; main; baseline; stable_variant; expect_fail }
 
-let one_proc ?(preds = Smap.empty) ?(invs = []) p = { V.procs = [ p ]; preds; invs }
+(** The procedure an entry's [main] names. *)
+let main_proc e =
+  List.find (fun p -> String.equal p.V.pname e.main) e.prog.V.procs
 
-(* ------------------------------------------------------------------ *)
-(* 1. swap *)
-
-let swap_body =
-  HL.Let
-    ( "x",
-      HL.Load (sym "l"),
-      HL.Let
-        ( "y",
-          HL.Load (sym "r"),
-          HL.Seq
-            (HL.Store (sym "l", HL.Var "y"), HL.Store (sym "r", HL.Var "x"))
-        ) )
-
-let swap_proc =
+(** A baseline task restating an entry's main procedure; [anf] proves
+    the A-normal form of its body. *)
+let restate ?(anf = false) ?(invs = []) (p : V.proc) =
   {
-    V.pname = "swap";
-    params = [ "l"; "r"; "a"; "b" ];
-    requires = A.seps [ pt "l" (T.var "a"); pt "r" (T.var "b") ];
-    ensures = A.seps [ pt "l" (T.var "b"); pt "r" (T.var "a") ];
-    body = swap_body;
-    invariants = [];
-    ghost = [];
+    b_pre = p.V.requires;
+    b_body = (if anf then P.anf p.V.body else p.V.body);
+    b_post = p.V.ensures;
+    b_invs = invs;
   }
 
-let swap =
-  entry ~descr:"swap two references"
-    ~baseline:
-      {
-        b_pre = swap_proc.V.requires;
-        b_body = swap_body;
-        b_post = swap_proc.V.ensures;
-        b_invs = [];
-      }
-    "swap" (one_proc swap_proc) "swap"
+(** An entry elaborated from [sources]; [baseline] builds its baseline
+    task from the main procedure. *)
+let hl ?baseline ?stable_variant ?expect_fail ~descr name main =
+  let e = entry ?stable_variant ?expect_fail ~descr name (load name) main in
+  { e with baseline = Option.map (fun f -> f (main_proc e)) baseline }
 
-(* ------------------------------------------------------------------ *)
-(* 2. swap client (modular calls) *)
-
-let swap_client_proc =
-  {
-    V.pname = "swap_client";
-    params = [];
-    requires = A.Emp;
-    ensures = A.Pure (T.eq (T.var "result") (T.int 1));
-    body =
-      HL.Let
-        ( "l",
-          HL.Alloc (HL.Val (HL.Int 1)),
-          HL.Let
-            ( "r",
-              HL.Alloc (HL.Val (HL.Int 2)),
-              HL.Seq
-                ( HL.App
-                    ( HL.App
-                        ( HL.App (HL.App (HL.Var "swap", HL.Var "l"), HL.Var "r"),
-                          HL.Val (HL.Int 1) ),
-                      HL.Val (HL.Int 2) ),
-                  HL.Load (HL.Var "r") ) ) );
-    invariants = [];
-    ghost = [];
-  }
+let swap = hl ~descr:"swap two references" ~baseline:restate "swap" "swap"
 
 let swap_client =
-  entry ~descr:"modular verification through swap's spec" "swap_client"
-    { V.procs = [ swap_proc; swap_client_proc ]; preds = Smap.empty; invs = [] }
+  hl ~descr:"modular verification through swap's spec" "swap_client"
     "swap_client"
 
-(* ------------------------------------------------------------------ *)
-(* 3. count to n — loop with heap-dependent invariant *)
-
-let count_body =
-  HL.Let
-    ( "c",
-      HL.Load (sym "i"),
-      HL.Let
-        ( "d",
-          HL.BinOp (HL.Add, HL.Var "c", HL.Val (HL.Int 1)),
-          HL.Store (sym "i", HL.Var "d") ) )
-
-let count_cond =
-  HL.Let ("c", HL.Load (sym "i"), HL.BinOp (HL.Lt, HL.Var "c", sym "n"))
-
-let count_loop = HL.While (count_cond, count_body)
-
-(* Heap-dependent invariant: one existential for the cell, the bounds
-   read the heap directly. *)
-let count_inv_hd =
-  A.Sep
-    ( A.Exists ("v", pt "i" (T.var "v")),
-      A.Pure (T.and_ [ T.le (T.int 0) (deref "i"); T.le (deref "i") (T.var "n") ])
-    )
-
-(* Stable variant: the classic explicitly-threaded form. *)
-let count_inv_stable =
-  A.Exists
-    ( "v",
-      A.Sep
-        ( pt "i" (T.var "v"),
-          A.Pure (T.and_ [ T.le (T.int 0) (T.var "v"); T.le (T.var "v") (T.var "n") ])
-        ) )
-
-let count_proc inv =
-  {
-    V.pname = "count";
-    params = [ "i"; "n" ];
-    requires = A.seps [ pt "i" (T.int 0); A.Pure (T.le (T.int 0) (T.var "n")) ];
-    ensures =
-      A.Sep
-        ( A.Pure (T.eq (T.var "result") (T.var "n")),
-          A.Exists ("w", pt "i" (T.var "w")) );
-    body = HL.Seq (count_loop, HL.Load (sym "i"));
-    invariants = [ (count_loop, inv) ];
-    ghost = [];
-  }
-
+(* The baseline proves [count] against the stable invariant, keyed on
+   the loaded loop and guarded by the heap-dependent loop test. *)
 let count =
-  entry ~descr:"count a cell up to n (loop invariant reads the heap)"
-    ~stable_variant:(one_proc (count_proc count_inv_stable))
-    ~baseline:
-      {
-        b_pre = (count_proc count_inv_hd).V.requires;
-        b_body = HL.Seq (count_loop, HL.Load (sym "i"));
-        b_post = (count_proc count_inv_hd).V.ensures;
-        b_invs =
-          [
-            ( count_loop,
-              {
-                P.inv = count_inv_stable;
-                guard = Some (T.lt (deref "i") (T.var "n"));
-              } );
-          ];
-      }
-    "count" (one_proc (count_proc count_inv_hd)) "count"
-
-(* ------------------------------------------------------------------ *)
-(* 4. max3 — branch-heavy pure code *)
-
-let max3_proc =
-  let ge a b = HL.BinOp (HL.Ge, a, b) in
-  {
-    V.pname = "max3";
-    params = [ "a"; "b"; "c" ];
-    requires = A.Emp;
-    ensures =
-      (let r = T.var "result" in
-       A.Pure
-         (T.and_
-            [
-              T.ge r (T.var "a");
-              T.ge r (T.var "b");
-              T.ge r (T.var "c");
-              T.or_
-                [ T.eq r (T.var "a"); T.eq r (T.var "b"); T.eq r (T.var "c") ];
-            ]));
-    body =
-      HL.Let
-        ( "ab",
-          HL.If (ge (sym "a") (sym "b"), sym "a", sym "b"),
-          HL.If (ge (HL.Var "ab") (sym "c"), HL.Var "ab", sym "c") );
-    invariants = [];
-    ghost = [];
-  }
+  let stable = load "count_stable" in
+  let e =
+    hl ~descr:"count a cell up to n (loop invariant reads the heap)"
+      ~stable_variant:stable "count" "count"
+  in
+  let p = main_proc e in
+  let loop = fst (List.hd p.V.invariants) in
+  let inv = snd (List.hd (List.hd stable.V.procs).V.invariants) in
+  let guard = Some (T.lt (Baselogic.Hterm.deref (T.var "i")) (T.var "n")) in
+  { e with baseline = Some (restate ~invs:[ (loop, { P.inv; guard }) ] p) }
 
 let max3 =
-  entry ~descr:"maximum of three, branch coverage"
-    ~baseline:
-      {
-        b_pre = max3_proc.V.requires;
-        b_body = P.anf max3_proc.V.body;
-        b_post = max3_proc.V.ensures;
-        b_invs = [];
-      }
-    "max3" (one_proc max3_proc) "max3"
-
-(* ------------------------------------------------------------------ *)
-(* 5. clamp with assert *)
-
-let clamp_proc =
-  {
-    V.pname = "clamp";
-    params = [ "x"; "lo"; "hi" ];
-    requires = A.Pure (T.le (T.var "lo") (T.var "hi"));
-    ensures =
-      A.Pure
-        (T.and_
-           [ T.le (T.var "lo") (T.var "result"); T.le (T.var "result") (T.var "hi") ]);
-    body =
-      HL.Let
-        ( "r",
-          HL.If
-            ( HL.BinOp (HL.Lt, sym "x", sym "lo"),
-              sym "lo",
-              HL.If (HL.BinOp (HL.Gt, sym "x", sym "hi"), sym "hi", sym "x") ),
-          HL.Seq
-            ( HL.Assert (HL.BinOp (HL.Le, sym "lo", HL.Var "r")),
-              HL.Var "r" ) );
-    invariants = [];
-    ghost = [];
-  }
+  hl ~descr:"maximum of three, branch coverage"
+    ~baseline:(restate ~anf:true) "max3" "max3"
 
 let clamp =
-  entry ~descr:"clamp with a runtime assert"
-    ~baseline:
-      {
-        b_pre = clamp_proc.V.requires;
-        b_body = P.anf clamp_proc.V.body;
-        b_post = clamp_proc.V.ensures;
-        b_invs = [];
-      }
-    "clamp" (one_proc clamp_proc) "clamp"
-
-(* ------------------------------------------------------------------ *)
-(* 6. bank transfer — the heap-dependent flagship *)
-
-(* The invariant of the bank is heap-dependent: !a + !b = total. The
-   transfer temporarily breaks and restores it. *)
-let bank_proc =
-  let amount = T.var "amt" in
-  {
-    V.pname = "transfer";
-    params = [ "a"; "b"; "amt"; "total" ];
-    requires =
-      A.seps
-        [
-          A.Exists ("va", pt "a" (T.var "va"));
-          A.Exists ("vb", pt "b" (T.var "vb"));
-          A.Pure (T.eq (T.add (deref "a") (deref "b")) (T.var "total"));
-          A.Pure (T.le (T.int 0) amount);
-          A.Pure (T.le amount (deref "a"));
-        ];
-    ensures =
-      A.seps
-        [
-          A.Exists ("wa", pt "a" (T.var "wa"));
-          A.Exists ("wb", pt "b" (T.var "wb"));
-          A.Pure (T.eq (T.add (deref "a") (deref "b")) (T.var "total"));
-          A.Pure (T.le (T.int 0) (deref "a"));
-        ];
-    body =
-      HL.Let
-        ( "x",
-          HL.Load (sym "a"),
-          HL.Seq
-            ( HL.Store (sym "a", HL.BinOp (HL.Sub, HL.Var "x", sym "amt")),
-              HL.Let
-                ( "y",
-                  HL.Load (sym "b"),
-                  HL.Store (sym "b", HL.BinOp (HL.Add, HL.Var "y", sym "amt"))
-                ) ) );
-    invariants = [];
-    ghost = [];
-  }
-
-(* Stable variant: thread every value explicitly. *)
-let bank_stable =
-  {
-    bank_proc with
-    V.requires =
-      A.Exists
-        ( "va",
-          A.Exists
-            ( "vb",
-              A.seps
-                [
-                  pt "a" (T.var "va");
-                  pt "b" (T.var "vb");
-                  A.Pure (T.eq (T.add (T.var "va") (T.var "vb")) (T.var "total"));
-                  A.Pure (T.le (T.int 0) (T.var "amt"));
-                  A.Pure (T.le (T.var "amt") (T.var "va"));
-                ] ) );
-    ensures =
-      A.Exists
-        ( "wa",
-          A.Exists
-            ( "wb",
-              A.seps
-                [
-                  pt "a" (T.var "wa");
-                  pt "b" (T.var "wb");
-                  A.Pure (T.eq (T.add (T.var "wa") (T.var "wb")) (T.var "total"));
-                  A.Pure (T.le (T.int 0) (T.var "wa"));
-                ] ) );
-  }
+  hl ~descr:"clamp with a runtime assert" ~baseline:(restate ~anf:true)
+    "clamp" "clamp"
 
 let bank =
-  entry ~descr:"bank transfer preserving a heap-dependent sum invariant"
-    ~stable_variant:(one_proc bank_stable) "bank" (one_proc bank_proc)
-    "transfer"
+  hl ~descr:"bank transfer preserving a heap-dependent sum invariant"
+    ~stable_variant:(load "bank_stable") "bank" "transfer"
+
+(* [bank_proc], [length_proc] and [clist_preds] are read by the OCaml
+   programs in [examples/] and by the tests. *)
+let bank_proc = main_proc bank
 
 (* ------------------------------------------------------------------ *)
-(* 7. ghost counter — authoritative nat ghost state *)
+(* The ghost-state entries, built as OCaml ASTs. *)
 
-let ghost_counter_proc =
-  let gamma = "γc" in
-  let auth n m = GV.Auth_nat { auth = Some n; frag = m } in
-  {
-    V.pname = "ghost_incr";
-    params = [ "l"; "n" ];
-    requires =
-      A.seps
-        [
-          A.Exists ("v", A.Sep (pt "l" (T.var "v"),
-                                A.Ghost (gamma, auth (T.var "v") (T.var "v"))));
-          A.Pure (T.le (T.int 0) (deref "l"));
-        ];
-    ensures =
-      A.seps
-        [
-          A.Exists
-            ( "w",
-              A.Sep (pt "l" (T.var "w"),
-                     A.Ghost (gamma, auth (T.var "w") (T.var "w"))) );
-          A.Pure (T.eq (deref "l") (T.add (T.var "v0") (T.int 1)));
-        ];
-    body =
-      HL.Let
-        ( "c",
-          HL.Load (sym "l"),
-          HL.Seq
-            ( HL.Store (sym "l", HL.BinOp (HL.Add, HL.Var "c", HL.Val (HL.Int 1))),
-              HL.GhostMark "bump" ) );
-    invariants = [];
-    ghost = [];
-  }
+let pt l v = A.points_to (T.var l) v
+let auth n = GV.Auth_nat { auth = Some n; frag = n }
+let v0 = T.var "v0"
+let v0_plus k = T.add v0 (T.int k)
 
-(* The ghost command needs the symbolic old value, which is only known
-   at verification time; we approximate with an update over the read
-   value by naming the precondition's existential. Simplest sound
-   setup: a version with explicit parameters. *)
-let ghost_counter_proc =
-  let gamma = "γc" in
-  let auth n m = GV.Auth_nat { auth = Some n; frag = m } in
-  {
-    ghost_counter_proc with
-    V.params = [ "l"; "v0" ];
-    requires =
-      A.seps
-        [
-          pt "l" (T.var "v0");
-          A.Ghost (gamma, auth (T.var "v0") (T.var "v0"));
-          A.Pure (T.le (T.int 0) (T.var "v0"));
-        ];
-    ensures =
-      A.seps
-        [
-          pt "l" (T.add (T.var "v0") (T.int 1));
-          A.Ghost
-            (gamma, auth (T.add (T.var "v0") (T.int 1)) (T.add (T.var "v0") (T.int 1)));
-        ];
-    ghost =
-      [
-        ( "bump",
-          [
-            V.Update
-              ( gamma,
-                auth (T.var "v0") (T.var "v0"),
-                auth (T.add (T.var "v0") (T.int 1)) (T.add (T.var "v0") (T.int 1))
-              );
-          ] );
-      ];
-  }
-
+(* Increments the cell and bumps an authoritative nat ghost counter in
+   step; the ghost update names the old value through the parameter
+   [v0]. *)
 let ghost_counter =
+  let gamma = "γc" in
   entry ~descr:"physical increment with an authoritative ghost counter"
-    "ghost_counter" (one_proc ghost_counter_proc) "ghost_incr"
-
-(* ------------------------------------------------------------------ *)
-(* 8. monotone log — MaxNat ghost (persistent lower bounds) *)
-
-let monotone_proc =
-  let gamma = "γm" in
-  {
-    V.pname = "bump_log";
-    params = [ "l"; "v0" ];
-    requires =
-      A.seps
+    "ghost_counter"
+    {
+      V.procs =
         [
-          pt "l" (T.var "v0");
-          A.Ghost (gamma, GV.Max_nat (T.var "v0"));
-          A.Pure (T.le (T.int 0) (T.var "v0"));
-        ];
-    ensures =
-      A.seps
-        [
-          pt "l" (T.add (T.var "v0") (T.int 2));
-          (* the old lower bound survives (persistence) … *)
-          A.Ghost (gamma, GV.Max_nat (T.var "v0"));
-        ];
-    body =
-      HL.Let
-        ( "c",
-          HL.Load (sym "l"),
-          HL.Seq
-            ( HL.Store (sym "l", HL.BinOp (HL.Add, HL.Var "c", HL.Val (HL.Int 2))),
-              HL.GhostMark "bump" ) );
-    invariants = [];
-    ghost =
-      [
-        ( "bump",
-          [
-            V.Update
-              (gamma, GV.Max_nat (T.var "v0"), GV.Max_nat (T.add (T.var "v0") (T.int 2)));
-          ] );
-      ];
-  }
-
-let monotone =
-  entry ~descr:"monotone counter: MaxNat ghost bound survives updates"
-    "monotone" (one_proc monotone_proc) "bump_log"
-
-(* ------------------------------------------------------------------ *)
-(* 9. linked chain length — recursive predicate + recursion *)
-
-(* clist(p, n): p is a null(-1)-terminated chain of n cells, each
-   holding the next pointer. *)
-let clist_def =
-  {
-    A.pname = "clist";
-    params = [ "p"; "n" ];
-    body =
-      A.Or
-        ( A.Pure (T.and_ [ T.eq (T.var "p") (T.int (-1)); T.eq (T.var "n") (T.int 0) ]),
-          A.seps
-            [
-              A.Pure (T.not_ (T.eq (T.var "p") (T.int (-1))));
-              A.Pure (T.lt (T.int 0) (T.var "n"));
-              A.Exists
-                ( "nx",
-                  A.Sep
-                    ( pt "p" (T.var "nx"),
-                      A.Pred ("clist", [ T.var "nx"; T.sub (T.var "n") (T.int 1) ])
-                    ) );
-            ] );
-  }
-
-let clist_preds = Smap.of_list [ ("clist", clist_def) ]
-
-let length_proc =
-  {
-    V.pname = "length";
-    params = [ "p"; "n" ];
-    requires =
-      A.Sep
-        (A.Pred ("clist", [ T.var "p"; T.var "n" ]), A.Pure (T.le (T.int 0) (T.var "n")));
-    ensures =
-      A.Sep
-        ( A.Pred ("clist", [ T.var "p"; T.var "n" ]),
-          A.Pure (T.eq (T.var "result") (T.var "n")) );
-    body =
-      HL.Seq
-        ( HL.GhostMark "unfold",
-          HL.If
-            ( HL.BinOp (HL.Eq, sym "p", HL.Val (HL.Int (-1))),
-              HL.Seq (HL.GhostMark "fold_nil", HL.Val (HL.Int 0)),
+          {
+            V.pname = "ghost_incr";
+            params = [ "l"; "v0" ];
+            requires =
+              A.seps
+                [
+                  pt "l" v0;
+                  A.Ghost (gamma, auth v0);
+                  A.Pure (T.le (T.int 0) v0);
+                ];
+            ensures =
+              A.seps [ pt "l" (v0_plus 1); A.Ghost (gamma, auth (v0_plus 1)) ];
+            body =
               HL.Let
-                ( "nx",
-                  HL.Load (sym "p"),
-                  HL.Let
-                    ( "rest",
-                      HL.App
-                        ( HL.App (HL.Var "length", HL.Var "nx"),
-                          HL.BinOp (HL.Sub, sym "n", HL.Val (HL.Int 1)) ),
-                      HL.Seq
-                        ( HL.GhostMark "fold_cons",
-                          HL.BinOp (HL.Add, HL.Var "rest", HL.Val (HL.Int 1)) )
-                    ) ) ) );
-    invariants = [];
-    ghost =
-      [
-        ("unfold", [ V.Unfold ("clist", [ T.var "p"; T.var "n" ]) ]);
-        ("fold_nil", [ V.Fold ("clist", [ T.var "p"; T.var "n" ]) ]);
-        ("fold_cons", [ V.Fold ("clist", [ T.var "p"; T.var "n" ]) ]);
-      ];
-  }
+                ( "c",
+                  HL.Load (HL.Val (HL.Sym "l")),
+                  HL.Seq
+                    ( HL.Store
+                        ( HL.Val (HL.Sym "l"),
+                          HL.BinOp (HL.Add, HL.Var "c", HL.Val (HL.Int 1)) ),
+                      HL.GhostMark "bump" ) );
+            invariants = [];
+            ghost =
+              [ ("bump", [ V.Update (gamma, auth v0, auth (v0_plus 1)) ]) ];
+          };
+        ];
+      preds = Stdx.Smap.empty;
+      invs = [];
+    }
+    "ghost_incr"
+
+(* A MaxNat ghost lower bound survives the update (persistence). *)
+let monotone =
+  let gamma = "γm" in
+  entry ~descr:"monotone counter: MaxNat ghost bound survives updates"
+    "monotone"
+    {
+      V.procs =
+        [
+          {
+            V.pname = "bump_log";
+            params = [ "l"; "v0" ];
+            requires =
+              A.seps
+                [
+                  pt "l" v0;
+                  A.Ghost (gamma, GV.Max_nat v0);
+                  A.Pure (T.le (T.int 0) v0);
+                ];
+            ensures =
+              A.seps [ pt "l" (v0_plus 2); A.Ghost (gamma, GV.Max_nat v0) ];
+            body =
+              HL.Let
+                ( "c",
+                  HL.Load (HL.Val (HL.Sym "l")),
+                  HL.Seq
+                    ( HL.Store
+                        ( HL.Val (HL.Sym "l"),
+                          HL.BinOp (HL.Add, HL.Var "c", HL.Val (HL.Int 2)) ),
+                      HL.GhostMark "bump" ) );
+            invariants = [];
+            ghost =
+              [
+                ( "bump",
+                  [ V.Update (gamma, GV.Max_nat v0, GV.Max_nat (v0_plus 2)) ]
+                );
+              ];
+          };
+        ];
+      preds = Stdx.Smap.empty;
+      invs = [];
+    }
+    "bump_log"
+
+(* ------------------------------------------------------------------ *)
 
 let list_length =
-  entry ~descr:"recursive chain length with a recursive predicate"
-    "list_length"
-    { V.procs = [ length_proc ]; preds = clist_preds; invs = [] }
+  hl ~descr:"recursive chain length with a recursive predicate" "list_length"
     "length"
 
-(* ------------------------------------------------------------------ *)
-(* 10. CAS once *)
-
-let cas_proc =
-  {
-    V.pname = "cas_once";
-    params = [ "l"; "v0" ];
-    requires = pt "l" (T.var "v0");
-    ensures =
-      A.Sep
-        ( A.Exists ("w", pt "l" (T.var "w")),
-          A.Pure
-            (T.or_
-               [
-                 T.and_
-                   [ T.eq (T.var "result") (T.int 1); T.eq (deref "l") (T.int 42) ];
-                 T.and_
-                   [
-                     T.eq (T.var "result") (T.int 0);
-                     T.not_ (T.eq (T.var "v0") (T.int 0));
-                   ];
-               ]) );
-    body = HL.Cas (sym "l", HL.Val (HL.Int 0), HL.Val (HL.Int 42));
-    invariants = [];
-    ghost = [];
-  }
-
-let cas_once =
-  entry ~descr:"compare-and-set with a disjunctive postcondition" "cas_once"
-    (one_proc cas_proc) "cas_once"
-
-(* ------------------------------------------------------------------ *)
-(* 11. FAA counter *)
-
-let faa_proc =
-  {
-    V.pname = "faa_twice";
-    params = [ "l"; "v0" ];
-    requires = pt "l" (T.var "v0");
-    ensures =
-      A.Sep
-        ( pt "l" (T.add (T.var "v0") (T.int 5)),
-          A.Pure (T.eq (T.var "result") (T.add (T.var "v0") (T.int 2))) );
-    body =
-      HL.Seq
-        (HL.Faa (sym "l", HL.Val (HL.Int 2)), HL.Faa (sym "l", HL.Val (HL.Int 3)));
-    invariants = [];
-    ghost = [];
-  }
-
-let faa_counter =
-  entry ~descr:"two fetch-and-adds"
-    ~baseline:
-      {
-        b_pre = faa_proc.V.requires;
-        b_body = faa_proc.V.body;
-        b_post = faa_proc.V.ensures;
-        b_invs = [];
-      }
-    "faa_counter" (one_proc faa_proc) "faa_twice"
-
-(* ------------------------------------------------------------------ *)
-(* 12. negative tests — must fail *)
-
-let bad_swap =
-  entry ~descr:"swap with a wrong postcondition (must fail)" ~expect_fail:true
-    "bad_swap"
-    (one_proc
-       { swap_proc with V.pname = "bad_swap"; ensures = swap_proc.V.requires })
-    "bad_swap"
-
-let bad_leak =
-  entry ~descr:"reads a location without permission (must fail)"
-    ~expect_fail:true "bad_leak"
-    (one_proc
-       {
-         V.pname = "bad_leak";
-         params = [ "l" ];
-         requires = A.Emp;
-         ensures = A.Emp;
-         body = HL.Load (sym "l");
-         invariants = [];
-         ghost = [];
-       })
-    "bad_leak"
-
-let bad_unstable =
-  (* Claims a heap-dependent fact about a cell it mutates without
-     re-establishing it: the destabilized discipline must reject. *)
-  entry ~descr:"stale heap-dependent fact after store (must fail)"
-    ~expect_fail:true "bad_unstable"
-    (one_proc
-       {
-         V.pname = "bad_unstable";
-         params = [ "l"; "v0" ];
-         requires =
-           A.Sep (pt "l" (T.var "v0"), A.Pure (T.eq (deref "l") (T.var "v0")));
-         ensures = A.Sep (A.Exists ("w", pt "l" (T.var "w")),
-                          A.Pure (T.eq (deref "l") (T.var "v0")));
-         body = HL.Store (sym "l", HL.BinOp (HL.Add, sym "v0", HL.Val (HL.Int 1)));
-         invariants = [];
-         ghost = [];
-       })
-    "bad_unstable"
-
-(* ------------------------------------------------------------------ *)
-
-
-
-(* ------------------------------------------------------------------ *)
-(* 13. times table: result = 7·n by repeated addition *)
-
-let times7_body =
-  HL.Let
-    ( "c",
-      HL.Load (sym "i"),
-      HL.Let
-        ( "c'",
-          HL.BinOp (HL.Add, HL.Var "c", HL.Val (HL.Int 1)),
-          HL.Seq
-            ( HL.Store (sym "i", HL.Var "c'"),
-              HL.Let
-                ( "s",
-                  HL.Load (sym "acc"),
-                  HL.Let
-                    ( "s'",
-                      HL.BinOp (HL.Add, HL.Var "s", HL.Val (HL.Int 7)),
-                      HL.Store (sym "acc", HL.Var "s'") ) ) ) ) )
-
-let times7_cond =
-  HL.Let ("c", HL.Load (sym "i"), HL.BinOp (HL.Lt, HL.Var "c", sym "n"))
-
-let times7_loop = HL.While (times7_cond, times7_body)
-
-let times7_proc =
-  {
-    V.pname = "times7";
-    params = [ "i"; "acc"; "n" ];
-    requires =
-      A.seps
-        [ pt "i" (T.int 0); pt "acc" (T.int 0); A.Pure (T.le (T.int 0) (T.var "n")) ];
-    ensures =
-      A.seps
-        [
-          A.Exists ("w", pt "i" (T.var "w"));
-          A.Exists ("u", pt "acc" (T.var "u"));
-          A.Pure (T.eq (T.var "result") (T.mul (T.int 7) (T.var "n")));
-        ];
-    body = HL.Seq (times7_loop, HL.Load (sym "acc"));
-    invariants =
-      [
-        ( times7_loop,
-          (* multiplication by the literal 7 keeps everything linear *)
-          A.seps
-            [
-              A.Exists ("v", pt "i" (T.var "v"));
-              A.Exists ("s", pt "acc" (T.var "s"));
-              A.Pure
-                (T.and_
-                   [
-                     T.le (T.int 0) (deref "i");
-                     T.le (deref "i") (T.var "n");
-                     T.eq (deref "acc") (T.mul (T.int 7) (deref "i"));
-                   ]);
-            ] );
-      ];
-    ghost = [];
-  }
-
-let times7 =
-  entry ~descr:"7·n by repeated addition; invariant links two cells"
-    "times7" (one_proc times7_proc) "times7"
-
-(* ------------------------------------------------------------------ *)
-(* 14. CAS retry loop: set a cell to 42 no matter what *)
-
-let cas_retry_cond =
-  HL.Let
-    ( "ok",
-      HL.Cas (sym "l", HL.Load (sym "l"), HL.Val (HL.Int 42)),
-      (* keep looping while the cell is not yet 42 *)
-      HL.Let
-        ( "cur",
-          HL.Load (sym "l"),
-          HL.BinOp (HL.Ne, HL.Var "cur", HL.Val (HL.Int 42)) ) )
-
-let cas_retry_loop = HL.While (cas_retry_cond, HL.Val HL.Unit)
-
-let cas_retry_proc =
-  {
-    V.pname = "cas_retry";
-    params = [ "l"; "v0" ];
-    requires = pt "l" (T.var "v0");
-    ensures =
-      A.Sep
-        ( A.Exists ("w", pt "l" (T.var "w")),
-          A.Pure (T.eq (deref "l") (T.int 42)) );
-    body = HL.Seq (cas_retry_loop, HL.Val HL.Unit);
-    invariants =
-      [ (cas_retry_loop, A.Exists ("v", pt "l" (T.var "v"))) ];
-    ghost = [];
-  }
-
-let cas_retry =
-  entry ~descr:"CAS retry loop establishing a fixed value" "cas_retry"
-    (one_proc cas_retry_proc) "cas_retry"
-
-(* ------------------------------------------------------------------ *)
-(* 15. allocate, use, free — full lifecycle, leak-free *)
-
-let lifecycle_proc =
-  {
-    V.pname = "lifecycle";
-    params = [];
-    requires = A.Emp;
-    ensures = A.Pure (T.eq (T.var "result") (T.int 10));
-    body =
-      HL.Let
-        ( "a",
-          HL.Alloc (HL.Val (HL.Int 3)),
-          HL.Let
-            ( "b",
-              HL.Alloc (HL.Val (HL.Int 7)),
-              HL.Let
-                ( "x",
-                  HL.Load (HL.Var "a"),
-                  HL.Let
-                    ( "y",
-                      HL.Load (HL.Var "b"),
-                      HL.Seq
-                        ( HL.Free (HL.Var "a"),
-                          HL.Seq
-                            ( HL.Free (HL.Var "b"),
-                              HL.BinOp (HL.Add, HL.Var "x", HL.Var "y") ) ) ) )
-            ) );
-    invariants = [];
-    ghost = [];
-  }
-
-let lifecycle =
-  entry ~descr:"alloc/use/free lifecycle; the final heap is empty"
-    ~baseline:
-      {
-        b_pre = lifecycle_proc.V.requires;
-        b_body = lifecycle_proc.V.body;
-        b_post = lifecycle_proc.V.ensures;
-        b_invs = [];
-      }
-    "lifecycle" (one_proc lifecycle_proc) "lifecycle"
-
-(* ------------------------------------------------------------------ *)
-(* 16. double free — must fail *)
-
-let bad_double_free =
-  entry ~descr:"double free (must fail)" ~expect_fail:true "bad_double_free"
-    (one_proc
-       {
-         V.pname = "bad_double_free";
-         params = [ "l"; "v" ];
-         requires = pt "l" (T.var "v");
-         ensures = A.Emp;
-         body = HL.Seq (HL.Free (sym "l"), HL.Free (sym "l"));
-         invariants = [];
-         ghost = [];
-       })
-    "bad_double_free"
-
-(* ------------------------------------------------------------------ *)
-(* 17. fractional read sharing: two half-permission readers agree *)
-
-let shared_read_proc =
-  {
-    V.pname = "shared_read";
-    params = [ "l"; "v" ];
-    requires =
-      A.Sep
-        (pt ~frac:Q.half "l" (T.var "v"), pt ~frac:Q.half "l" (T.var "v"));
-    ensures =
-      A.Sep
-        ( pt "l" (T.var "v"),
-          A.Pure (T.eq (T.var "result") (T.mul (T.int 2) (T.var "v"))) );
-    body =
-      HL.Let
-        ( "x",
-          HL.Load (sym "l"),
-          HL.Let
-            ( "y",
-              HL.Load (sym "l"),
-              HL.BinOp (HL.Add, HL.Var "x", HL.Var "y") ) );
-    invariants = [];
-    ghost = [];
-  }
-
-let shared_read =
-  entry ~descr:"two half-permissions read consistently and rejoin"
-    ~baseline:
-      {
-        b_pre = shared_read_proc.V.requires;
-        b_body = shared_read_proc.V.body;
-        b_post = shared_read_proc.V.ensures;
-        b_invs = [];
-      }
-    "shared_read" (one_proc shared_read_proc) "shared_read"
-
-(* ------------------------------------------------------------------ *)
-(* 18. write with half permission — must fail *)
-
-let bad_half_write =
-  entry ~descr:"store through a half permission (must fail)"
-    ~expect_fail:true "bad_half_write"
-    (one_proc
-       {
-         V.pname = "bad_half_write";
-         params = [ "l"; "v" ];
-         requires = pt ~frac:Q.half "l" (T.var "v");
-         ensures = A.Exists ("w", pt ~frac:Q.half "l" (T.var "w"));
-         body = HL.Store (sym "l", HL.Val (HL.Int 0));
-         invariants = [];
-         ghost = [];
-       })
-    "bad_half_write"
-
-(* ------------------------------------------------------------------ *)
-(* 19. spinlock — par + a named invariant transferring the cell *)
-
-(* The lock invariant is the classic Or-shape: either the lock is free
-   and the invariant owns the protected cell, or it is taken and the
-   cell has been transferred to the winner. A CAS acquire inside
-   [atomic] closes the invariant through the *taken* disjunct, so the
-   winning branch walks away owning [x ↦ v] and may mutate it
-   non-atomically until the releasing store hands both back. *)
-let spinlock_inv =
-  ( "lock",
-    A.Or
-      ( A.Sep (pt "lck" (T.int 0), A.Exists ("v", pt "x" (T.var "v"))),
-        pt "lck" (T.int 1) ) )
-
-let spinlock_branch =
-  HL.Let
-    ( "ok",
-      HL.Atomic (HL.Cas (sym "lck", HL.Val (HL.Int 0), HL.Val (HL.Int 1))),
-      HL.If
-        ( HL.Var "ok",
-          HL.Seq
-            ( (* critical section: the branch owns x outright *)
-              HL.Store
-                ( sym "x",
-                  HL.BinOp (HL.Add, HL.Load (sym "x"), HL.Val (HL.Int 1)) ),
-              HL.Atomic (HL.Store (sym "lck", HL.Val (HL.Int 0))) ),
-          HL.Val (HL.Int 0) ) )
-
-let spinlock_proc =
-  {
-    V.pname = "spinlock";
-    params = [ "lck"; "x" ];
-    requires = A.Emp;
-    ensures = A.Emp;
-    body = HL.Par (spinlock_branch, spinlock_branch);
-    invariants = [];
-    ghost = [];
-  }
-
-let spinlock =
-  entry
-    ~descr:
-      "spinlock: CAS acquire transfers the cell out of the lock invariant"
-    "spinlock"
-    { V.procs = [ spinlock_proc ]; preds = Smap.empty; invs = [ spinlock_inv ] }
-    "spinlock"
-
-(* ------------------------------------------------------------------ *)
-(* 20. ticket lock — FAA + a weakened safety invariant *)
-
-(* Without ghost state the invariant cannot tie a dispensed ticket to
-   the dispenser's future values across interference, so it keeps only
-   the safety bounds 0 ≤ owner and 0 ≤ next — exactly what survives
-   arbitrary interleaving, and exactly what each atomic section must
-   re-prove on close (the FAA re-establishes 0 ≤ next + 1, the serving
-   store re-establishes 0 ≤ owner + 1). *)
-let ticket_inv =
-  ( "tickets",
-    A.Exists
-      ( "o",
-        A.Exists
-          ( "n",
-            A.seps
-              [
-                pt "owner" (T.var "o");
-                pt "next" (T.var "n");
-                A.Pure (T.le (T.int 0) (T.var "o"));
-                A.Pure (T.le (T.int 0) (T.var "n"));
-              ] ) ) )
-
-let ticket_branch =
-  HL.Let
-    ( "t",
-      HL.Atomic (HL.Faa (sym "next", HL.Val (HL.Int 1))),
-      HL.Atomic
-        (HL.Let
-           ( "o",
-             HL.Load (sym "owner"),
-             HL.If
-               ( HL.BinOp (HL.Eq, HL.Var "o", HL.Var "t"),
-                 HL.Store
-                   ( sym "owner",
-                     HL.BinOp (HL.Add, HL.Var "o", HL.Val (HL.Int 1)) ),
-                 HL.Val (HL.Int 0) ) ) ) )
-
-let ticket_lock_proc =
-  {
-    V.pname = "ticket_lock";
-    params = [ "owner"; "next" ];
-    requires = A.Emp;
-    ensures = A.Emp;
-    body = HL.Par (ticket_branch, ticket_branch);
-    invariants = [];
-    ghost = [];
-  }
-
-let ticket_lock =
-  entry
-    ~descr:"ticket lock: FAA dispenser under a weakened safety invariant"
-    "ticket_lock"
-    {
-      V.procs = [ ticket_lock_proc ];
-      preds = Smap.empty;
-      invs = [ ticket_inv ];
-    }
-    "ticket_lock"
-
-(* ------------------------------------------------------------------ *)
-(* 21. Treiber stack — recursive predicate inside an invariant *)
-
-(* stk(p): p heads a null(-1)-terminated chain of single-cell nodes,
-   each holding the next pointer (the suite's minimal node shape). *)
-let stk_def =
-  {
-    A.pname = "stk";
-    params = [ "p" ];
-    body =
-      A.Or
-        ( A.Pure (T.eq (T.var "p") (T.int (-1))),
-          A.seps
-            [
-              A.Pure (T.not_ (T.eq (T.var "p") (T.int (-1))));
-              A.Exists
-                ( "nx",
-                  A.Sep (pt "p" (T.var "nx"), A.Pred ("stk", [ T.var "nx" ]))
-                );
-            ] );
-  }
-
-let stk_preds = Smap.of_list [ ("stk", stk_def) ]
-
-(* Push and pop are whole atomic sections (the CAS retry loop of the
-   real structure collapses to its winning iteration): push allocates,
-   links and folds the new head; pop unfolds the head, unlinks and
-   frees it. Both close by giving [∃top. s ↦ top ∗ stk(top)] back. *)
-let treiber_push =
-  HL.Atomic
-    (HL.Let
-       ( "t",
-         HL.Load (sym "s"),
-         HL.Let
-           ( "nd",
-             HL.Alloc (HL.Var "t"),
-             HL.Seq
-               ( HL.Store (sym "s", HL.Var "nd"),
-                 HL.Seq (HL.GhostMark "push_fold", HL.Var "nd") ) ) ) )
-
-let treiber_pop =
-  HL.Atomic
-    (HL.Let
-       ( "t",
-         HL.Load (sym "s"),
-         HL.If
-           ( HL.BinOp (HL.Eq, HL.Var "t", HL.Val (HL.Int (-1))),
-             HL.Val (HL.Int (-1)),
-             HL.Seq
-               ( HL.GhostMark "pop_unfold",
-                 HL.Let
-                   ( "nx",
-                     HL.Load (HL.Var "t"),
-                     HL.Seq
-                       ( HL.Store (sym "s", HL.Var "nx"),
-                         HL.Seq (HL.Free (HL.Var "t"), HL.Var "t") ) ) ) ) ) )
-
-let treiber_inv =
-  ( "stack",
-    A.Exists ("top", A.Sep (pt "s" (T.var "top"), A.Pred ("stk", [ T.var "top" ])))
-  )
-
-let treiber_proc =
-  {
-    V.pname = "treiber";
-    params = [ "s" ];
-    requires = A.Emp;
-    ensures = A.Emp;
-    body = HL.Par (treiber_push, treiber_pop);
-    invariants = [];
-    ghost =
-      [
-        ("push_fold", [ V.Fold ("stk", [ deref "s" ]) ]);
-        ("pop_unfold", [ V.Unfold ("stk", [ deref "s" ]) ]);
-      ];
-  }
-
-let treiber =
-  entry
-    ~descr:"Treiber stack: recursive predicate owned by the invariant"
-    "treiber"
-    { V.procs = [ treiber_proc ]; preds = stk_preds; invs = [ treiber_inv ] }
-    "treiber"
-
-(* ------------------------------------------------------------------ *)
-(* 22. racy increment — par without atomic must fail *)
-
-let racy_branch =
-  HL.Store (sym "x", HL.BinOp (HL.Add, HL.Load (sym "x"), HL.Val (HL.Int 1)))
-
-let racy_incr_proc =
-  {
-    V.pname = "racy_incr";
-    params = [ "x" ];
-    requires = A.Emp;
-    ensures = A.Emp;
-    body = HL.Par (racy_branch, racy_branch);
-    invariants = [];
-    ghost = [];
-  }
-
-let racy_incr =
-  entry
-    ~descr:
-      "parallel increment without atomic sections (must fail: branches \
-       own nothing)"
-    ~expect_fail:true "racy_incr"
-    {
-      V.procs = [ racy_incr_proc ];
-      preds = Smap.empty;
-      invs = [ ("cell", A.Exists ("v", pt "x" (T.var "v"))) ];
-    }
-    "racy_incr"
-
-(* ------------------------------------------------------------------ *)
-(* 23. lock without an invariant — must fail *)
-
-let lock_noinv_proc = { spinlock_proc with V.pname = "lock_noinv" }
-
-let lock_noinv =
-  entry
-    ~descr:
-      "spinlock body with no declared invariant (must fail: the CAS has \
-       no permission source)"
-    ~expect_fail:true "lock_noinv"
-    { V.procs = [ lock_noinv_proc ]; preds = Smap.empty; invs = [] }
-    "lock_noinv"
-
-(* ------------------------------------------------------------------ *)
+let length_proc = main_proc list_length
+let clist_preds = list_length.prog.V.preds
 
 let all : entry list =
   [
@@ -1097,22 +256,45 @@ let all : entry list =
     ghost_counter;
     monotone;
     list_length;
-    cas_once;
-    faa_counter;
-    times7;
-    cas_retry;
-    lifecycle;
-    shared_read;
-    spinlock;
-    ticket_lock;
-    treiber;
-    bad_swap;
-    bad_leak;
-    bad_unstable;
-    bad_double_free;
-    bad_half_write;
-    racy_incr;
-    lock_noinv;
+    hl ~descr:"compare-and-set with a disjunctive postcondition" "cas_once"
+      "cas_once";
+    hl ~descr:"two fetch-and-adds" ~baseline:restate "faa_counter" "faa_twice";
+    hl ~descr:"7·n by repeated addition; invariant links two cells" "times7"
+      "times7";
+    hl ~descr:"CAS retry loop establishing a fixed value" "cas_retry"
+      "cas_retry";
+    hl ~descr:"alloc/use/free lifecycle; the final heap is empty"
+      ~baseline:restate "lifecycle" "lifecycle";
+    hl ~descr:"two half-permissions read consistently and rejoin"
+      ~baseline:restate "shared_read" "shared_read";
+    hl
+      ~descr:
+        "spinlock: CAS acquire transfers the cell out of the lock invariant"
+      "spinlock" "spinlock";
+    hl ~descr:"ticket lock: FAA dispenser under a weakened safety invariant"
+      "ticket_lock" "ticket_lock";
+    hl ~descr:"Treiber stack: recursive predicate owned by the invariant"
+      "treiber" "treiber";
+    hl ~descr:"swap with a wrong postcondition (must fail)" ~expect_fail:true
+      "bad_swap" "bad_swap";
+    hl ~descr:"reads a location without permission (must fail)"
+      ~expect_fail:true "bad_leak" "bad_leak";
+    hl ~descr:"stale heap-dependent fact after store (must fail)"
+      ~expect_fail:true "bad_unstable" "bad_unstable";
+    hl ~descr:"double free (must fail)" ~expect_fail:true "bad_double_free"
+      "bad_double_free";
+    hl ~descr:"store through a half permission (must fail)" ~expect_fail:true
+      "bad_half_write" "bad_half_write";
+    hl
+      ~descr:
+        "parallel increment without atomic sections (must fail: branches \
+         own nothing)"
+      ~expect_fail:true "racy_incr" "racy_incr";
+    hl
+      ~descr:
+        "spinlock body with no declared invariant (must fail: the CAS has \
+         no permission source)"
+      ~expect_fail:true "lock_noinv" "lock_noinv";
   ]
 
 let positive = List.filter (fun e -> not e.expect_fail) all

@@ -179,10 +179,18 @@ let ghost_rules =
       (K.ghost_valid "g" (GV.Auth_nat { auth = Some va; frag = T.int 1 }));
     check_rule "ghost-valid-negative-frag"
       (K.ghost_valid "g" (GV.Auth_nat { auth = None; frag = T.int (-1) }));
+    check_rule "ghost-valid-negative-max"
+      (K.ghost_valid "g" (GV.Max_nat (T.int (-1))));
     check_rule "ghost-op-split"
       (K.ghost_op_split "g"
          (GV.Auth_nat { auth = Some (T.int 2); frag = T.int 1 })
          (GV.Auth_nat { auth = None; frag = T.int 0 }));
+    check_rule "ghost-op-split-agree"
+      (K.ghost_op_split "g" (GV.Agree (T.int 1)) (GV.Agree (T.int 2)));
+    check_rule "ghost-op-split-negative-frag"
+      (K.ghost_op_split "g"
+         (GV.Auth_nat { auth = None; frag = T.int (-1) })
+         (GV.Auth_nat { auth = None; frag = T.int 2 }));
     check_rule "ghost-op-join"
       (K.ghost_op_join "g" (GV.Agree va) (GV.Agree (T.var "b")));
     check_rule "ghost-update"

@@ -93,7 +93,7 @@ end
 module MaxF = struct
   include Max_nat
 
-  let elements = [ 0; 1; 2; 3 ]
+  let elements = [ -1; 0; 1; 2; 3 ]
 end
 
 module ProdF = struct

@@ -1,9 +1,9 @@
-(** Surface-language tests: the [.hl] example files elaborate to
-    programs that verify identically to their hand-built
-    {!Suite.Programs} twins; diagnostics on surface files carry
-    accurate [file:line:col] spans; and the grammar-exact printers
-    round-trip through the parser (QCheck) for terms, assertions, and
-    expressions. *)
+(** Surface-language tests: every {!Suite.Programs} entry the surface
+    can express is exactly the elaboration of the [.hl] file it names,
+    and only the two ghost-state entries are built in OCaml;
+    diagnostics on surface files carry accurate [file:line:col] spans;
+    and the grammar-exact printers round-trip through the parser
+    (QCheck) for terms, assertions, and expressions. *)
 
 module S = Heaplang.Surface
 module HL = Heaplang.Ast
@@ -11,17 +11,18 @@ module V = Verifier.Exec
 module Loc = Stdx.Loc
 
 (* ------------------------------------------------------------------ *)
-(* Locating the example files: tests run in [_build/default/test], the
-   dune deps put the sources next door in [../examples]. *)
+(* Locating the source files: tests run in [_build/default/test], the
+   dune deps put [examples/] and [lib/suite/programs/] one level up. *)
 
-let examples_dir =
+let root_dir =
   let rec find d fuel =
-    let cand = Filename.concat d "examples" in
-    if Sys.file_exists (Filename.concat cand "swap.hl") then cand
+    if Sys.file_exists (Filename.concat d "examples/swap.hl") then d
     else if fuel = 0 then Alcotest.fail "examples/ directory not found"
     else find (Filename.concat d Filename.parent_dir_name) (fuel - 1)
   in
   find (Sys.getcwd ()) 5
+
+let examples_dir = Filename.concat root_dir "examples"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -41,50 +42,67 @@ let load name =
   Verifier.Elab.program_of_string ~file:name (read_file path)
 
 (* ------------------------------------------------------------------ *)
-(* Round-trip: each .hl twin verifies with the same per-procedure
-   verdict as the hand-built suite entry of the same name. *)
+(* One source per suite program: each elaborated entry (and stable
+   variant) is exactly [Elab] of the file {!Suite.Programs.sources}
+   names, read from disk here; the [twins] group keeps one case per
+   [examples/] file that backs an entry, and also checks the entry's
+   polarity. *)
+
+module Pr = Suite.Programs
+
+let source_program key =
+  let stable = Filename.check_suffix key "_stable" in
+  let name = if stable then Filename.chop_suffix key "_stable" else key in
+  match List.find_opt (fun (e : Pr.entry) -> e.name = name) Pr.all with
+  | Some e when stable -> (e, e.stable_variant)
+  | Some e -> (e, Some e.prog)
+  | None -> Alcotest.failf "source %s names no suite entry" key
+
+let check_source (key, path) =
+  let e, got = source_program key in
+  let want =
+    fst
+      (Verifier.Elab.program_of_string ~file:path
+         (read_file (Filename.concat root_dir path)))
+  in
+  Alcotest.(check bool) (key ^ " is Elab of " ^ path) true (got = Some want);
+  e
 
 let twins =
-  [
-    ("swap.hl", "swap");
-    ("swap_client.hl", "swap_client");
-    ("count.hl", "count");
-    ("max3.hl", "max3");
-    ("clamp.hl", "clamp");
-    ("bank.hl", "bank");
-    ("shared_read.hl", "shared_read");
-    ("list_length.hl", "list_length");
-    ("bad_swap.hl", "bad_swap");
-    ("spinlock.hl", "spinlock");
-    ("ticket_lock.hl", "ticket_lock");
-    ("treiber.hl", "treiber");
-    ("lock_noinv.hl", "lock_noinv");
-    ("da027_racy_par.hl", "racy_incr");
-  ]
+  List.filter
+    (fun (_, path) -> Filename.dirname path = "examples")
+    Pr.sources
 
-let verdicts prog =
-  List.map (fun (p, o) -> (p, o = V.Verified)) (V.verify prog)
-
-let test_twin (file, entry_name) () =
-  let entry =
-    match
-      List.find_opt
-        (fun (e : Suite.Programs.entry) -> String.equal e.name entry_name)
-        Suite.Programs.all
-    with
-    | Some e -> e
-    | None -> Alcotest.failf "no suite entry %s" entry_name
+let test_twin src () =
+  let e = check_source src in
+  let all_ok =
+    List.for_all (fun (_, o) -> o = V.Verified) (V.verify e.Pr.prog)
   in
-  let prog, _srcmap = load file in
-  let got = verdicts prog and want = verdicts entry.prog in
-  Alcotest.(check (list (pair string bool)))
-    (file ^ " verdicts match " ^ entry_name)
-    want got;
-  (* and the twin pair behaves as the suite expects *)
-  let all_ok = List.for_all snd got in
-  Alcotest.(check bool)
-    (file ^ " expected polarity")
-    (not entry.expect_fail) all_ok
+  Alcotest.(check bool) (snd src ^ " expected polarity") (not e.expect_fail)
+    all_ok
+
+let test_suite_sources () =
+  List.iter
+    (fun src -> ignore (check_source src))
+    (List.filter (fun src -> not (List.mem src twins)) Pr.sources)
+
+let test_ocaml_built () =
+  let ocaml_built =
+    List.filter_map
+      (fun (e : Pr.entry) ->
+        if List.mem_assoc e.name Pr.sources then None else Some e.name)
+      Pr.all
+  in
+  Alcotest.(check (list string))
+    "entries built as OCaml ASTs" [ "ghost_counter"; "monotone" ] ocaml_built;
+  List.iter
+    (fun (e : Pr.entry) ->
+      if e.stable_variant <> None then
+        Alcotest.(check bool)
+          (e.name ^ " stable variant has a source")
+          true
+          (List.mem_assoc (e.name ^ "_stable") Pr.sources))
+    Pr.all
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics carry accurate source spans. *)
@@ -367,9 +385,14 @@ let () =
     [
       ( "twins",
         List.map
-          (fun ((file, _) as tw) ->
-            Alcotest.test_case file `Quick (test_twin tw))
+          (fun ((_, path) as src) ->
+            Alcotest.test_case (Filename.basename path) `Quick (test_twin src))
           twins );
+      ( "suite-sources",
+        [
+          Alcotest.test_case "lib-suite-programs" `Quick test_suite_sources;
+          Alcotest.test_case "ocaml-built" `Quick test_ocaml_built;
+        ] );
       ( "spans",
         [
           Alcotest.test_case "broken.hl-lint-span" `Quick test_broken_span;

@@ -191,6 +191,12 @@ let test_generated_sizes () =
 
 (* Mutated suite programs must fail: spec fuzzing. *)
 let test_spec_mutations () =
+  let faa_proc =
+    Suite.Programs.main_proc
+      (List.find
+         (fun (e : Suite.Programs.entry) -> e.name = "faa_counter")
+         Suite.Programs.all)
+  in
   let weaken_requires (p : V.proc) = { p with V.requires = A.Emp } in
   List.iter
     (fun (name, proc, preds) ->
@@ -204,9 +210,9 @@ let test_spec_mutations () =
           Alcotest.failf "%s verified without its precondition!" name
       | o -> Alcotest.failf "%s: unexpected outcome %a" name V.pp_outcome o)
     [
-      ("swap", Suite.Programs.swap_proc, Smap.empty);
+      ("swap", Suite.Programs.(main_proc swap), Smap.empty);
       ("length", Suite.Programs.length_proc, Suite.Programs.clist_preds);
-      ("faa", Suite.Programs.faa_proc, Smap.empty);
+      ("faa", faa_proc, Smap.empty);
     ]
 
 (* Verify-then-run: a verified program runs without fault and its
@@ -219,7 +225,7 @@ let test_verify_then_run () =
         (HL.Let ("tmp", HL.Val (HL.Sym "dummy"), HL.Val HL.Unit)))
   in
   ignore e;
-  let body = (Suite.Programs.count_proc Suite.Programs.count_inv_hd).V.body in
+  let body = Suite.Programs.(main_proc count).V.body in
   let closed = Heaplang.Subst.close_expr [ ("i", HL.Loc 0); ("n", HL.Int 5) ] body in
   let setup = HL.Seq (HL.Alloc (HL.Val (HL.Int 0)), closed) in
   match Heaplang.Interp.run setup with
