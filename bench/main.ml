@@ -490,9 +490,9 @@ let absint_overhead () =
 
 (* ------------------------------------------------------------------ *)
 (* C1: the concurrent suite — per-scenario verification time and
-   verdict invariance across scheduler seeds. The invariance check is
-   load-bearing: a seed-dependent verdict would mean the symbolic
-   executor skipped a par branch under some exploration order, which
+   verdict invariance under mirroring every par (Pr.mirror_par). The
+   invariance check is load-bearing: an order-dependent verdict would
+   mean the symbolic executor let one par branch see the other, which
    is a soundness bug, so the bench hard-fails rather than reporting
    a number. *)
 
@@ -505,9 +505,8 @@ let conc_suite () =
     List.filter (fun (e : Pr.entry) -> List.mem e.name conc_names) Pr.all
   in
   let reps = if !quick then 3 else 11 in
-  let seeds = if !quick then [ 0; 1; 2 ] else [ 0; 1; 2; 3; 7 ] in
   printf "%-14s %10s %10s %10s %12s\n" "entry" "best(ms)" "verdict"
-    "expected" "seeds-agree";
+    "expected" "mirror-agree";
   printf "%s\n" (String.make 60 '-');
   List.iter
     (fun (e : Pr.entry) ->
@@ -515,16 +514,13 @@ let conc_suite () =
       let ok = List.for_all (fun (_, o) -> o = V.Verified) base in
       if ok = e.expect_fail then
         failwith ("conc_suite: " ^ e.name ^ " has the wrong polarity");
-      let agree =
-        List.for_all (fun seed -> V.verify ~seed e.prog = base) seeds
-      in
-      if not agree then
-        failwith ("conc_suite: " ^ e.name ^ " verdicts depend on the seed");
+      if V.verify (Pr.mirror_par e.prog) <> base then
+        failwith ("conc_suite: " ^ e.name ^ " verdicts depend on par order");
       let _, t = best_of reps (fun () -> V.verify e.prog) in
       printf "%-14s %10.2f %10s %10s %12s\n" e.name (ms t)
         (if ok then "verified" else "failed")
         (if e.expect_fail then "fail" else "verify")
-        (Printf.sprintf "%d/%d" (List.length seeds) (List.length seeds)))
+        "yes")
     entries;
   (* One instrumented sweep for the concurrency counters. *)
   let vstats = Verifier.Vstats.create () in

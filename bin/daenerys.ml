@@ -152,18 +152,6 @@ let no_absint_arg =
            only $(b,Valid) obligations); this is the escape hatch and the \
            A/B switch for measuring its overhead.")
 
-let seed_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "seed" ] ~docv:"N"
-        ~doc:
-          "Scheduler seed: permutes the order in which $(b,par) branches \
-           are explored (and, under $(b,run), which branch each \
-           interleaving step picks). Verdicts are schedule-independent — \
-           every branch is verified under every seed — so this is a \
-           determinism check, not a search knob. 0 (the default) is the \
-           deterministic left-first order.")
-
 let lint_flag =
   Arg.(
     value & flag
@@ -207,14 +195,13 @@ let json_flag =
     & info [ "json" ]
         ~doc:"Emit per-procedure outcomes and run stats as JSON.")
 
-(** [--lint]/[--no-absint]/[--seed]: the verdict-affecting options,
-    shared by [suite], [verify] and [client] so the local and daemon
-    paths read them identically. *)
+(** [--lint]/[--no-absint]: the verdict-affecting options, shared by
+    [suite], [verify] and [client] so the local and daemon paths read
+    them identically. *)
 let options_term =
   Term.(
-    const (fun lint no_absint seed ->
-        { E.Options.lint; absint = not no_absint; seed })
-    $ lint_flag $ no_absint_arg $ seed_arg)
+    const (fun lint no_absint -> { E.Options.lint; absint = not no_absint })
+    $ lint_flag $ no_absint_arg)
 
 (** The local engine configuration of [suite] and [verify]. *)
 let config_term =
@@ -458,6 +445,15 @@ let run_cmd =
   let doc =
     "Run a suite program concretely (symbols closed with small values)."
   in
+  let seed_arg =
+    Arg.(
+      value & opt int 0
+      & info [ "seed" ] ~docv:"N"
+          ~doc:
+            "Scheduler seed: picks which $(b,par) branch each interleaving \
+             step runs, so each seed is one replayable interleaving. 0 (the \
+             default) is the deterministic left-first order.")
+  in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const (fun name seed ->
@@ -471,12 +467,11 @@ let run_cmd =
               with
               | None -> fail_cli "no main procedure"
               | Some p ->
-                  (* Allocate a cell per pointer-looking parameter,
-                     close the rest with small integers. A parameter is
-                     pointer-looking if the spec (requires or any named
-                     invariant) uses it as a points-to location, or —
-                     the historical heuristic — if it is a single
-                     letter from the usual pointer alphabet. *)
+                  (* Allocate a cell per pointer parameter, close the
+                     rest with small integers. A parameter is a pointer
+                     if the spec (requires or any named invariant) uses
+                     it as a points-to location, or if the body loads,
+                     stores, frees, CASes or FAAs through it directly. *)
                   let rec loc_vars acc = function
                     | A.Points_to { loc; _ } -> (
                         match loc.Smt.Term.node with
@@ -497,14 +492,16 @@ let run_cmd =
                       (loc_vars [] p.V.requires)
                       e.prog.V.invs
                   in
+                  let body_locs =
+                    List.filter_map
+                      (function HL.Val (HL.Sym x) -> Some x | _ -> None)
+                      (Analysis.Wellformed.addrs [] p.V.body)
+                  in
                   let closure =
                     List.mapi
                       (fun i x ->
-                        if List.mem x spec_locs
-                           || (String.length x = 1
-                               && (x.[0] = 'l' || x.[0] = 'r' || x.[0] = 'i'
-                                   || x.[0] = 'a' || x.[0] = 'b'))
-                        then (x, HL.Loc i)
+                        if List.mem x spec_locs || List.mem x body_locs then
+                          (x, HL.Loc i)
                         else (x, HL.Int 3))
                       p.V.params
                   in
@@ -514,14 +511,12 @@ let run_cmd =
                       (fun acc _ -> HL.Seq (HL.Alloc (HL.Val (HL.Int 0)), acc))
                       body p.V.params
                   in
-                  (match
-                     (if seed = 0 then Heaplang.Interp.run allocs
-                      else Heaplang.Interp.run ~seed allocs)
-                   with
-                  | Heaplang.Interp.Value v ->
+                  let seed = if seed = 0 then None else Some seed in
+                  (match Heaplang.Step.run ~fuel:10_000_000 ?seed allocs with
+                  | Heaplang.Step.Value (v, _) ->
                       Fmt.pr "result: %a@." HL.pp_value v
-                  | Heaplang.Interp.Error m -> Fmt.pr "runtime error: %s@." m
-                  | Heaplang.Interp.Timeout -> Fmt.pr "timeout@.");
+                  | Heaplang.Step.Error m -> Fmt.pr "runtime error: %s@." m
+                  | Heaplang.Step.Timeout -> Fmt.pr "timeout@.");
                   exit_ok))
       $ name_arg $ seed_arg)
 

@@ -111,7 +111,7 @@ let () =
         HL.Seq (body,
           HL.PairE (HL.Load (HL.Val (HL.Loc 0)), HL.Load (HL.Val (HL.Loc 1))))))
   in
-  match Heaplang.Interp.run main with
-  | Heaplang.Interp.Value v -> Fmt.pr "  balances after: %a@." HL.pp_value v
-  | Heaplang.Interp.Error m -> Fmt.pr "  error: %s@." m
-  | Heaplang.Interp.Timeout -> Fmt.pr "  timeout@."
+  match Heaplang.Step.run main with
+  | Heaplang.Step.Value (v, _) -> Fmt.pr "  balances after: %a@." HL.pp_value v
+  | Heaplang.Step.Error m -> Fmt.pr "  error: %s@." m
+  | Heaplang.Step.Timeout -> Fmt.pr "  timeout@."

@@ -28,8 +28,8 @@ let () =
       ( HL.Alloc (HL.Val (HL.Int 3)),
         HL.Seq (HL.Alloc (HL.Val (HL.Int 10)), closed) )
   in
-  match Heaplang.Interp.run main with
-  | Heaplang.Interp.Value v ->
+  match Heaplang.Step.run main with
+  | Heaplang.Step.Value (v, _) ->
       Fmt.pr "run (a=3, b=10): %a@." HL.pp_value v
-  | Heaplang.Interp.Error m -> Fmt.pr "error: %s@." m
-  | Heaplang.Interp.Timeout -> Fmt.pr "timeout@."
+  | Heaplang.Step.Error m -> Fmt.pr "error: %s@." m
+  | Heaplang.Step.Timeout -> Fmt.pr "timeout@."

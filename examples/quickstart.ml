@@ -55,7 +55,7 @@ let () =
   (* 3. Run it: the verified program, on a real heap. *)
   let closed = Heaplang.Subst.close_expr [ ("l", HL.Loc 0); ("v0", HL.Int 40) ] body in
   let main = HL.Seq (HL.Alloc (HL.Val (HL.Int 40)), closed) in
-  match Heaplang.Interp.run main with
-  | Heaplang.Interp.Value v -> Fmt.pr "[run]      l starts at 40; result = %a@." HL.pp_value v
-  | Heaplang.Interp.Error m -> Fmt.pr "[run]      runtime error: %s@." m
-  | Heaplang.Interp.Timeout -> Fmt.pr "[run]      timeout@."
+  match Heaplang.Step.run main with
+  | Heaplang.Step.Value (v, _) -> Fmt.pr "[run]      l starts at 40; result = %a@." HL.pp_value v
+  | Heaplang.Step.Error m -> Fmt.pr "[run]      runtime error: %s@." m
+  | Heaplang.Step.Timeout -> Fmt.pr "[run]      timeout@."

@@ -74,7 +74,7 @@ let () =
         Let ("c2", Alloc (Var "c1"),
           App (length_fun, Var "c2"))))
   in
-  match Heaplang.Interp.run main with
-  | Heaplang.Interp.Value v -> Fmt.pr "  length = %a@." pp_value v
-  | Heaplang.Interp.Error m -> Fmt.pr "  error: %s@." m
-  | Heaplang.Interp.Timeout -> Fmt.pr "  timeout@."
+  match Heaplang.Step.run main with
+  | Heaplang.Step.Value (v, _) -> Fmt.pr "  length = %a@." pp_value v
+  | Heaplang.Step.Error m -> Fmt.pr "  error: %s@." m
+  | Heaplang.Step.Timeout -> Fmt.pr "  timeout@."

@@ -26,7 +26,7 @@
 
     Soundness contract (property-tested in [test/test_analysis.ml]):
     for a closed expression, the abstract state computed here
-    over-approximates every concrete {!Heaplang.Interp} run — so a
+    over-approximates every concrete {!Heaplang.Step.run} run — so a
     {!Domain.holds} = [Yes] fact is true of every reachable concrete
     state, which is exactly what lets the verifier short-circuit
     [Valid] verdicts without consulting the SMT backend. *)

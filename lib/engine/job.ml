@@ -15,7 +15,7 @@ type t = {
   group : string;  (** owning program (suite entry / file) *)
   proc : V.proc;
   prog : V.program;  (** the whole program, for callee specs *)
-  options : Options.t;  (** [absint] and [seed] reach the verifier *)
+  options : Options.t;  (** [absint] reaches the verifier *)
   srcmap : Diag.srcmap;
       (** source spans for the program's spec clauses; [[]] for
           hand-built programs *)
@@ -45,8 +45,8 @@ let run_once (job : t) vstats ~timeout_ms : V.outcome =
        fault surfaces as [Crashed], exercising the engine's promise
        that one dying job cannot strand the queue or flip a verdict. *)
     Stdx.Fault.inject Stdx.Fault.Pool;
-    V.verify_proc ~absint:job.options.absint ~seed:job.options.seed
-      ~srcmap:job.srcmap ~stats:vstats job.prog job.proc
+    V.verify_proc ~absint:job.options.absint ~srcmap:job.srcmap
+      ~stats:vstats job.prog job.proc
   in
   match
     match timeout_ms with

@@ -16,45 +16,34 @@ type t = {
   absint : bool;
       (** abstract-interpretation pass: DA018–DA025 in the lint stage
           and the [Valid]-only VC pre-discharge ahead of the solver *)
-  seed : int;
-      (** interleaving-scheduler seed: permutes the order [par]
-          branches are explored in (0 = left-first). Verdicts are
-          schedule-independent by construction; keying the verdict
-          cache on the seed re-checks that rather than assuming it *)
 }
 
-let default = { lint = false; absint = true; seed = 0 }
+let default = { lint = false; absint = true }
 
 (** [default] with the given fields overridden. *)
-let make ?(lint = default.lint) ?(absint = default.absint)
-    ?(seed = default.seed) () =
-  { lint;
-    absint;
-    seed }
+let make ?(lint = default.lint) ?(absint = default.absint) () =
+  { lint; absint }
 
-type _ kind = Bool : bool kind | Int : int kind
-
-type field =
-  | Field : {
-      name : string;  (** wire name and key label *)
-      kind : 'a kind;
-      get : t -> 'a;
-      set : t -> 'a -> t;
-    }
-      -> field
-
-let field name (kind : 'a kind) get set = Field { name; kind; get; set }
+type field = {
+  name : string;  (** wire name and key label *)
+  get : t -> bool;
+  set : t -> bool -> t;
+}
 
 (** The canonical field list, in wire and key order. *)
 let fields =
   [
-    field "lint" Bool (fun o -> o.lint) (fun o lint -> { o with lint });
-    field "absint" Bool (fun o -> o.absint) (fun o absint -> { o with absint });
-    field "seed" Int (fun o -> o.seed) (fun o seed -> { o with seed });
+    {
+      name = "lint";
+      get = (fun o -> o.lint);
+      set = (fun o lint -> { o with lint });
+    };
+    {
+      name = "absint";
+      get = (fun o -> o.absint);
+      set = (fun o absint -> { o with absint });
+    };
   ]
-
-let value_string : type a. a kind -> a -> string =
- fun kind v -> match kind with Bool -> string_of_bool v | Int -> string_of_int v
 
 (** The options' share of a verdict-cache key: every field as
     [name=value], NUL-terminated, in canonical order. Names and values
@@ -63,5 +52,5 @@ let value_string : type a. a kind -> a -> string =
 let key o =
   String.concat ""
     (List.map
-       (fun (Field f) -> f.name ^ "=" ^ value_string f.kind (f.get o) ^ "\x00")
+       (fun f -> f.name ^ "=" ^ string_of_bool (f.get o) ^ "\x00")
        fields)

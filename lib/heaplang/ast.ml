@@ -80,6 +80,36 @@ and expr =
           indivisible scheduler step — the only program points where
           the verifier opens named invariants *)
 
+(** [e] with [f] applied to each immediate subexpression, binders
+    untouched; a leaf ([Val], [Var], [GhostMark]) is returned as is.
+    Traversals write their interesting cases and hand the rest here. *)
+let map_children f e =
+  match e with
+  | Val _ | Var _ | GhostMark _ -> e
+  | Rec (g, x, b) -> Rec (g, x, f b)
+  | App (a, b) -> App (f a, f b)
+  | UnOp (op, a) -> UnOp (op, f a)
+  | BinOp (op, a, b) -> BinOp (op, f a, f b)
+  | If (c, a, b) -> If (f c, f a, f b)
+  | Let (x, a, b) -> Let (x, f a, f b)
+  | Seq (a, b) -> Seq (f a, f b)
+  | While (c, b) -> While (f c, f b)
+  | PairE (a, b) -> PairE (f a, f b)
+  | Fst a -> Fst (f a)
+  | Snd a -> Snd (f a)
+  | InjLE a -> InjLE (f a)
+  | InjRE a -> InjRE (f a)
+  | Case (a, (x, l), (y, r)) -> Case (f a, (x, f l), (y, f r))
+  | Alloc a -> Alloc (f a)
+  | Load a -> Load (f a)
+  | Store (a, b) -> Store (f a, f b)
+  | Free a -> Free (f a)
+  | Cas (a, b, c) -> Cas (f a, f b, f c)
+  | Faa (a, b) -> Faa (f a, f b)
+  | Assert a -> Assert (f a)
+  | Par (a, b) -> Par (f a, f b)
+  | Atomic a -> Atomic (f a)
+
 (* ------------------------------------------------------------------ *)
 (* Printing *)
 

@@ -1,11 +1,10 @@
 (** A HeapLang-style language: untyped lambda calculus with a mutable
-    higher-order heap, small-step semantics, and a fast interpreter. *)
+    higher-order heap and a small-step semantics. *)
 
 module Ast = Ast
 module Subst = Subst
 module Heap = Heap
 module Step = Step
-module Interp = Interp
 module Lexer = Lexer
 module Surface = Surface
 module Parser = Parser

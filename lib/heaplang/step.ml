@@ -1,11 +1,13 @@
-(** Small-step operational semantics.
+(** Small-step operational semantics: HeapLang's one machine.
 
     Configurations are (expression, heap) pairs; [step] performs one
     head-or-context reduction, returning [Stuck] on runtime errors
     (type confusion, dangling loads, failed assertions). Evaluation is
-    right-to-left in application position like HeapLang? — no: we use
-    left-to-right, call-by-value, which matches the interpreter and the
-    verifier's symbolic execution order. *)
+    left-to-right, call-by-value, the order the verifier's symbolic
+    execution follows. [run] drives [step] to a value under a step
+    budget; the CLI's [run], the examples and the tests run programs
+    through it, and the kernel's finite model ({!Baselogic.Semantics})
+    steps [step] itself. *)
 
 open Ast
 

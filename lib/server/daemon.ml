@@ -267,11 +267,9 @@ let lint_findings_text ?source results =
     name it, and a hit must replay a cold reply exactly. Every option
     participates: [lint] because gating changes outcomes, [absint]
     because lint findings differ (keying on it keeps the cached
-    response an exact replay of a cold run), [seed] so a changed seed
-    is re-verified and schedule independence stays continuously
-    checked instead of assumed. Deadline/retry knobs deliberately do
-    not: only decided verdicts are stored, and those are
-    budget-independent. *)
+    response an exact replay of a cold run). Deadline/retry knobs
+    deliberately do not: only decided verdicts are stored, and those
+    are budget-independent. *)
 let verdict_key (options : E.Options.t) (target : Protocol.target) =
   E.Options.key options
   ^

@@ -6,7 +6,7 @@
     {v
     {"op":"verify","name":"swap","id":1}
     {"op":"verify","file":"swap.hl","source":"...","id":2,
-     "lint":true,"timeout_ms":500,"retries":2,"seed":7}
+     "lint":true,"timeout_ms":500,"retries":2}
     {"op":"lint","name":"swap","id":3,"absint":false}
     {"op":"stats","id":4}
     {"op":"shutdown","id":5}
@@ -19,16 +19,16 @@
     client token echoed in the response.
 
     The optional fields are typed: [lint] and [absint] are booleans,
-    [seed] and [retries] integers, [timeout_ms] a number. [lint],
-    [absint] and [seed] are the {!Engine.Options} fields and are read
-    on both ops ([lint] uses only [absint]); [timeout_ms]/[retries]
-    override the daemon's per-request budget on [verify]. An absent
-    field takes its default ([lint:false], [absint:true], [seed:0], the
-    daemon's budget). A present field of the wrong type is rejected
+    [retries] an integer, [timeout_ms] a number. [lint] and [absint]
+    are the {!Engine.Options} fields and are read on both ops ([lint]
+    uses only [absint]); [timeout_ms]/[retries] override the daemon's
+    per-request budget on [verify]. An absent field takes its default
+    ([lint:false], [absint:true], the daemon's budget); an unknown
+    field is ignored. A present field of the wrong type is rejected
     with an error response, never defaulted: ["lint":"true"],
-    ["absint":0], a fractional or out-of-range integer (beyond ±2^53),
-    [retries < 0], and a [timeout_ms] that is not a finite number
-    greater than 0.
+    ["absint":0], a fractional or out-of-range [retries] (beyond
+    ±2^53, or below 0), and a [timeout_ms] that is not a finite
+    number greater than 0.
 
     Responses always carry ["ok"] and echo ["id"]:
 
@@ -95,23 +95,13 @@ let field k conv ~expected v =
       | Some x -> Ok (Some x)
       | None -> Error (Printf.sprintf "field %S must be %s" k expected))
 
-(** The JSON shape of each {!Options.kind}: decoder, encoder, and the
-    type named in rejection messages. *)
-let json_kind : type a.
-    a Options.kind -> (Json.t -> a option) * (a -> Json.t) * string =
-  function
-  | Options.Bool -> (Json.to_bool, (fun b -> Json.Bool b), "a boolean")
-  | Options.Int ->
-      (Json.to_int, (fun n -> Json.Num (float_of_int n)), "an integer")
-
 let options_of_json v : (Options.t, string) result =
   List.fold_left
-    (fun acc (Options.Field f) ->
-      let decode, _, expected = json_kind f.kind in
+    (fun acc (f : Options.field) ->
       Result.bind acc (fun o ->
           Result.map
             (Option.fold ~none:o ~some:(f.set o))
-            (field f.name decode ~expected v)))
+            (field f.name Json.to_bool ~expected:"a boolean" v)))
     (Ok Options.default) Options.fields
 
 let where conv ok j =
@@ -160,12 +150,9 @@ let target_fields = function
     fills the rest back in. *)
 let options_fields (o : Options.t) =
   List.filter_map
-    (fun (Options.Field f) ->
+    (fun (f : Options.field) ->
       let v = f.get o in
-      if v = f.get Options.default then None
-      else
-        let _, encode, _ = json_kind f.kind in
-        Some (f.name, encode v))
+      if v = f.get Options.default then None else Some (f.name, Json.Bool v))
     Options.fields
 
 let optional k encode = function Some x -> [ (k, encode x) ] | None -> []
@@ -185,9 +172,8 @@ let json_of_request req =
   | Stats { id } -> op "stats" id []
   | Shutdown { id } -> op "shutdown" id []
 
-let verify_request ?(id = Json.Null) ?lint ?absint ?seed ?timeout_ms ?retries
-    target =
-  let options = Options.make ?lint ?absint ?seed () in
+let verify_request ?(id = Json.Null) ?lint ?absint ?timeout_ms ?retries target =
+  let options = Options.make ?lint ?absint () in
   json_of_request (Verify { id; target; options; timeout_ms; retries })
 
 let lint_request ?(id = Json.Null) ?absint target =

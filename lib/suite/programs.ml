@@ -299,3 +299,27 @@ let all : entry list =
 
 let positive = List.filter (fun e -> not e.expect_fail) all
 let negative = List.filter (fun e -> e.expect_fail) all
+
+(** [prog] with every [Par (a, b)] swapped to [Par (b, a)], and each
+    loop invariant re-keyed to its rebuilt [While] node (invariants
+    are keyed physically). The verifier has no schedule, so a program
+    and its mirror must get equal outcomes. *)
+let mirror_par (prog : V.program) : V.program =
+  let proc (p : V.proc) =
+    let rebuilt = ref [] in
+    let rec go e =
+      match e with
+      | HL.Par (a, b) -> HL.Par (go b, go a)
+      | HL.While _ ->
+          let node = HL.map_children go e in
+          rebuilt := (e, node) :: !rebuilt;
+          node
+      | _ -> HL.map_children go e
+    in
+    let body = go p.V.body in
+    let invariants =
+      List.map (fun (w, inv) -> (List.assq w !rebuilt, inv)) p.V.invariants
+    in
+    { p with V.body; invariants }
+  in
+  { prog with V.procs = List.map proc prog.V.procs }

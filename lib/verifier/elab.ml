@@ -42,39 +42,20 @@ let close (params : string list) (body : HL.expr) :
     match e with
     | HL.Var x when SS.mem x params && not (SS.mem x bound) ->
         HL.Val (HL.Sym x)
-    | HL.Var _ | HL.Val _ | HL.GhostMark _ -> e
     | HL.Rec (f, x, b) ->
         let bound =
           match f with Some f -> SS.add f bound | None -> bound
         in
         HL.Rec (f, x, go (SS.add x bound) b)
-    | HL.App (f, a) -> HL.App (go bound f, go bound a)
-    | HL.UnOp (op, a) -> HL.UnOp (op, go bound a)
-    | HL.BinOp (op, a, b) -> HL.BinOp (op, go bound a, go bound b)
-    | HL.If (c, a, b) -> HL.If (go bound c, go bound a, go bound b)
     | HL.Let (x, e1, e2) -> HL.Let (x, go bound e1, go (SS.add x bound) e2)
-    | HL.Seq (a, b) -> HL.Seq (go bound a, go bound b)
-    | HL.While (c, b) ->
-        let node = HL.While (go bound c, go bound b) in
-        remap := (e, node) :: !remap;
-        node
-    | HL.PairE (a, b) -> HL.PairE (go bound a, go bound b)
-    | HL.Fst a -> HL.Fst (go bound a)
-    | HL.Snd a -> HL.Snd (go bound a)
-    | HL.InjLE a -> HL.InjLE (go bound a)
-    | HL.InjRE a -> HL.InjRE (go bound a)
     | HL.Case (s, (x, e1), (y, e2)) ->
         HL.Case (go bound s, (x, go (SS.add x bound) e1),
                  (y, go (SS.add y bound) e2))
-    | HL.Alloc a -> HL.Alloc (go bound a)
-    | HL.Load a -> HL.Load (go bound a)
-    | HL.Store (l, a) -> HL.Store (go bound l, go bound a)
-    | HL.Free a -> HL.Free (go bound a)
-    | HL.Cas (l, a, b) -> HL.Cas (go bound l, go bound a, go bound b)
-    | HL.Faa (l, d) -> HL.Faa (go bound l, go bound d)
-    | HL.Assert a -> HL.Assert (go bound a)
-    | HL.Par (a, b) -> HL.Par (go bound a, go bound b)
-    | HL.Atomic a -> HL.Atomic (go bound a)
+    | HL.While _ ->
+        let node = HL.map_children (go bound) e in
+        remap := (e, node) :: !remap;
+        node
+    | _ -> HL.map_children (go bound) e
   in
   let body' = go SS.empty body in
   (body', !remap)

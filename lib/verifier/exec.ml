@@ -276,21 +276,14 @@ let rec exec (prog : program) (proc : proc) (st : t) (env : env)
          verify on its own. The parent's chunks are untouchable by the
          branches (they never hold them), so the continuation resumes
          with the parent state unchanged; the fork/join is the
-         interference point accounted to [interference_havocs]. *)
+         interference point accounted to [interference_havocs]. There
+         is no schedule to vary: both branches start from the same
+         [entry] and neither sees the other's result. *)
       st.stats.Vstats.par_branches <- st.stats.Vstats.par_branches + 2;
       let entry = pures_only st in
-      let branches =
-        (* The seeded scheduler permutes exploration order; both
-           branches are verified regardless, so verdicts cannot
-           depend on the seed — the [--seed] gate checks exactly
-           that. *)
-        match st.sched with
-        | Some s when Heaplang.Step.Sched.pick s 2 = 1 -> [ e2; e1 ]
-        | _ -> [ e1; e2 ]
-      in
       List.iter
         (fun branch -> ignore (exec prog proc entry env branch))
-        branches;
+        [ e1; e2 ];
       st.stats.Vstats.interference_havocs <-
         st.stats.Vstats.interference_havocs + 1;
       [ (st, T.int 0) ]
@@ -474,7 +467,7 @@ let decided = function
     query. Sessions are per-procedure (never shared across jobs), so
     the parallel engine's workers stay isolated. A caller may pass a
     fresh [session] to inspect it afterwards (its lemma store). *)
-let verify_proc ?(heap_dep = true) ?(absint = true) ?(seed = 0)
+let verify_proc ?(heap_dep = true) ?(absint = true)
     ?(srcmap : Diag.srcmap = []) ?(stats = Vstats.create ()) ?session
     (prog : program) (proc : proc) : outcome =
   match
@@ -485,7 +478,7 @@ let verify_proc ?(heap_dep = true) ?(absint = true) ?(seed = 0)
     (* [create] is inside the guarded region: it enforces the
        declaration-time stability of every predicate body (DA012). *)
     let st =
-      create ~heap_dep ~absint ~seed ?session ~stats ~penv:prog.preds
+      create ~heap_dep ~absint ?session ~stats ~penv:prog.preds
         ~invs:prog.invs ()
     in
     inhale_cases st proc.requires
@@ -515,9 +508,8 @@ let verify_proc ?(heap_dep = true) ?(absint = true) ?(seed = 0)
 (** Verify every procedure of a program; returns per-procedure
     outcomes. A shared [stats] instance accumulates across all
     procedures. *)
-let verify ?heap_dep ?absint ?seed ?srcmap ?stats (prog : program) :
+let verify ?heap_dep ?absint ?srcmap ?stats (prog : program) :
     (string * outcome) list =
   List.map
-    (fun p ->
-      (p.pname, verify_proc ?heap_dep ?absint ?seed ?srcmap ?stats prog p))
+    (fun p -> (p.pname, verify_proc ?heap_dep ?absint ?srcmap ?stats prog p))
     prog.procs

@@ -31,13 +31,6 @@ type t = {
       (** names of the invariants currently open in this state — the
           mask; non-empty exactly inside an atomic section, and a
           second open while non-empty is the DA026 reentrancy error *)
-  sched : Heaplang.Step.Sched.t option;
-      (** interleaving scheduler ([--seed]): permutes the order in
-          which [par] branches are explored. Verdicts are
-          schedule-independent by construction (every branch is
-          verified regardless of order), which the seed makes
-          checkable rather than aspirational; [None] is the
-          deterministic left-first default *)
   pures : T.t list;  (** path condition; always heap-read-free *)
   absenv : Absdom.t;
       (** interval×parity abstraction of [pures], maintained
@@ -48,7 +41,7 @@ type t = {
 }
 
 let create ?(heap_dep = true) ?(absint = true) ?(penv = Smap.empty)
-    ?(invs = []) ?(seed = 0) ?session ?stats () =
+    ?(invs = []) ?session ?stats () =
   (* Declaration-time stability: [A.stable]'s [Pred _ -> true] case is
      sound only if every predicate body in scope is itself stable — a
      chunk stands for its body under interference. Enforced here (and
@@ -88,9 +81,6 @@ let create ?(heap_dep = true) ?(absint = true) ?(penv = Smap.empty)
     session;
     invs;
     opened = [];
-    sched =
-      (if seed = 0 then None
-       else Some (Heaplang.Step.Sched.create ~seed));
     pures = [];
     absenv = Absdom.top;
     chunks = [];

@@ -120,14 +120,14 @@ let qcheck_stabilize_root =
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: abstract-interpreter soundness. Closed expressions from the
-   executable int fragment run both concretely ({!Heaplang.Interp})
+   executable int fragment run both concretely ({!Heaplang.Step.run})
    and abstractly ({!Analysis.Absint.eval_expr}); a terminating
    concrete run must land inside the abstract result — the property
    the verifier's Valid-only pre-discharge rests on. *)
 
 module Dom = An.Domain
 module AD = Absdom
-module Interp = Heaplang.Interp
+module Step = Heaplang.Step
 
 let gen_closed_expr =
   let open QCheck.Gen in
@@ -207,9 +207,9 @@ let qcheck_absint_sound =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"abstract-over-approximates-concrete" ~count:500
        arb_closed_expr (fun e ->
-         match Interp.run ~fuel:20_000 e with
-         | Interp.Error _ | Interp.Timeout -> true
-         | Interp.Value v -> (
+         match Step.run ~fuel:20_000 e with
+         | Step.Error _ | Step.Timeout -> true
+         | Step.Value (v, _) -> (
              let st, t = An.Absint.eval_expr e in
              (not (Dom.is_bot st))
              &&

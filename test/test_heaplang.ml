@@ -1,15 +1,16 @@
-(** Language tests: unit tests per construct, substitution laws, and a
-    differential property — the big-step interpreter agrees with the
-    small-step semantics on random programs. *)
+(** Language tests: unit tests per construct, substitution laws, and
+    differential properties of the small-step machine ({!Step.run}) on
+    random programs — the scheduler is inert without [par], and a
+    printed program runs like the original. *)
 
 open Heaplang
 open Ast
 
 let run_val e =
-  match Interp.run e with
-  | Interp.Value v -> v
-  | Interp.Error m -> Alcotest.failf "runtime error: %s" m
-  | Interp.Timeout -> Alcotest.fail "timeout"
+  match Step.run e with
+  | Step.Value (v, _) -> v
+  | Step.Error m -> Alcotest.failf "runtime error: %s" m
+  | Step.Timeout -> Alcotest.fail "timeout"
 
 let v_int = function Int n -> n | v -> Alcotest.failf "not an int: %a" pp_value v
 
@@ -53,8 +54,8 @@ let test_heap_ops () =
   | Pair (Bool true, Int 9) -> ()
   | v -> Alcotest.failf "cas: %a" pp_value v);
   let e4 = let_ "l" (alloc (int 0)) (seq (Free (var "l")) (load (var "l"))) in
-  match Interp.run e4 with
-  | Interp.Error _ -> ()
+  match Step.run e4 with
+  | Step.Error _ -> ()
   | _ -> Alcotest.fail "use-after-free must be a runtime error"
 
 let test_while () =
@@ -93,21 +94,21 @@ let test_int_conflation () =
     seq (alloc (int 11)) (Load (Val (Int 0)))
   in
   Alcotest.(check int) "load-int-addr" 11 (v_int (run_val e2));
-  match Interp.run (Assert (int 3)) with
-  | Interp.Value Unit -> ()
+  match Step.run (Assert (int 3)) with
+  | Step.Value (Unit, _) -> ()
   | _ -> Alcotest.fail "assert on nonzero int"
 
 let test_assert_ghost () =
   let open Syntax in
   Alcotest.(check bool) "assert-true" true
-    (match Interp.run (Assert (bool true)) with
-    | Interp.Value Unit -> true
+    (match Step.run (Assert (bool true)) with
+    | Step.Value (Unit, _) -> true
     | _ -> false);
-  (match Interp.run (Assert (bool false)) with
-  | Interp.Error _ -> ()
+  (match Step.run (Assert (bool false)) with
+  | Step.Error _ -> ()
   | _ -> Alcotest.fail "assert false must fail");
-  match Interp.run (GhostMark "anything") with
-  | Interp.Value Unit -> ()
+  match Step.run (GhostMark "anything") with
+  | Step.Value (Unit, _) -> ()
   | _ -> Alcotest.fail "ghost marks are runtime no-ops"
 
 (* Concurrency: [par] forks, [atomic] is indivisible, and the seeded
@@ -127,38 +128,38 @@ let par_over_cell ~atomic_sections =
        (Par (wrap (racy_incr 0 1), wrap (racy_incr 0 10)))
        (load (Val (Loc 0))))
 
-let interp_int ?seed e =
-  match Interp.run ?seed e with
-  | Interp.Value (Int n) -> n
+let run_int ?seed e =
+  match Step.run ?seed e with
+  | Step.Value (Int n, _) -> n
   | r ->
       Alcotest.failf "expected an int, got %s"
         (match r with
-        | Interp.Value v -> Fmt.str "%a" pp_value v
-        | Interp.Error m -> m
-        | Interp.Timeout -> "timeout")
+        | Step.Value (v, _) -> Fmt.str "%a" pp_value v
+        | Step.Error m -> m
+        | Step.Timeout -> "timeout")
 
 let test_par_atomic () =
   (* par of values joins to unit *)
-  (match Interp.run (Par (Val (Int 1), Val (Int 2))) with
-  | Interp.Value Unit -> ()
+  (match Step.run (Par (Val (Int 1), Val (Int 2))) with
+  | Step.Value (Unit, _) -> ()
   | _ -> Alcotest.fail "par must join to unit");
   (* the unseeded machine is left-first: no interleaving, no lost
      update even without atomic sections *)
   Alcotest.(check int) "left-first" 11
-    (interp_int (par_over_cell ~atomic_sections:false));
+    (run_int (par_over_cell ~atomic_sections:false));
   (* atomic sections make both increments land under every seed *)
   List.iter
     (fun seed ->
       Alcotest.(check int)
         (Printf.sprintf "atomic seed=%d" seed)
         11
-        (interp_int ~seed (par_over_cell ~atomic_sections:true)))
+        (run_int ~seed (par_over_cell ~atomic_sections:true)))
     [ 1; 2; 3; 4; 5 ];
   (* without atomic sections some interleaving loses an update — the
      scheduler really does interleave *)
   let results =
     List.init 100 (fun i ->
-        interp_int ~seed:(i + 1) (par_over_cell ~atomic_sections:false))
+        run_int ~seed:(i + 1) (par_over_cell ~atomic_sections:false))
   in
   Alcotest.(check bool) "all results are race outcomes" true
     (List.for_all (fun n -> n = 1 || n = 10 || n = 11) results);
@@ -169,15 +170,15 @@ let test_par_atomic () =
     (fun seed ->
       Alcotest.(check int)
         (Printf.sprintf "deterministic seed=%d" seed)
-        (interp_int ~seed (par_over_cell ~atomic_sections:false))
-        (interp_int ~seed (par_over_cell ~atomic_sections:false)))
+        (run_int ~seed (par_over_cell ~atomic_sections:false))
+        (run_int ~seed (par_over_cell ~atomic_sections:false)))
     [ 1; 7; 42 ]
 
 let test_stuck () =
   List.iter
     (fun (name, e) ->
-      match Interp.run e with
-      | Interp.Error _ -> ()
+      match Step.run e with
+      | Step.Error _ -> ()
       | _ -> Alcotest.failf "%s should be stuck" name)
     [
       ("unbound", Var "nope");
@@ -189,9 +190,8 @@ let test_stuck () =
 
 (* Integer arithmetic is exact or fails. The logic's integers are
    unbounded, so a result a native [int] cannot hold must never wrap:
-   [Interp.run] answers [Error Step.overflow_msg], [Step.step] is
-   [Stuck] with the same message, and the kernel's pure step takes no
-   step. *)
+   [Step.run] answers [Error Step.overflow_msg] and the kernel's pure
+   step takes no step. *)
 
 let arith =
   Alcotest.testable
@@ -201,17 +201,11 @@ let arith =
       | `Undefined -> Fmt.string ppf "undefined")
     ( = )
 
-(** [e] under the interpreter, the small-step machine and the kernel's
-    pure step. *)
+(** [e] under the small-step machine and the kernel's pure step. *)
 let surfaces e =
-  let of_msg m = if m = Step.overflow_msg then `Overflow else `Undefined in
-  ( (match Interp.run e with
-    | Interp.Value (Int n) -> `Int n
-    | Interp.Error m -> of_msg m
-    | _ -> `Undefined),
-    (match Step.step { Step.expr = e; heap = Heap.empty } with
-    | Step.Next { expr = Val (Int n); _ } -> `Int n
-    | Step.Stuck m -> of_msg m
+  ( (match Step.run e with
+    | Step.Value (Int n, _) -> `Int n
+    | Step.Error m when m = Step.overflow_msg -> `Overflow
     | _ -> `Undefined),
     match Baselogic.Kernel.pure_head_step e with
     | Some (Val (Int n)) -> `Int n
@@ -219,7 +213,7 @@ let surfaces e =
 
 (* What [surfaces] must give for the result [r]: the kernel's pure step
    takes no step on any failure. *)
-let expect r = (r, r, match r with `Int _ -> r | _ -> `Undefined)
+let expect r = (r, match r with `Int _ -> r | _ -> `Undefined)
 
 (** The exact result of [a op b] through {!Int_ref}, truncating
     division as OCaml does. *)
@@ -243,7 +237,7 @@ let show (op, a, b) = Fmt.str "%d %a %d" a pp_bin_op op b
 
 let test_int_boundaries () =
   let check name e r =
-    Alcotest.(check (triple arith arith arith)) name (expect r) (surfaces e)
+    Alcotest.(check (pair arith arith)) name (expect r) (surfaces e)
   in
   let bounds = [ 0; 1; -1; max_int; min_int ] in
   List.iter
@@ -263,9 +257,8 @@ let test_int_boundaries () =
     ];
   (* fetch-and-add stores its sum through the same checked add *)
   let faa = Syntax.(let_ "l" (alloc (int max_int)) (Faa (var "l", int 1))) in
-  Alcotest.(check bool) "faa past max_int (interp, step)" true
-    (Interp.run faa = Interp.Error Step.overflow_msg
-    && Step.run faa = Step.Error Step.overflow_msg);
+  Alcotest.(check bool) "faa past max_int" true
+    (Step.run faa = Step.Error Step.overflow_msg);
   Alcotest.(check bool) "the failure names integer overflow" true
     (String.starts_with ~prefix:"integer overflow" Step.overflow_msg)
 
@@ -293,18 +286,10 @@ let test_close_syms () =
     Subst.close_expr [ ("k", Int 5) ]
       (Subst.close_expr [ ("l", Loc 0) ] e)
   in
-  match
-    Interp.run (let_ "r" (alloc (int 2)) (seq (Val Unit) closed))
-  with
-  | Interp.Value (Int 7) -> ()
-  | r ->
-      Alcotest.failf "close_syms: %s"
-        (match r with
-        | Interp.Value v -> Fmt.str "%a" pp_value v
-        | Interp.Error m -> m
-        | Interp.Timeout -> "timeout")
+  Alcotest.(check int) "close_syms" 7
+    (run_int (let_ "r" (alloc (int 2)) (seq (Val Unit) closed)))
 
-(* Differential: interpreter ≡ small-step on random programs. *)
+(* Random closed programs for the differential properties. *)
 
 let gen_prog : expr QCheck.Gen.t =
   let open QCheck.Gen in
@@ -347,30 +332,6 @@ let gen_prog : expr QCheck.Gen.t =
   in
   go 4 []
 
-let rec small_step_run fuel (cfg : Step.cfg) =
-  if fuel <= 0 then None
-  else
-    match Step.step cfg with
-    | Step.Done (v, _) -> Some (Ok v)
-    | Step.Next cfg -> small_step_run (fuel - 1) cfg
-    | Step.Stuck m -> Some (Error m)
-
-let agreement =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"interp-vs-smallstep" ~count:500
-       (QCheck.make ~print:(Fmt.str "%a" pp_expr) gen_prog)
-       (fun e ->
-         let big = Interp.run ~fuel:100_000 e in
-         let small =
-           small_step_run 100_000 { Step.expr = e; heap = Heap.empty }
-         in
-         match (big, small) with
-         | Interp.Value v1, Some (Ok v2) -> value_equal v1 v2
-         | Interp.Error _, Some (Error _) -> true
-         | Interp.Timeout, None -> true
-         | Interp.Timeout, _ | _, None -> true (* fuel mismatch tolerated *)
-         | _ -> false))
-
 (* Differential: on par-free programs the seeded scheduler is inert —
    [run ~seed] agrees with plain sequential [run] for every seed.
    [gen_prog] never emits [Par], so this pins down that the scheduler
@@ -382,21 +343,18 @@ let seeded_agreement =
        ~count:300
        (QCheck.make ~print:(Fmt.str "%a" pp_expr) gen_prog)
        (fun e ->
-         let plain = Interp.run ~fuel:100_000 e in
+         let plain = Step.run ~fuel:100_000 e in
          List.for_all
-           (fun seed -> Interp.run ~fuel:100_000 ~seed e = plain)
+           (fun seed -> Step.run ~fuel:100_000 ~seed e = plain)
            [ 1; 2; 3 ]))
 
 (* Parser round-trips: parse, run, compare. *)
 let test_parser () =
   let runs src expected =
-    match Interp.run (Parser.parse_exn src) with
-    | Interp.Value v ->
-        Alcotest.(check bool)
-          (src ^ " = " ^ Fmt.str "%a" pp_value expected)
-          true (value_equal v expected)
-    | Interp.Error m -> Alcotest.failf "%s: runtime error %s" src m
-    | Interp.Timeout -> Alcotest.failf "%s: timeout" src
+    Alcotest.(check bool)
+      (src ^ " = " ^ Fmt.str "%a" pp_value expected)
+      true
+      (value_equal (run_val (Parser.parse_exn src)) expected)
   in
   runs "1 + 2 * 3" (Int 7);
   runs "(1 + 2) * 3" (Int 9);
@@ -421,8 +379,8 @@ let test_parser () =
   | e -> Alcotest.failf "atomic parse shape: %a" pp_expr e);
   runs "let x = 3 in (* a comment *) x" (Int 3);
   (* closures compare physically; check the shape instead *)
-  (match Interp.run (Parser.parse_exn "fun x -> x + 1") with
-  | Interp.Value (RecV (None, "x", BinOp (Add, Var "x", Val (Int 1)))) -> ()
+  (match run_val (Parser.parse_exn "fun x -> x + 1") with
+  | RecV (None, "x", BinOp (Add, Var "x", Val (Int 1))) -> ()
   | _ -> Alcotest.fail "fun parse shape");
   (* symbols parse into Sym leaves *)
   (match Parser.parse_exn "!?l + ?n" with
@@ -436,7 +394,7 @@ let test_parser () =
       | _ -> Alcotest.failf "%S should not parse" src)
     [ "let = 3"; "1 +"; "(1, 2"; "while 1 do 2"; "@" ]
 
-let parser_interp_agreement =
+let parser_run_agreement =
   (* pretty-print a random program, reparse it, and compare runs —
      limited to the constructs whose printed form is re-parseable *)
   QCheck_alcotest.to_alcotest
@@ -457,7 +415,7 @@ let parser_interp_agreement =
          else
            let src = Fmt.str "%a" pp_expr e in
            match Parser.parse_exn src with
-           | e' -> Interp.run e = Interp.run e'
+           | e' -> Step.run e = Step.run e'
            | exception Failure _ -> false))
 
 let () =
@@ -486,7 +444,7 @@ let () =
       ( "parser",
         [
           Alcotest.test_case "surface-syntax" `Quick test_parser;
-          parser_interp_agreement;
+          parser_run_agreement;
         ] );
-      ("differential", [ agreement; seeded_agreement ]);
+      ("differential", [ seeded_agreement ]);
     ]

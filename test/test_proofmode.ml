@@ -120,22 +120,22 @@ let test_prove_then_run () =
         HL.Seq (closed,
           HL.PairE (HL.Load (HL.Val (HL.Loc 0)), HL.Load (HL.Val (HL.Loc 1))))))
   in
-  match Heaplang.Interp.run setup with
-  | Heaplang.Interp.Value (HL.Pair (HL.Int 20, HL.Int 10)) -> ()
+  match Heaplang.Step.run setup with
+  | Heaplang.Step.Value (HL.Pair (HL.Int 20, HL.Int 10), _) -> ()
   | r ->
       Alcotest.failf "swap ran wrong: %s"
         (match r with
-        | Heaplang.Interp.Value v -> Fmt.str "%a" HL.pp_value v
-        | Heaplang.Interp.Error m -> m
-        | Heaplang.Interp.Timeout -> "timeout")
+        | Heaplang.Step.Value (v, _) -> Fmt.str "%a" HL.pp_value v
+        | Heaplang.Step.Error m -> m
+        | Heaplang.Step.Timeout -> "timeout")
 
 let test_anf () =
   let open HL in
   let e = BinOp (Add, BinOp (Mul, Val (Int 2), Val (Int 3)), Val (Int 4)) in
   let a = P.anf e in
   (* semantics preserved *)
-  (match Heaplang.Interp.run a with
-  | Heaplang.Interp.Value (Int 10) -> ()
+  (match Heaplang.Step.run a with
+  | Heaplang.Step.Value (Int 10, _) -> ()
   | _ -> Alcotest.fail "anf changed meaning");
   (* structure: operator operands are values/variables *)
   let rec check = function

@@ -108,14 +108,14 @@ let test_protocol_roundtrip () =
   in
   check_req
     (J.to_string
-       (P.verify_request ~id:(J.Num 7.0) ~lint:true ~absint:false ~seed:11
+       (P.verify_request ~id:(J.Num 7.0) ~lint:true ~absint:false
           ~timeout_ms:250.0 ~retries:2 (P.Entry "swap")))
     (function
       | P.Verify
           {
             id = J.Num 7.0;
             target = P.Entry "swap";
-            options = { lint = true; absint = false; seed = 11 };
+            options = { lint = true; absint = false };
             timeout_ms = Some 250.0;
             retries = Some 2;
           } ->
@@ -126,6 +126,10 @@ let test_protocol_roundtrip () =
       when options = E.Options.default ->
         ()
     | _ -> Alcotest.fail "options default when absent");
+  (* A stale "seed" field is ignored like any other unknown field. *)
+  check_req {|{"op":"verify","name":"swap","seed":7}|} (function
+    | P.Verify { options; _ } when options = E.Options.default -> ()
+    | _ -> Alcotest.fail "a stale seed field decodes to the defaults");
   check_req
     (J.to_string
        (P.lint_request ~id:(J.Num 3.0) ~absint:false (P.Entry "swap")))
@@ -164,9 +168,9 @@ let test_protocol_errors () =
       {|{"op":"verify","name":"swap","lint":"true"}|};
       {|{"op":"verify","name":"swap","lint":null}|};
       {|{"op":"verify","name":"swap","absint":0}|};
-      {|{"op":"verify","name":"swap","seed":7.9}|};
-      {|{"op":"verify","name":"swap","seed":1e300}|};
-      {|{"op":"verify","name":"swap","seed":"7"}|};
+      {|{"op":"verify","name":"swap","retries":7.9}|};
+      {|{"op":"verify","name":"swap","retries":1e300}|};
+      {|{"op":"verify","name":"swap","retries":"7"}|};
       {|{"op":"verify","name":"swap","retries":1.5}|};
       {|{"op":"verify","name":"swap","retries":-1}|};
       {|{"op":"verify","name":"swap","timeout_ms":0}|};
@@ -178,15 +182,9 @@ let test_protocol_errors () =
 
 (* Options are the whole verdict-affecting part of a request: distinct
    options must never share a verdict-cache key or a breaker digest,
-   and every options value must survive the wire. Seeds stay within
-   the ±2^53 a JSON number carries exactly. *)
+   and every options value must survive the wire. *)
 let gen_options =
-  QCheck.Gen.(
-    map3
-      (fun lint absint seed -> { E.Options.lint; absint; seed })
-      bool bool
-      (frequency
-         [ (3, int_range (-2) 2); (1, int_range (-(1 lsl 53)) (1 lsl 53)) ]))
+  QCheck.Gen.(map2 (fun lint absint -> { E.Options.lint; absint }) bool bool)
 
 let gen_target =
   QCheck.Gen.(
@@ -199,23 +197,33 @@ let gen_target =
       ])
 
 let print_options (o : E.Options.t) =
-  Printf.sprintf "{lint=%b; absint=%b; seed=%d}" o.lint o.absint o.seed
+  Printf.sprintf "{lint=%b; absint=%b}" o.lint o.absint
 
 let verify_of options target =
   P.Verify { id = J.Null; target; options; timeout_ms = None; retries = None }
 
+(* All four options values, so every distinct pair is checked. *)
+let all_options =
+  List.concat_map
+    (fun lint ->
+      List.map (fun absint -> { E.Options.lint; absint }) [ false; true ])
+    [ false; true ]
+
 let qcheck_options_distinct =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"options-keys-distinct" ~count:500
-       (QCheck.make
-          ~print:(fun (a, b, _) -> print_options a ^ " vs " ^ print_options b)
-          QCheck.Gen.(triple gen_options gen_options gen_target))
-       (fun (o1, o2, target) ->
-         QCheck.assume (o1 <> o2);
-         Server.Daemon.verdict_key o1 target
-         <> Server.Daemon.verdict_key o2 target
-         && Server.Daemon.request_digest (verify_of o1 target)
-            <> Server.Daemon.request_digest (verify_of o2 target)))
+    (QCheck.Test.make ~name:"options-keys-distinct" ~count:200
+       (QCheck.make gen_target) (fun target ->
+         List.for_all
+           (fun o1 ->
+             List.for_all
+               (fun o2 ->
+                 o1 = o2
+                 || Server.Daemon.verdict_key o1 target
+                    <> Server.Daemon.verdict_key o2 target
+                    && Server.Daemon.request_digest (verify_of o1 target)
+                       <> Server.Daemon.request_digest (verify_of o2 target))
+               all_options)
+           all_options))
 
 (* The target half of the key: a reply names its file, so two targets
    — even one source under two file names, or the same characters
@@ -254,8 +262,7 @@ let qcheck_options_roundtrip =
          (match
             P.request_of_line
               (J.to_string
-                 (P.verify_request ~lint:o.lint ~absint:o.absint ~seed:o.seed
-                    target))
+                 (P.verify_request ~lint:o.lint ~absint:o.absint target))
           with
          | Ok (P.Verify v) -> v.options = o && v.target = target
          | _ -> false)

@@ -228,14 +228,14 @@ let test_verify_then_run () =
   let body = Suite.Programs.(main_proc count).V.body in
   let closed = Heaplang.Subst.close_expr [ ("i", HL.Loc 0); ("n", HL.Int 5) ] body in
   let setup = HL.Seq (HL.Alloc (HL.Val (HL.Int 0)), closed) in
-  match Heaplang.Interp.run setup with
-  | Heaplang.Interp.Value (HL.Int 5) -> ()
+  match Heaplang.Step.run setup with
+  | Heaplang.Step.Value (HL.Int 5, _) -> ()
   | r ->
       Alcotest.failf "count ran wrong: %s"
         (match r with
-        | Heaplang.Interp.Value v -> Fmt.str "%a" HL.pp_value v
-        | Heaplang.Interp.Error m -> m
-        | Heaplang.Interp.Timeout -> "timeout")
+        | Heaplang.Step.Value (v, _) -> Fmt.str "%a" HL.pp_value v
+        | Heaplang.Step.Error m -> m
+        | Heaplang.Step.Timeout -> "timeout")
 
 (* Ghost commands: unit tests. *)
 let test_ghost_cmds () =
@@ -310,31 +310,42 @@ let test_unstable_pred_decl () =
   (* the stable clist definitions still load fine *)
   ignore (St.create ~penv:Suite.Programs.clist_preds ())
 
-(* Scheduler permutation: verdicts are independent of [--seed]. The
-   symbolic executor verifies every par branch under every schedule —
-   the seed only permutes exploration order — so positives stay
-   verified and negatives keep failing, message for message. *)
-let test_seed_independence () =
+(* Par mirroring: the symbolic executor verifies both branches of a
+   par from the same entry state and neither sees the other's result,
+   so swapping every par's branches ({!Suite.Programs.mirror_par})
+   must leave every outcome equal — positives stay verified and
+   negatives keep failing, message for message. The suite's pars are
+   symmetric or verify on both sides, so a one-sided racy program is
+   added: an executor that skipped a branch, or let one branch see the
+   other, would fail it one way round and not the other. *)
+let one_sided_source =
+  {|invariant cell { exists v. x |-> v }
+procedure one_sided(x) { par { x <- !x + 1 } { atomic { x <- !x + 1 } } }|}
+
+let test_par_mirror () =
+  let suite name =
+    match
+      List.find_opt
+        (fun (e : Suite.Programs.entry) -> String.equal e.name name)
+        Suite.Programs.all
+    with
+    | Some e -> (name, e.prog)
+    | None -> Alcotest.failf "no suite entry %s" name
+  in
+  let one_sided =
+    fst (Verifier.Elab.program_of_string ~file:"one_sided.hl" one_sided_source)
+  in
   List.iter
-    (fun name ->
-      let e =
-        match
-          List.find_opt
-            (fun (e : Suite.Programs.entry) -> String.equal e.name name)
-            Suite.Programs.all
-        with
-        | Some e -> e
-        | None -> Alcotest.failf "no suite entry %s" name
-      in
-      let base = V.verify e.prog in
-      List.iter
-        (fun seed ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: seed %d ≡ seed 0" name seed)
-            true
-            (V.verify ~seed e.prog = base))
-        [ 1; 2; 3 ])
-    [ "spinlock"; "ticket_lock"; "treiber"; "racy_incr"; "lock_noinv" ]
+    (fun (name, prog) ->
+      Alcotest.(check bool)
+        (name ^ ": mirrored outcomes = outcomes")
+        true
+        (V.verify (Suite.Programs.mirror_par prog) = V.verify prog))
+    (("one_sided", one_sided)
+    :: List.map suite
+         [ "spinlock"; "ticket_lock"; "treiber"; "racy_incr"; "lock_noinv" ]);
+  Alcotest.(check bool) "one_sided fails" true
+    (List.exists (fun (_, o) -> o <> V.Verified) (V.verify one_sided))
 
 (* The runtime side of DA026: a nested atomic section is rejected by
    the symbolic executor itself (mask discipline), not only by the
@@ -457,8 +468,7 @@ let () =
           Alcotest.test_case "generated-sizes" `Quick test_generated_sizes;
           Alcotest.test_case "spec-mutations" `Quick test_spec_mutations;
           Alcotest.test_case "verify-then-run" `Quick test_verify_then_run;
-          Alcotest.test_case "seed-independence" `Quick
-            test_seed_independence;
+          Alcotest.test_case "par-mirror" `Quick test_par_mirror;
           Alcotest.test_case "nested-atomic-exec" `Quick
             test_nested_atomic_exec;
           Alcotest.test_case "out-of-range" `Quick test_out_of_range;
